@@ -9,9 +9,9 @@ files behind.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .stiffness import (
 from .workspace import (
     INDEX_FORMAT_VERSION,
     WorkspaceIndex,
+    atomic_open,
     enumerate_workspace,
     local_omnivariance,
     omnivariance,
@@ -67,22 +68,10 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        _atomic_write(args.out, text)
+        with atomic_open(args.out, "w", newline="\n") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -101,6 +90,8 @@ def _parse_vector(text: str) -> np.ndarray:
         raise PlcError(f"expected comma-separated numbers, got {text!r}") from None
     if len(parts) != 3:
         raise PlcError(f"expected 3 components, got {len(parts)}")
+    if not all(math.isfinite(p) for p in parts):
+        raise PlcError(f"vector components must be finite, got {text!r}")
     return np.array(parts)
 
 
@@ -156,17 +147,19 @@ def _read_queries(path) -> np.ndarray:
                 continue
             parts = line.split(",")
             try:
-                rows.append([float(p) for p in parts[:3]])
+                row = [float(p) for p in parts[:3]]
             except ValueError:
                 if rows:
                     raise PlcError(f"bad query row: {line!r}") from None
                 continue  # header line
+            if len(row) != 3:
+                raise PlcError(f"query rows must have 3 columns (x,y,z), got {line!r}")
+            if not all(math.isfinite(v) for v in row):
+                raise PlcError(f"query coordinates must be finite, got {line!r}")
+            rows.append(row)
     if not rows:
         raise PlcError("query file contains no points")
-    arr = np.array(rows)
-    if arr.shape[1] != 3:
-        raise PlcError("query rows must have 3 columns (x,y,z)")
-    return arr
+    return np.array(rows)
 
 
 # -- subcommands ---------------------------------------------------------------

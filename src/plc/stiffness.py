@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .kinematics import segment_axes
 from .model import Configuration, InvariantError, PlcError, RobotDescription
@@ -297,22 +296,28 @@ def bellows_twist(
     if not math.isfinite(torque):
         raise PlcError(f"torque must be finite, got {torque}")
 
-    half = segment_length / (2.0 * convolutions)
-    slope = (outer_diameter - inner_diameter) / half
-
-    def reciprocal_polar(l: float) -> float:
-        radius = (inner_diameter + slope * l) / 2.0
-        polar = 0.5 * math.pi * (radius**4 - (radius - thickness) ** 4)
-        return torque / (polar * shear_modulus)
-
-    value, abserr = integrate.quad(reciprocal_polar, 0.0, half, epsabs=1e-14, epsrel=1e-12)
-    total = 2.0 * convolutions * value
-    achieved = 2.0 * convolutions * abserr
-    if achieved > 1e-10 * max(1.0, abs(total)):
-        raise PlcError(
-            f"bellows twist integration did not converge (achieved {achieved:.3e} rad)"
-        )
-    return total
+    # Over half a convolution the wall radius r ramps linearly from r_in to
+    # r_out.  With u = r - t/2 and a = t/2 the polar moment factors as
+    # J = (pi/2) (r^4 - (r - t)^4) = 2 pi t u (u^2 + a^2), whose reciprocal
+    # integrates in closed form:
+    #
+    #   int dr / J = (2 / (pi t^3)) [ln(u / sqrt(u^2 + a^2))]_{u_in}^{u_out}
+    #
+    # The bracket is written as log1p of a ratio proportional to
+    # r_out - r_in, so it stays accurate as the profile approaches a tube.
+    # Each of the 2 * convolutions ramps has dl = L / (2 convolutions
+    # (r_out - r_in)) dr, so their sum depends on L alone, not on the count.
+    a = thickness / 2.0
+    u_in = inner_diameter / 2.0 - a
+    u_out = outer_diameter / 2.0 - a
+    rise = (outer_diameter - inner_diameter) / 2.0
+    if rise == 0.0:  # tube: constant J along the segment
+        polar = 2.0 * math.pi * thickness * u_in * (u_in**2 + a**2)
+        return torque * segment_length / (polar * shear_modulus)
+    ratio = a**2 * rise * (u_out + u_in) / (u_in**2 * (u_out**2 + a**2))
+    return torque * segment_length * math.log1p(ratio) / (
+        math.pi * thickness**3 * rise * shear_modulus
+    )
 
 
 def skin_twist(

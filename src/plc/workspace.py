@@ -9,11 +9,13 @@ The finished index is immutable and safe for concurrent queries.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from typing import Iterator
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -38,6 +40,25 @@ def position_key(position) -> np.ndarray:
     """Quantized integer key(s) of position(s): round(coord / cell)."""
     scaled = np.rint(np.asarray(position, dtype=float) / KEY_CELL)
     return scaled.astype(np.int64)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` and rename it over ``path`` on success.
+
+    If the ``with`` body raises, the temporary file is removed, so a failed
+    write leaves neither a partial ``path`` nor a stray ``*.tmp`` file.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _segment_tables(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
@@ -131,6 +152,8 @@ class WorkspaceIndex:
         self.bucket_members = bucket_members
         self.keys = position_key(points)
         self.keys.setflags(write=False)
+        from scipy.spatial import cKDTree  # deferred: only tree-building commands pay for scipy
+
         self.tree = cKDTree(points)
 
     # -- size ----------------------------------------------------------------
@@ -157,10 +180,6 @@ class WorkspaceIndex:
         digits = configuration_from_rank(self.bucket_ranks(point_index), self.desc)
         teeth = self.desc.tooth_count
         return [Configuration(tuple(int(k) for k in row), teeth) for row in digits]
-
-    def iter_buckets(self) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
-        for g in range(self.point_count):
-            yield tuple(int(v) for v in self.keys[g]), self.bucket_ranks(g)
 
     def config_map(self) -> dict[tuple[int, int, int], list[Configuration]]:
         """Materialized key -> configurations multimap (small robots only)."""
@@ -203,7 +222,7 @@ class WorkspaceIndex:
             self.point_count,
             self.configuration_count,
         )
-        with open(path, "wb") as fh:
+        with atomic_open(path) as fh:
             fh.write(header)
             fh.write(self.points.astype("<f8").tobytes())
             fh.write(self.bucket_offsets.astype("<i8").tobytes())
@@ -321,6 +340,8 @@ def local_omnivariance(points, neighbors: int) -> np.ndarray:
         raise PlcError(
             f"neighborhood size {neighbors} outside [2, {pts.shape[0]}]"
         )
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=neighbors)
     hoods = pts[idx]

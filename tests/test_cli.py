@@ -259,3 +259,41 @@ def test_normalize_builtin_and_atomic_out(capsys, tmp_path):
 def test_normalize_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "normalize", "--designs", str(tmp_path / "nope.csv"))
     assert code == 3
+
+
+def assert_domain_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+def test_ik_rejects_non_finite_target(capsys, tmp_path, target):
+    robot = robot_file(tmp_path)
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+    code, out, err = run(
+        capsys, "ik", "--robot", robot, "--index", str(index_path), f"--target={target}"
+    )
+    assert_domain_error(code, err)
+    assert out == ""
+
+
+def test_stiffness_rejects_non_finite_direction(capsys):
+    code, _, err = run(
+        capsys, "stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0",
+        "--direction", "1,nan,0",
+    )
+    assert_domain_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "body", ["x,y,z\n1,2,3\n4,5\n", "x,y,z\n1,2\n3,4,5\n", "1,2,3\nnan,0,0\n"]
+)
+def test_workspace_accuracy_rejects_bad_query_rows(capsys, tmp_path, body):
+    robot = robot_file(tmp_path)
+    queries = tmp_path / "queries.csv"
+    queries.write_text(body)
+    code, out, err = run(capsys, "workspace", "accuracy", "--robot", robot, "--queries", str(queries))
+    assert_domain_error(code, err)
+    assert out == ""

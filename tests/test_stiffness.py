@@ -269,6 +269,42 @@ def test_constant_diameter_skin_matches_tube_formula(default_desc):
     assert value == pytest.approx(tube, rel=1e-8)
 
 
+def _bellows_twist_by_quadrature(torque, length, d_in, d_out, thickness, convolutions, shear):
+    """Reference: numerically integrate T / (J(l) G) over each half convolution."""
+    half = length / (2.0 * convolutions)
+    slope = (d_out - d_in) / half
+
+    def density(l):
+        radius = (d_in + slope * l) / 2.0
+        polar = 0.5 * math.pi * (radius**4 - (radius - thickness) ** 4)
+        return torque / (polar * shear)
+
+    value, _ = integrate.quad(density, 0.0, half, epsabs=0.0, epsrel=1e-13)
+    return 2.0 * convolutions * value
+
+
+@pytest.mark.parametrize("d_in,d_out", [(17.0, 22.0), (4.0, 30.0), (12.0, 12.5), (2.0, 2.4)])
+@pytest.mark.parametrize("thickness", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("convolutions", [1, 4, 9])
+def test_bellows_twist_matches_quadrature(default_desc, d_in, d_out, thickness, convolutions):
+    shear = default_desc.shear_modulus
+    value = bellows_twist(750.0, 30.0, d_in, d_out, thickness, convolutions, shear)
+    reference = _bellows_twist_by_quadrature(750.0, 30.0, d_in, d_out, thickness, convolutions, shear)
+    assert value == pytest.approx(reference, rel=1e-10)
+
+
+def test_near_tube_bellows_matches_tube_formula(default_desc):
+    torque, diameter, thickness = 800.0, 20.0, 0.75
+    shear = default_desc.shear_modulus
+    length = default_desc.curve_length
+    value = bellows_twist(torque, length, diameter, diameter + 1e-6, thickness, 3, shear)
+    # a 1e-6 mm ramp is a tube of the mean diameter up to O((1e-6 / r)^2)
+    outer_r = (diameter + 0.5e-6) / 2.0
+    inner_r = outer_r - thickness
+    tube = 2.0 * length * torque / (math.pi * (outer_r**4 - inner_r**4) * shear)
+    assert value == pytest.approx(tube, rel=1e-8)
+
+
 def test_bellows_twist_rejects_bad_geometry(default_desc):
     shear = default_desc.shear_modulus
     with pytest.raises(PlcError):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,43 @@ def test_save_load_round_trip(tmp_path, index_n3):
     assert np.array_equal(loaded.points, index_n3.points)
     assert np.array_equal(loaded.bucket_offsets, index_n3.bucket_offsets)
     assert np.array_equal(loaded.bucket_members, index_n3.bucket_members)
+
+
+def test_failed_save_leaves_nothing_behind(tmp_path, index_n2, monkeypatch):
+    target = tmp_path / "n2.plcw"
+    real_fdopen = os.fdopen
+
+    class FailingWriter:
+        """File handle whose writes stop after a few bytes, like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:7])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", lambda *a, **kw: FailingWriter(real_fdopen(*a, **kw)))
+    with pytest.raises(OSError, match="No space"):
+        index_n2.save(target)
+    assert list(tmp_path.iterdir()) == []
+
+    # a failed overwrite keeps the previous index intact
+    monkeypatch.undo()
+    index_n2.save(target)
+    before = target.read_bytes()
+    monkeypatch.setattr(os, "fdopen", lambda *a, **kw: FailingWriter(real_fdopen(*a, **kw)))
+    with pytest.raises(OSError):
+        index_n2.save(target)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["n2.plcw"]
+    assert target.read_bytes() == before
 
 
 def test_load_rejects_other_robot(tmp_path, index_n3):
