@@ -11,7 +11,7 @@ from .model import (
     parse_robot_description,
     serialize_robot_description,
 )
-from .kinematics import SegmentPose, chain_pose, segment_transform, tool_tip
+from .kinematics import chain_pose, segment_transform, tool_tip
 from .workspace import (
     WorkspaceIndex,
     enumerate_workspace,
@@ -70,7 +70,6 @@ __all__ = [
     "RobotDescription",
     "RotateShaft",
     "SchemaError",
-    "SegmentPose",
     "Unlock",
     "WorkspaceIndex",
     "all_locked",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import chain_pose
+from .kinematics import chain_pose, tool_tip
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 from .workspace import WorkspaceIndex, configuration_from_rank
 
@@ -56,7 +56,7 @@ def solve_ik(
     metric: str = "wrapped",
     seed: int | None = None,
 ) -> IkSolution:
-    """Reach ``target`` as closely as possible, staying near ``reference``.
+    """Bring the tool tip as close to ``target`` as possible, staying near ``reference``.
 
     Among the configurations of the nearest reachable point, returns the one
     minimizing the configuration distance to ``reference`` (ties go to the
@@ -84,7 +84,7 @@ def solve_ik(
 
     config = Configuration(tuple(int(k) for k in digits[best]), desc.tooth_count)
     end_pose, _ = chain_pose(desc, config)
-    achieved = end_pose.translation.copy()
+    achieved = tool_tip(end_pose, desc.tool_offset)
     error = float(np.linalg.norm(achieved - np.asarray(target, dtype=float)))
     return IkSolution(
         config=config,

@@ -1,7 +1,7 @@
 """Closed-form forward kinematics for chains of identical inclined units.
 
 Each unit is a constant-curvature arc of length L bent by a fixed angle beta;
-joint q_i spins the arc's bending plane about the local z-axis.  The distal
+joint q spins the arc's bending plane about the local z-axis.  The distal
 end of one unit sits at
 
     x = (L/beta) (1 - cos beta) cos q
@@ -9,96 +9,106 @@ end of one unit sits at
     z = (L/beta) sin beta
 
 with frame rotation RotZ(q) * RotY(beta).
+
+This module holds the library's only FK.  :func:`unit_table` evaluates the
+unit transform above once per tooth index (rotations (N, 3, 3), translations
+(N, 3)), and a chain is built by one step per joint, ``(R, p) <- (R R_k,
+p + R t_k)``.  :func:`chain_pose` walks that step for one configuration;
+:func:`tip_positions` applies it to every prefix of the canonical
+enumeration at once, level by level.  Both share that arithmetic, so at zero
+tool offset the end translation of :func:`chain_pose` equals the stored
+workspace point bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Configuration, InvariantError, RigidTransform, RobotDescription, index_angle
+from .model import Configuration, RigidTransform, RobotDescription, index_angle
 
 
-def rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _unit_transforms(desc: RobotDescription, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (K, 3, 3) and translations (K, 3) of one unit at angles ``q``."""
+    beta = desc.bend_angle
+    radius = desc.curve_length / beta
+    sag = radius * (1.0 - math.cos(beta))
+    cq, sq = np.cos(q), np.sin(q)
+    cb, sb = math.cos(beta), math.sin(beta)
+    rot = np.zeros((q.shape[0], 3, 3))
+    rot[:, 0, 0] = cq * cb
+    rot[:, 0, 1] = -sq
+    rot[:, 0, 2] = cq * sb
+    rot[:, 1, 0] = sq * cb
+    rot[:, 1, 1] = cq
+    rot[:, 1, 2] = sq * sb
+    rot[:, 2, 0] = -sb
+    rot[:, 2, 2] = cb
+    tra = np.stack([sag * cq, sag * sq, np.full(q.shape[0], radius * sb)], axis=1)
+    return rot, tra
 
 
-def rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tooth-index unit rotation (N, 3, 3) and translation (N, 3) tables."""
+    teeth = desc.tooth_count
+    return _unit_transforms(desc, index_angle(np.arange(teeth), teeth))
 
 
-@dataclass(frozen=True)
-class SegmentPose:
-    """Kinematic state of one segment within a chain.
+def _step(rotation, position, unit_rotation, unit_translation):
+    """Append every table row to every prefix pose: (R, p) <- (R R_k, p + R t_k).
 
-    transform: the segment's own frame-to-frame transform.
-    pose:      cumulative base-frame pose after this segment.
-    axis:      world-frame axial unit vector at the segment's base (the z-axis
-               of the frame the segment transform is expressed in).
+    ``rotation`` (M, 3, 3) and ``position`` (M, 3) are prefix poses; the
+    result has M * K rows, prefix-major, so canonical rank order carries
+    over.  Without ``unit_rotation`` only positions are formed (the last
+    joint needs no rotation) and the returned rotation is None.
     """
-
-    transform: RigidTransform
-    pose: RigidTransform
-    axis: np.ndarray
-
-    def __post_init__(self):
-        axis = np.array(self.axis, dtype=float)
-        if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
-            raise InvariantError("segment axis must be a unit 3-vector")
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
+    rows = position.shape[0] * unit_translation.shape[0]
+    position = position[:, None, :] + np.einsum("mij,kj->mki", rotation, unit_translation)
+    position = position.reshape(rows, 3)
+    if unit_rotation is None:
+        return None, position
+    return (rotation[:, None] @ unit_rotation).reshape(rows, 3, 3), position
 
 
 def segment_transform(desc: RobotDescription, q: float) -> RigidTransform:
     """Transform across one unit at joint angle ``q`` (radians)."""
-    beta = desc.bend_angle
-    if beta == 0.0:
-        # guards the arc-chord ratio below; a straight-unit limit form could
-        # live behind this same entry point later
-        raise InvariantError("degenerate straight unit: bend_angle must be nonzero")
-    radius = desc.curve_length / beta
-    sag = radius * (1.0 - math.cos(beta))
-    translation = np.array(
-        [sag * math.cos(q), sag * math.sin(q), radius * math.sin(beta)]
-    )
-    return RigidTransform(rot_z(q) @ rot_y(beta), translation)
+    rot, tra = _unit_transforms(desc, np.array([q], dtype=float))
+    return RigidTransform(rot[0], tra[0])
 
 
-def chain_pose(
-    desc: RobotDescription, config: Configuration
-) -> tuple[RigidTransform, list[SegmentPose]]:
-    """End pose and per-segment poses for a full chain.
+def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTransform, np.ndarray]:
+    """End pose of a full chain and its segment base axes, shape (n, 3).
 
-    The end pose is the left-to-right product of the per-joint transforms;
-    each returned :class:`SegmentPose` carries the segment's own transform,
-    the cumulative pose, and the world-frame axis used by the stiffness model.
+    Row i of the axes is the world-frame z-axis of the frame segment i is
+    attached to: the axial unit vector used by the stiffness model.
     """
     desc.check_configuration(config)
-    rotation = np.eye(3)
-    translation = np.zeros(3)
-    segments = []
-    for k in config.indices:
-        local = segment_transform(desc, float(index_angle(k, desc.tooth_count)))
-        axis = rotation[:, 2].copy()
-        translation = rotation @ local.translation + translation
-        rotation = rotation @ local.rotation
-        segments.append(
-            SegmentPose(
-                transform=local,
-                pose=RigidTransform(rotation.copy(), translation.copy()),
-                axis=axis,
-            )
-        )
-    return RigidTransform(rotation, translation), segments
+    rot, tra = unit_table(desc)
+    first, *rest = config.indices
+    rotation, position = rot[first : first + 1], tra[first : first + 1]
+    axes = np.empty((desc.segment_count, 3))
+    axes[0] = (0.0, 0.0, 1.0)
+    for i, k in enumerate(rest, start=1):
+        axes[i] = rotation[0, :, 2]
+        rotation, position = _step(rotation, position, rot[k : k + 1], tra[k : k + 1])
+    return RigidTransform(rotation[0], position[0]), axes
 
 
-def segment_axes(desc: RobotDescription, config: Configuration) -> np.ndarray:
-    """World-frame axial unit vectors of every segment, shape (n, 3)."""
-    _, segments = chain_pose(desc, config)
-    return np.array([seg.axis for seg in segments])
+def tip_positions(desc: RobotDescription) -> np.ndarray:
+    """Tool-tip positions of every configuration in canonical rank order, (N**n, 3).
+
+    Level by level, the N**k prefix poses are multiplied by the N table rows;
+    the last joint uses the per-tooth tip vector t_k + R_k tool_offset, so it
+    needs only mat-vecs.
+    """
+    rot, tra = unit_table(desc)
+    tip = tra + rot @ np.asarray(desc.tool_offset)
+    if desc.segment_count == 1:
+        return tip
+    rotation, position = rot, tra
+    for _ in range(desc.segment_count - 2):
+        rotation, position = _step(rotation, position, rot, tra)
+    return _step(rotation, position, None, tip)[1]
 
 
 def tool_tip(end_pose: RigidTransform, tool_offset) -> np.ndarray:

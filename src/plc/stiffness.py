@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import segment_axes
+from .kinematics import chain_pose
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 
 
@@ -72,7 +72,7 @@ def total_strain_energy(
     """Chain strain energy: the same tip force loads every segment."""
     return sum(
         segment_strain_energy(desc, axis, force, literal_polar)
-        for axis in segment_axes(desc, config)
+        for axis in chain_pose(desc, config)[1]
     )
 
 
@@ -120,7 +120,7 @@ def firmed_compliance(
     desc: RobotDescription, config: Configuration, literal_polar: bool = False
 ) -> ComplianceMatrix:
     """Maximum-stiffness-state compliance of the chain at ``config``."""
-    return compliance_from_axes(desc, segment_axes(desc, config), literal_polar)
+    return compliance_from_axes(desc, chain_pose(desc, config)[1], literal_polar)
 
 
 def directional_stiffness(

@@ -1,14 +1,13 @@
 """Exhaustive workspace enumeration, spatial indexing, and cloud metrics.
 
 The discrete configuration space (tooth_count ** segment_count joint states)
-is swept once; end-effector positions are quantized to integer keys, equal
+is swept once; tool-tip positions are quantized to integer keys, equal
 keys are merged into one reachable point with every contributing
 configuration recorded, and a k-d tree is built over the distinct points.
 The finished index is immutable and safe for concurrent queries.
 """
 from __future__ import annotations
 
-import math
 import os
 import struct
 import tempfile
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .kinematics import tip_positions
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Configuration,
@@ -24,14 +24,13 @@ from .model import (
     PlcError,
     RobotDescription,
     description_digest,
-    index_angle,
 )
 
 #: Quantization cell edge for position keys, mm.  Far below the 0.2 mm
 #: mechanical clearance, far above float noise of <=16 composed transforms.
 KEY_CELL = 1e-6
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 _MAGIC = b"PLCW"
 _HEADER = struct.Struct("<4sI32sIIQQ")
 
@@ -61,39 +60,6 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
-def _segment_tables(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tooth-index rotation (N,3,3) and translation (N,3) tables."""
-    beta = desc.bend_angle
-    radius = desc.curve_length / beta
-    sag = radius * (1.0 - math.cos(beta))
-    q = index_angle(np.arange(desc.tooth_count), desc.tooth_count)
-    cq, sq = np.cos(q), np.sin(q)
-    cb, sb = math.cos(beta), math.sin(beta)
-    n = desc.tooth_count
-    rot = np.zeros((n, 3, 3))
-    rot[:, 0, 0] = cq * cb
-    rot[:, 0, 1] = -sq
-    rot[:, 0, 2] = cq * sb
-    rot[:, 1, 0] = sq * cb
-    rot[:, 1, 1] = cq
-    rot[:, 1, 2] = sq * sb
-    rot[:, 2, 0] = -sb
-    rot[:, 2, 2] = cb
-    tra = np.stack([sag * cq, sag * sq, np.full(n, radius * sb)], axis=1)
-    return rot, tra
-
-
-def enumeration_table(desc: RobotDescription) -> np.ndarray:
-    """All joint-index tuples in canonical order, shape (N**n, n).
-
-    Canonical order: joint 1 varies slowest, tooth index ascending, so row m
-    holds the base-tooth_count digits of m.
-    """
-    n, teeth = desc.segment_count, desc.tooth_count
-    grids = np.indices((teeth,) * n, dtype=np.int64)
-    return grids.reshape(n, -1).T
-
-
 def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
     """Joint indices of enumeration rank(s): digits of rank base tooth_count."""
     rank = np.asarray(rank, dtype=np.int64)
@@ -102,25 +68,13 @@ def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
     return (rank[..., None] // powers) % teeth
 
 
-def _batch_positions(desc: RobotDescription, joint_indices: np.ndarray) -> np.ndarray:
-    """End-effector positions for a batch of configurations, shape (M, 3)."""
-    rot_tab, tra_tab = _segment_tables(desc)
-    rotation = rot_tab[joint_indices[:, 0]]
-    position = tra_tab[joint_indices[:, 0]].copy()
-    for joint in range(1, joint_indices.shape[1]):
-        local_rot = rot_tab[joint_indices[:, joint]]
-        local_tra = tra_tab[joint_indices[:, joint]]
-        position += np.einsum("mij,mj->mi", rotation, local_tra)
-        rotation = rotation @ local_rot
-    return position
-
-
 class WorkspaceIndex:
     """Reachable-point set with a k-d tree and a point -> configurations map.
 
-    points:          (G, 3) distinct reachable positions, one per key, ordered
-                     by ascending key; each is the position of the first
-                     configuration (in canonical order) that produced the key.
+    points:          (G, 3) distinct reachable tool-tip positions, one per key,
+                     ordered by ascending key; each is the tip position of the
+                     first configuration (in canonical order) that produced
+                     the key.
     bucket_offsets:  (G + 1,) slice bounds into bucket_members.
     bucket_members:  (M,) enumeration ranks grouped per point, each group in
                      canonical (ascending) order.
@@ -231,31 +185,33 @@ class WorkspaceIndex:
     @classmethod
     def load(cls, path, desc: RobotDescription) -> "WorkspaceIndex":
         with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) < _HEADER.size:
-            raise PlcError(f"index file {path} is truncated")
-        magic, version, digest, n, teeth, points_n, configs_n = _HEADER.unpack_from(raw)
-        if magic != _MAGIC:
-            raise PlcError(f"{path} is not a workspace index file")
-        if version != INDEX_FORMAT_VERSION:
-            raise PlcError(
-                f"index format version {version} unsupported "
-                f"(expected {INDEX_FORMAT_VERSION})"
+            size = os.fstat(fh.fileno()).st_size
+            if size < _HEADER.size:
+                raise PlcError(f"index file {path} is truncated")
+            magic, version, digest, n, teeth, points_n, configs_n = _HEADER.unpack(
+                fh.read(_HEADER.size)
             )
-        if digest != description_digest(desc):
-            raise PlcError("index was built for a different robot description")
-        if (n, teeth) != (desc.segment_count, desc.tooth_count):
-            raise PlcError("index header disagrees with robot description")
-        expected = _HEADER.size + points_n * 24 + (points_n + 1) * 8 + configs_n * 8
-        if len(raw) != expected:
-            raise PlcError(f"index file {path} is truncated or padded")
-        off = _HEADER.size
-        points = np.frombuffer(raw, dtype="<f8", count=points_n * 3, offset=off)
-        off += points_n * 24
-        offsets = np.frombuffer(raw, dtype="<i8", count=points_n + 1, offset=off)
-        off += (points_n + 1) * 8
-        members = np.frombuffer(raw, dtype="<i8", count=configs_n, offset=off)
-        return cls(desc, points.reshape(points_n, 3).copy(), offsets.copy(), members.copy())
+            if magic != _MAGIC:
+                raise PlcError(f"{path} is not a workspace index file")
+            if version != INDEX_FORMAT_VERSION:
+                raise PlcError(
+                    f"index format version {version} unsupported "
+                    f"(expected {INDEX_FORMAT_VERSION})"
+                )
+            if digest != description_digest(desc):
+                raise PlcError("index was built for a different robot description")
+            if (n, teeth) != (desc.segment_count, desc.tooth_count):
+                raise PlcError("index header disagrees with robot description")
+            expected = _HEADER.size + points_n * 24 + (points_n + 1) * 8 + configs_n * 8
+            if size != expected:
+                raise PlcError(f"index file {path} is truncated or padded")
+            arrays = []
+            for dtype, count in (("<f8", points_n * 3), ("<i8", points_n + 1), ("<i8", configs_n)):
+                arrays.append(np.fromfile(fh, dtype=dtype, count=count))
+                if arrays[-1].shape[0] != count:  # the file shrank after fstat
+                    raise PlcError(f"index file {path} is truncated or padded")
+        points, offsets, members = arrays
+        return cls(desc, points.reshape(points_n, 3), offsets, members)
 
 
 def enumerate_workspace(
@@ -268,8 +224,7 @@ def enumerate_workspace(
     order.
     """
     desc.check_budget(budget)
-    joint_indices = enumeration_table(desc)
-    positions = _batch_positions(desc, joint_indices)
+    positions = tip_positions(desc)
     keys = position_key(positions)
     # stable sort -> groups in key order, canonical rank order inside a group
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))

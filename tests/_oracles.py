@@ -43,6 +43,27 @@ def fk_position(desc, indices):
     return fk_matrix(desc, indices)[:3, 3]
 
 
+def tip_position(desc, indices):
+    """Tool tip: the tool offset carried through the end frame."""
+    return (fk_matrix(desc, indices) @ np.append(desc.tool_offset, 1.0))[:3]
+
+
+def all_tips(desc):
+    """Tool tip of every configuration, in all_configurations order."""
+    units = [
+        homogeneous_segment(desc, 2.0 * math.pi * k / desc.tooth_count)
+        for k in range(desc.tooth_count)
+    ]
+    tool = np.append(desc.tool_offset, 1.0)
+    tips = []
+    for config in all_configurations(desc):
+        mat = np.eye(4)
+        for k in config:
+            mat = mat @ units[k]
+        tips.append((mat @ tool)[:3])
+    return np.array(tips)
+
+
 def quantize(position):
     return np.rint(np.asarray(position, dtype=float) / KEY_CELL).astype(np.int64)
 

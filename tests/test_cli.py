@@ -297,3 +297,61 @@ def test_workspace_accuracy_rejects_bad_query_rows(capsys, tmp_path, body):
     code, out, err = run(capsys, "workspace", "accuracy", "--robot", robot, "--queries", str(queries))
     assert_domain_error(code, err)
     assert out == ""
+
+
+OFFSET_ROBOT = "segment_count: 3\ntool_offset: [0, 0, 15]\n"
+
+
+def test_fk_tip_round_trips_through_ik(capsys, tmp_path):
+    robot = robot_file(tmp_path, OFFSET_ROBOT)
+    code, out, _ = run(capsys, "fk", "--robot", robot, "--config", "3,7,1")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    fk = dict(zip(header.split(","), row.split(",")))
+    tip = [fk["tip_x_mm"], fk["tip_y_mm"], fk["tip_z_mm"]]
+    assert tip != [fk["x_mm"], fk["y_mm"], fk["z_mm"]]
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+    code, out, _ = run(
+        capsys, "ik", "--robot", robot, "--index", str(index_path),
+        "--target=" + ",".join(tip), "--reference", "3,7,1",
+    )
+    assert code == 0
+    header, row = out.strip().splitlines()
+    ik = dict(zip(header.split(","), row.split(",")))
+    assert ik["config"] == "3 7 1"
+    assert [ik["achieved_x_mm"], ik["achieved_y_mm"], ik["achieved_z_mm"]] == tip
+    # the target carries fk's 9 significant digits, so it misses the tip by their rounding
+    assert float(ik["error_mm"]) < 1e-6
+
+
+def _as_version_1(path):
+    # version 1 stored flange positions under the same digest
+    data = path.read_bytes()
+    assert data[4:8] == (2).to_bytes(4, "little")
+    path.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
+
+
+def test_version_1_index_is_refused(capsys, tmp_path):
+    robot = robot_file(tmp_path)
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+    _as_version_1(index_path)
+    code, out, err = run(
+        capsys, "ik", "--robot", robot, "--index", str(index_path), "--target", "1,2,3"
+    )
+    assert_domain_error(code, err)
+    assert "version 1 unsupported" in err
+    assert out == ""
+
+
+def test_version_1_cache_entry_is_rebuilt(capsys, tmp_path):
+    robot = robot_file(tmp_path)
+    run(capsys, "workspace", "build", "--robot", robot)
+    (cache,) = (tmp_path / "cache").iterdir()
+    fresh = cache.read_bytes()
+    _as_version_1(cache)
+    code, out, _ = run(capsys, "workspace", "omnivariance", "--robot", robot)
+    assert code == 0
+    assert float(out.strip()) > 0.0
+    assert cache.read_bytes() == fresh

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from plc import Configuration, PlcError, solve_ik
+from plc import Configuration, PlcError, enumerate_workspace, solve_ik
 from plc.ik import configuration_distance
 from plc.model import InvariantError
 from plc.workspace import WorkspaceIndex, configuration_from_rank, reach_accuracy
 
-from _oracles import IkOracle
+from _oracles import IkOracle, all_configurations, tip_position
 from conftest import desc_with
 
 
@@ -128,3 +128,14 @@ def test_description_mismatch_is_rejected(index_n3):
     other = desc_with(segment_count=3, curve_length=29.0)
     with pytest.raises(InvariantError, match="different robot"):
         solve_ik(index_n3, other, [0.0, 0.0, 0.0], Configuration((0, 0, 0), 10))
+
+
+def test_tool_offset_targets_reach_their_own_tip():
+    desc = desc_with(segment_count=3, tool_offset=(0.0, 0.0, 15.0))
+    index = enumerate_workspace(desc)
+    for indices in all_configurations(desc):
+        config = Configuration(indices, desc.tooth_count)
+        target = tip_position(desc, indices)
+        solution = solve_ik(index, desc, target, config)
+        assert solution.position_error <= 1e-9
+        assert solution.config == config

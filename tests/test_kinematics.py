@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 from plc import Configuration, RobotDescription, chain_pose, tool_tip
-from plc.kinematics import rot_y, rot_z, segment_axes, segment_transform
+from plc.kinematics import segment_transform
 from plc.model import RigidTransform, index_angle
 
 from _oracles import fk_matrix, fk_position
 from conftest import desc_with
+
+
+def rot_z(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rot_y(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
 
 # direct evaluation of the arc formula with L=30mm, beta=30deg
 SAG_AT_30DEG = 7.676178925121034
@@ -42,28 +53,26 @@ def test_segment_translation_at_half_turn():
 
 def test_single_segment_chain_equals_segment_transform():
     desc = desc_with(segment_count=1)
-    end, segments = chain_pose(desc, Configuration((3,), 10))
+    end, axes = chain_pose(desc, Configuration((3,), 10))
     direct = segment_transform(desc, float(index_angle(3, 10)))
     assert np.array_equal(end.rotation, direct.rotation)
     assert np.array_equal(end.translation, direct.translation)
-    assert len(segments) == 1
+    assert axes.shape == (1, 3)
 
 
 def test_all_zero_chain_stays_in_xz_plane():
-    desc = RobotDescription()
-    end, segments = chain_pose(desc, Configuration((0,) * 5, 10))
-    assert end.translation[1] == 0.0
-    for seg in segments:
-        assert seg.pose.translation[1] == 0.0
+    for k in range(1, 6):
+        end, _ = chain_pose(desc_with(segment_count=k), Configuration((0,) * k, 10))
+        assert end.translation[1] == 0.0
 
 
 def test_intermediate_transforms_compose_to_end_pose():
     desc = RobotDescription()
     config = Configuration((2, 9, 0, 5, 7), 10)
-    end, segments = chain_pose(desc, config)
+    end, _ = chain_pose(desc, config)
     combined = RigidTransform.identity()
-    for seg in segments:
-        combined = combined.compose(seg.transform)
+    for k in config.indices:
+        combined = combined.compose(segment_transform(desc, float(index_angle(k, 10))))
     assert np.allclose(combined.translation, end.translation, atol=1e-10)
     assert np.allclose(combined.rotation, end.rotation, atol=1e-10)
 
@@ -82,7 +91,7 @@ def test_chain_matches_homogeneous_oracle():
 def test_segment_axes_match_cumulative_frames():
     desc = desc_with(segment_count=4)
     indices = (1, 4, 8, 2)
-    axes = segment_axes(desc, Configuration(indices, 10))
+    axes = chain_pose(desc, Configuration(indices, 10))[1]
     assert np.array_equal(axes[0], [0.0, 0.0, 1.0])
     for i in range(1, 4):
         prefix = fk_matrix(desc, indices[:i])

@@ -5,6 +5,7 @@ import pytest
 
 from plc import (
     Configuration,
+    chain_pose,
     PlcError,
     RobotDescription,
     enumerate_workspace,
@@ -15,7 +16,7 @@ from plc import (
     reach_accuracy,
 )
 from plc.model import InvariantError
-from plc.workspace import WorkspaceIndex, configuration_from_rank, enumeration_table
+from plc.workspace import WorkspaceIndex, configuration_from_rank
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
 from conftest import desc_with
@@ -48,10 +49,9 @@ def test_single_segment_workspace_is_a_circle():
 
 def test_enumeration_order_is_canonical():
     desc = desc_with(segment_count=2, tooth_count=3)
-    table = enumeration_table(desc)
-    assert table.tolist() == [[a, b] for a in range(3) for b in range(3)]
-    ranks = np.arange(9)
-    assert np.array_equal(configuration_from_rank(ranks, desc), table)
+    digits = configuration_from_rank(np.arange(9), desc)
+    assert digits.tolist() == [[a, b] for a in range(3) for b in range(3)]
+    assert [tuple(row) for row in digits.tolist()] == all_configurations(desc)
 
 
 def test_enumeration_is_deterministic():
@@ -91,6 +91,16 @@ def test_buckets_agree_with_oracle_fk(index_n2):
         point, configs = knn_query(index_n2, oracle_pos)
         assert np.linalg.norm(point - oracle_pos) < 1e-9
         assert Configuration(indices, desc.tooth_count) in configs
+
+
+@pytest.mark.parametrize("fixture", ["index_n3", "index_n4"])
+def test_chain_pose_reproduces_every_stored_point_bitwise(fixture, request):
+    # one FK formula: the scalar walk and the batched enumeration agree to the bit
+    index = request.getfixturevalue(fixture)
+    for g in range(index.point_count):
+        first = index.configurations_at(g)[0]
+        end, _ = chain_pose(index.desc, first)
+        assert end.translation.tobytes() == index.points[g].tobytes()
 
 
 def test_position_key_quantization():
@@ -261,6 +271,18 @@ def test_load_rejects_corrupt_files(tmp_path, index_n3):
     (tmp_path / "vers.plcw").write_bytes(data[:4] + b"\x63\x00\x00\x00" + data[8:])
     with pytest.raises(PlcError, match="version"):
         WorkspaceIndex.load(tmp_path / "vers.plcw", index_n3.desc)
+
+
+def test_load_rejects_short_reads(tmp_path, index_n2, monkeypatch):
+    path = tmp_path / "n2.plcw"
+    index_n2.save(path)
+    real_fromfile = np.fromfile
+    # a read comes back short, as when the file shrinks after its size was checked
+    monkeypatch.setattr(
+        np, "fromfile", lambda fh, dtype, count: real_fromfile(fh, dtype=dtype, count=count)[:-1]
+    )
+    with pytest.raises(PlcError, match="truncated"):
+        WorkspaceIndex.load(path, index_n2.desc)
 
 
 def test_config_map_covers_every_point(index_n2):
