@@ -77,12 +77,12 @@ def solve_ik(
     if seed is not None:
         best = int(np.random.default_rng(seed).integers(len(ranks)))
     else:
-        scores = configuration_distance(digits, np.array(reference.indices), desc.tooth_count, metric)
+        scores = configuration_distance(digits, reference.indices, desc.tooth_count, metric)
         # buckets are in canonical order, so argmin's first hit is the
         # lexicographically smallest tied candidate
         best = int(np.argmin(scores))
 
-    config = Configuration(tuple(int(k) for k in digits[best]), desc.tooth_count)
+    config = Configuration(tuple(digits[best].tolist()), desc.tooth_count)
     end_pose, _ = chain_pose(desc, config)
     achieved = tool_tip(end_pose, desc.tool_offset)
     error = float(np.linalg.norm(achieved - np.asarray(target, dtype=float)))

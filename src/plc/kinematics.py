@@ -12,15 +12,16 @@ with frame rotation RotZ(q) * RotY(beta).
 
 This module holds the library's only FK.  :func:`unit_table` evaluates the
 unit transform above once per tooth index (rotations (N, 3, 3), translations
-(N, 3)), and a chain is built by one step per joint, ``(R, p) <- (R R_k,
-p + R t_k)``.  :func:`chain_pose` walks that step for one configuration;
-:func:`tip_positions` applies it to every prefix of the canonical
-enumeration at once, level by level.  Both share that arithmetic, so at zero
-tool offset the end translation of :func:`chain_pose` equals the stored
-workspace point bit for bit.
+(N, 3)) and caches it per description, and a chain is built by one step per
+joint, ``(R, p) <- (R R_k, p + R t_k)``.  :func:`chain_pose` walks that step
+for one configuration; :func:`tip_positions` applies it to every prefix of
+the canonical enumeration at once, level by level.  Both share that
+arithmetic, so at zero tool offset the end translation of :func:`chain_pose`
+equals the stored workspace point bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,26 +49,32 @@ def _unit_transforms(desc: RobotDescription, q: np.ndarray) -> tuple[np.ndarray,
     return rot, tra
 
 
+@functools.lru_cache
 def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tooth-index unit rotation (N, 3, 3) and translation (N, 3) tables."""
+    """Per-tooth-index unit rotation (N, 3, 3) and translation (N, 3) tables.
+
+    Cached per description; the arrays are read-only because every caller
+    shares them.
+    """
     teeth = desc.tooth_count
-    return _unit_transforms(desc, index_angle(np.arange(teeth), teeth))
+    rot, tra = _unit_transforms(desc, index_angle(np.arange(teeth), teeth))
+    rot.setflags(write=False)
+    tra.setflags(write=False)
+    return rot, tra
 
 
 def _step(rotation, position, unit_rotation, unit_translation):
-    """Append every table row to every prefix pose: (R, p) <- (R R_k, p + R t_k).
+    """One joint: (R, p) <- (R R_k, p + R t_k), broadcast over leading axes.
 
-    ``rotation`` (M, 3, 3) and ``position`` (M, 3) are prefix poses; the
-    result has M * K rows, prefix-major, so canonical rank order carries
-    over.  Without ``unit_rotation`` only positions are formed (the last
-    joint needs no rotation) and the returned rotation is None.
+    Works on one pose (``rotation`` (3, 3), ``position`` (3,)) or on stacks
+    that broadcast against the table rows.  Without ``unit_rotation`` only
+    positions are formed (the last joint needs no rotation) and the returned
+    rotation is None.
     """
-    rows = position.shape[0] * unit_translation.shape[0]
-    position = position[:, None, :] + np.einsum("mij,kj->mki", rotation, unit_translation)
-    position = position.reshape(rows, 3)
+    position = position + np.einsum("...ij,...j->...i", rotation, unit_translation)
     if unit_rotation is None:
         return None, position
-    return (rotation[:, None] @ unit_rotation).reshape(rows, 3, 3), position
+    return rotation @ unit_rotation, position
 
 
 def segment_transform(desc: RobotDescription, q: float) -> RigidTransform:
@@ -85,21 +92,21 @@ def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTran
     desc.check_configuration(config)
     rot, tra = unit_table(desc)
     first, *rest = config.indices
-    rotation, position = rot[first : first + 1], tra[first : first + 1]
+    rotation, position = rot[first], tra[first]
     axes = np.empty((desc.segment_count, 3))
     axes[0] = (0.0, 0.0, 1.0)
     for i, k in enumerate(rest, start=1):
-        axes[i] = rotation[0, :, 2]
-        rotation, position = _step(rotation, position, rot[k : k + 1], tra[k : k + 1])
-    return RigidTransform(rotation[0], position[0]), axes
+        axes[i] = rotation[:, 2]
+        rotation, position = _step(rotation, position, rot[k], tra[k])
+    return RigidTransform(rotation, position), axes
 
 
 def tip_positions(desc: RobotDescription) -> np.ndarray:
     """Tool-tip positions of every configuration in canonical rank order, (N**n, 3).
 
-    Level by level, the N**k prefix poses are multiplied by the N table rows;
-    the last joint uses the per-tooth tip vector t_k + R_k tool_offset, so it
-    needs only mat-vecs.
+    Level by level, the N**k prefix poses are multiplied by the N table rows
+    (prefix-major, so canonical rank order carries over); the last joint uses
+    the per-tooth tip vector t_k + R_k tool_offset, so it needs only mat-vecs.
     """
     rot, tra = unit_table(desc)
     tip = tra + rot @ np.asarray(desc.tool_offset)
@@ -107,8 +114,9 @@ def tip_positions(desc: RobotDescription) -> np.ndarray:
         return tip
     rotation, position = rot, tra
     for _ in range(desc.segment_count - 2):
-        rotation, position = _step(rotation, position, rot, tra)
-    return _step(rotation, position, None, tip)[1]
+        rotation, position = _step(rotation[:, None], position[:, None], rot, tra)
+        rotation, position = rotation.reshape(-1, 3, 3), position.reshape(-1, 3)
+    return _step(rotation[:, None], position[:, None], None, tip)[1].reshape(-1, 3)
 
 
 def tool_tip(end_pose: RigidTransform, tool_offset) -> np.ndarray:

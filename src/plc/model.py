@@ -249,7 +249,8 @@ class RigidTransform:
         err = np.abs(rot.T @ rot - np.eye(3)).max()
         if err > 1e-12:
             raise InvariantError(f"rotation is not orthonormal (max error {err:.3e})")
-        det = float(np.linalg.det(rot))
+        (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if abs(det - 1.0) > 1e-12:
             raise InvariantError(f"rotation determinant {det} != +1")
         rot.setflags(write=False)

@@ -1,13 +1,17 @@
 """Exhaustive workspace enumeration, spatial indexing, and cloud metrics.
 
 The discrete configuration space (tooth_count ** segment_count joint states)
-is swept once; tool-tip positions are quantized to integer keys, equal
+is swept once; tool-tip positions are quantized to integer keys, and equal
 keys are merged into one reachable point with every contributing
-configuration recorded, and a k-d tree is built over the distinct points.
-The finished index is immutable and safe for concurrent queries.
+configuration recorded.  The k-d tree over the distinct points is built by
+the first query that needs it, so building and saving an index never pays
+for it (or for importing scipy).  The finished index is immutable and safe
+for concurrent queries: two first queries racing may both build the tree,
+and either result is the same.
 """
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import tempfile
@@ -106,9 +110,14 @@ class WorkspaceIndex:
         self.bucket_members = bucket_members
         self.keys = position_key(points)
         self.keys.setflags(write=False)
+
+    @functools.cached_property
+    def tree(self):
+        """k-d tree over ``points``, built on first use."""
         from scipy.spatial import cKDTree  # deferred: only tree-building commands pay for scipy
 
-        self.tree = cKDTree(points)
+        # unbalanced, uncompacted nodes build faster and answer the same queries
+        return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
 
     # -- size ----------------------------------------------------------------
 
@@ -147,15 +156,20 @@ class WorkspaceIndex:
     def nearest_point_index(self, target) -> int:
         """Index of the stored point nearest to ``target``.
 
-        Exact squared distances break near-ties from the tree query; remaining
-        exact ties go to the lexicographically smallest quantized key.
+        Every point within 1e-9 mm of the tree's nearest distance is a
+        candidate; exact squared distances break near-ties among them, and
+        remaining exact ties go to the lexicographically smallest quantized
+        key.  When the second-nearest point lies beyond that margin, the
+        nearest one is the only candidate and is returned at once.
         """
         if self.point_count == 0:
             raise PlcError("empty workspace index")
         target = np.asarray(target, dtype=float)
         if target.shape != (3,):
             raise PlcError(f"target must be a 3-vector, got shape {target.shape}")
-        dist, _ = self.tree.query(target)
+        (dist, second), (nearest, _) = self.tree.query(target, k=2)
+        if second > dist + 1e-9:  # a one-point index reports inf here
+            return int(nearest)
         candidates = self.tree.query_ball_point(target, dist + 1e-9)
         diffs = self.points[candidates] - target
         sq = np.einsum("ij,ij->i", diffs, diffs)

@@ -1,4 +1,4 @@
-"""Commands that build no k-d tree must not import scipy.
+"""Commands that query no k-d tree must not import scipy.
 
 Each case runs in a fresh interpreter, because the test process itself has
 scipy loaded already.
@@ -23,6 +23,10 @@ NO_TREE_COMMANDS = [
     ["stiffness", "twist", "--robot", "default", "--skin", "--torque", "1000"],
     ["stiffness", "twist", "--robot", "default", "--spine", "--torque", "1000"],
     ["normalize", "--designs", "builtin"],
+    # building, saving and reading an index need no tree
+    ["workspace", "build", "--robot", "default", "--out", "ws.plcw"],
+    ["workspace", "export", "--robot", "default", "--index", "ws.plcw", "--format", "csv"],
+    ["workspace", "omnivariance", "--robot", "default", "--index", "ws.plcw"],
 ]
 
 CHILD = """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plc import Configuration, RobotDescription, chain_pose, tool_tip
-from plc.kinematics import segment_transform
+from plc.kinematics import segment_transform, unit_table
 from plc.model import RigidTransform, index_angle
 
 from _oracles import fk_matrix, fk_position
@@ -141,3 +141,14 @@ def test_rotation_stays_orthonormal_after_100_segments():
     end, _ = chain_pose(desc, Configuration(indices, 10))
     drift = np.abs(end.rotation.T @ end.rotation - np.eye(3)).max()
     assert drift < 1e-10
+
+
+def test_unit_table_is_cached_and_read_only():
+    desc = desc_with(tooth_count=7)
+    rot, tra = unit_table(desc)
+    assert unit_table(desc) is unit_table(desc)
+    assert unit_table(desc_with(tooth_count=7))[0] is rot  # equal descriptions share it
+    with pytest.raises(ValueError):
+        rot[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        tra[0] = 0.0

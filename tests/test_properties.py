@@ -1,30 +1,39 @@
 """Property tests over small random robots: FK against the homogeneous
-oracle, and every enumerated tool tip inside its bucket's key cell."""
+oracle, the scalar chain walk against the batched enumeration bit for bit,
+and every enumerated tool tip inside its bucket's key cell."""
 import math
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from plc import Configuration, chain_pose, enumerate_workspace
-from plc.workspace import KEY_CELL
+from plc.kinematics import tip_positions
+from plc.workspace import KEY_CELL, configuration_from_rank
 
 from _oracles import all_tips, fk_matrix
 from conftest import desc_with
 
 offsets = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
-robots = st.builds(
-    lambda teeth, segments, degrees, offset: desc_with(
-        tooth_count=teeth,
-        segment_count=segments,
-        bend_angle=math.radians(degrees),
-        tool_offset=offset,
-    ),
-    st.integers(min_value=2, max_value=12),
-    st.integers(min_value=1, max_value=4),
-    st.floats(min_value=1.0, max_value=89.0),
-    st.tuples(offsets, offsets, offsets),
-)
+
+def robots_with(tool_offsets):
+    return st.builds(
+        lambda teeth, segments, degrees, offset: desc_with(
+            tooth_count=teeth,
+            segment_count=segments,
+            bend_angle=math.radians(degrees),
+            tool_offset=offset,
+        ),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=4),
+        st.floats(min_value=1.0, max_value=89.0),
+        tool_offsets,
+    )
+
+
+robots = robots_with(st.tuples(offsets, offsets, offsets))
+# at zero offset the tool tip is the flange, the end translation of chain_pose
+flange_robots = robots_with(st.just((0.0, 0.0, 0.0)))
 
 checked = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -39,6 +48,29 @@ def test_chain_pose_matches_oracle(desc, data):
     expected = fk_matrix(desc, indices)
     assert np.allclose(end.translation, expected[:3, 3], rtol=0.0, atol=1e-9)
     assert np.allclose(end.rotation, expected[:3, :3], rtol=0.0, atol=1e-9)
+
+
+def assert_chain_pose_reproduces_tips(desc, ranks):
+    tips = tip_positions(desc)
+    for rank, digits in zip(ranks, configuration_from_rank(ranks, desc)):
+        end, _ = chain_pose(desc, Configuration(tuple(digits.tolist()), desc.tooth_count))
+        assert end.translation.tobytes() == tips[rank].tobytes()
+
+
+@checked
+@given(flange_robots, st.data())
+def test_chain_pose_reproduces_tip_positions_bitwise(desc, data):
+    # the scalar walk and the batched enumeration share one step
+    ranks = data.draw(
+        st.lists(st.integers(0, desc.raw_configuration_count - 1), min_size=1, max_size=20)
+    )
+    assert_chain_pose_reproduces_tips(desc, np.array(ranks))
+
+
+def test_chain_pose_reproduces_tip_positions_bitwise_ten_joints():
+    desc = desc_with(tooth_count=4, segment_count=10, bend_angle=math.radians(45.0))
+    ranks = np.random.default_rng(10).integers(desc.raw_configuration_count, size=300)
+    assert_chain_pose_reproduces_tips(desc, ranks)
 
 
 @checked

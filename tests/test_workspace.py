@@ -123,14 +123,33 @@ def test_knn_exact_point_returns_full_bucket(index_n4):
     assert [c.indices for c in configs] == [tuple(int(v) for v in row) for row in digits]
 
 
-def test_knn_matches_linear_scan(index_n2):
+def test_knn_matches_linear_scan(index_n2, index_n3):
     rng = np.random.default_rng(17)
-    lo = index_n2.points.min(axis=0) - 5.0
-    hi = index_n2.points.max(axis=0) + 5.0
-    for _ in range(300):
-        target = rng.uniform(lo, hi)
-        g = index_n2.nearest_point_index(target)
-        assert g == nearest_by_scan(index_n2.points, index_n2.keys, target)
+    for index in (index_n2, index_n3):
+        points = index.points
+        lo = points.min(axis=0) - 5.0
+        hi = points.max(axis=0) + 5.0
+        reach = np.sqrt(np.einsum("ij,ij->i", points, points).max())
+        far = rng.normal(size=(100, 3))
+        far *= (reach + 400.0) / np.linalg.norm(far, axis=1, keepdims=True)
+        pairs = rng.integers(index.point_count, size=(100, 2))
+        targets = np.concatenate([
+            rng.uniform(lo, hi, size=(300, 3)),  # inside a +-5 mm box
+            points[rng.integers(index.point_count, size=100)],  # stored points
+            far,  # 400 mm beyond reach
+            (points[pairs[:, 0]] + points[pairs[:, 1]]) / 2,  # near ties
+        ])
+        for target in targets:
+            g = index.nearest_point_index(target)
+            assert g == nearest_by_scan(points, index.keys, target)
+
+
+def test_tree_is_built_by_the_first_query(tmp_path):
+    index = enumerate_workspace(desc_with(segment_count=2))
+    index.save(tmp_path / "ws.plcw")
+    assert "tree" not in vars(index)  # building and saving need no tree
+    index.nearest_point_index(index.points[0])
+    assert vars(index)["tree"].n == index.point_count
 
 
 def test_knn_tie_breaks_by_lexicographic_key():
