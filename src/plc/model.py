@@ -246,13 +246,17 @@ class RigidTransform:
             raise InvariantError(f"rotation must be 3x3, got shape {rot.shape}")
         if tra.shape != (3,):
             raise InvariantError(f"translation must be a 3-vector, got shape {tra.shape}")
+        # written so that a NaN error or determinant fails the bound too
         err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if err > 1e-12:
+        if not err <= 1e-12:
             raise InvariantError(f"rotation is not orthonormal (max error {err:.3e})")
         (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if abs(det - 1.0) > 1e-12:
+        if not abs(det - 1.0) <= 1e-12:
             raise InvariantError(f"rotation determinant {det} != +1")
+        x, y, z = tra.tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise InvariantError(f"translation must be finite, got {tra.tolist()}")
         rot.setflags(write=False)
         tra.setflags(write=False)
         object.__setattr__(self, "rotation", rot)

@@ -279,6 +279,22 @@ def test_ik_rejects_non_finite_target(capsys, tmp_path, target):
     assert out == ""
 
 
+def test_targets_too_far_to_measure_exit_2(capsys, tmp_path):
+    # finite, but the squared distance overflows: refused, not a traceback or "inf"
+    robot = robot_file(tmp_path)
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+    queries = tmp_path / "queries.csv"
+    queries.write_text("x,y,z\n0,0,0\n1e200,0,0\n")
+    for argv in (
+        ["ik", "--target=1e200,0,0"],
+        ["workspace", "accuracy", "--queries", str(queries)],
+    ):
+        code, out, err = run(capsys, *argv, "--robot", robot, "--index", str(index_path))
+        assert_domain_error(code, err)
+        assert out == ""
+
+
 def test_stiffness_rejects_non_finite_direction(capsys):
     code, _, err = run(
         capsys, "stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0",

@@ -1,4 +1,7 @@
-"""Commands that query no k-d tree must not import scipy.
+"""Commands that build no k-d tree must not import scipy.
+
+A one-shot ``ik`` or ``workspace accuracy`` call scans the index exactly
+instead of building a tree (see ``plc.workspace.SCAN_BUDGET``).
 
 Each case runs in a fresh interpreter, because the test process itself has
 scipy loaded already.
@@ -8,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from conftest import desc_with
 
@@ -27,6 +32,9 @@ NO_TREE_COMMANDS = [
     ["workspace", "build", "--robot", "default", "--out", "ws.plcw"],
     ["workspace", "export", "--robot", "default", "--index", "ws.plcw", "--format", "csv"],
     ["workspace", "omnivariance", "--robot", "default", "--index", "ws.plcw"],
+    # a few queries scan the index within SCAN_BUDGET
+    ["ik", "--robot", "default", "--index", "ws.plcw", "--target", "60,20,35"],
+    ["workspace", "accuracy", "--robot", "default", "--index", "ws.plcw", "--queries", "queries.csv"],
 ]
 
 CHILD = """
@@ -54,12 +62,16 @@ def run_fresh(commands, tmp_path):
 
 
 def test_commands_without_a_tree_never_import_scipy(tmp_path):
+    rows = np.random.default_rng(3).uniform(-150.0, 150.0, size=(20, 3))
+    (tmp_path / "queries.csv").write_text(
+        "x,y,z\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    )
     result = run_fresh(NO_TREE_COMMANDS, tmp_path)
     assert result["codes"] == [0] * len(NO_TREE_COMMANDS)
     assert result["scipy"] == []
 
 
-def test_ik_loads_scipy_spatial(tmp_path):
+def test_local_omnivariance_loads_scipy_spatial(tmp_path):
     # guards the guard: the probe must see scipy once a tree is built
     robot = tmp_path / "robot.yaml"
     robot.write_text("segment_count: 2\n")
@@ -67,7 +79,7 @@ def test_ik_loads_scipy_spatial(tmp_path):
     from plc import enumerate_workspace
 
     enumerate_workspace(desc_with(segment_count=2)).save(index)
-    argv = ["ik", "--robot", str(robot), "--index", str(index), "--target", "60,20,35"]
+    argv = ["workspace", "omnivariance", "--robot", str(robot), "--index", str(index), "--local", "4"]
     result = run_fresh([argv], tmp_path)
     assert result["codes"] == [0]
     assert "scipy.spatial" in result["scipy"]

@@ -160,6 +160,14 @@ def test_rigid_transform_validation():
         RigidTransform(np.eye(3), np.zeros(2))
 
 
+def test_rigid_transform_rejects_non_finite_values():
+    with pytest.raises(InvariantError, match="orthonormal"):
+        RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvariantError, match="translation must be finite"):
+            RigidTransform(np.eye(3), np.array([bad, 0.0, 0.0]))
+
+
 def test_rigid_transform_compose_and_apply():
     quarter = RigidTransform(
         np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),

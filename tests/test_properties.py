@@ -1,6 +1,7 @@
 """Property tests over small random robots: FK against the homogeneous
 oracle, the scalar chain walk against the batched enumeration bit for bit,
-and every enumerated tool tip inside its bucket's key cell."""
+every enumerated tool tip inside its bucket's key cell, and the same nearest
+point from the exact scan and from the k-d tree."""
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plc import Configuration, chain_pose, enumerate_workspace
 from plc.kinematics import tip_positions
-from plc.workspace import KEY_CELL, configuration_from_rank
+from plc.workspace import KEY_CELL, WorkspaceIndex, configuration_from_rank
 
 from _oracles import all_tips, fk_matrix
 from conftest import desc_with
@@ -86,3 +87,21 @@ def test_every_tip_lies_in_its_bucket_cell(desc):
     tips = all_tips(desc)[index.bucket_members]
     keys = np.repeat(index.keys, np.diff(index.bucket_offsets), axis=0)
     assert np.all(np.abs(tips - keys * KEY_CELL) <= KEY_CELL / 2 + 1e-9)
+
+
+@checked
+@given(robots, st.data())
+def test_scan_and_tree_find_the_same_nearest_point(desc, data):
+    scanning = enumerate_workspace(desc)
+    treed = WorkspaceIndex(desc, scanning.points, scanning.bucket_offsets, scanning.bucket_members)
+    treed.tree
+    points = scanning.points
+    g = st.integers(0, scanning.point_count - 1)
+    pairs = data.draw(st.lists(st.tuples(g, g), min_size=1, max_size=10))
+    shift = st.floats(min_value=-500.0, max_value=500.0)
+    moved = data.draw(st.lists(st.tuples(g, st.tuples(shift, shift, shift)), max_size=10))
+    targets = [(points[a] + points[b]) / 2 for a, b in pairs]  # near and exact ties
+    targets += [points[a] + np.array(d) for a, d in moved]  # stored, jittered and far
+    for target in targets:
+        assert scanning.nearest_point_index(target) == treed.nearest_point_index(target)
+    assert "tree" not in vars(scanning)  # every query above took the scan

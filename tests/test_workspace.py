@@ -14,9 +14,11 @@ from plc import (
     omnivariance,
     position_key,
     reach_accuracy,
+    solve_ik,
 )
+from plc.cli import _fmt
 from plc.model import InvariantError
-from plc.workspace import WorkspaceIndex, configuration_from_rank
+from plc.workspace import _SCAN_ROWS, SCAN_BUDGET, WorkspaceIndex, configuration_from_rank
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
 from conftest import desc_with
@@ -33,6 +35,18 @@ def synthetic_index(points):
         np.arange(count + 1, dtype=np.int64),
         np.arange(count, dtype=np.int64),
     )
+
+
+def fresh_copy(index):
+    """A new index over the same arrays: no tree, nothing scanned yet."""
+    return WorkspaceIndex(index.desc, index.points, index.bucket_offsets, index.bucket_members)
+
+
+def scan_and_tree(index):
+    """Two fresh copies of ``index``: one that still scans, one whose tree is built."""
+    scanning, treed = fresh_copy(index), fresh_copy(index)
+    treed.tree
+    return scanning, treed
 
 
 def test_enumeration_counts(index_n2):
@@ -139,17 +153,62 @@ def test_knn_matches_linear_scan(index_n2, index_n3):
             far,  # 400 mm beyond reach
             (points[pairs[:, 0]] + points[pairs[:, 1]]) / 2,  # near ties
         ])
+        scanning, treed = scan_and_tree(index)
         for target in targets:
-            g = index.nearest_point_index(target)
-            assert g == nearest_by_scan(points, index.keys, target)
+            expected = nearest_by_scan(points, index.keys, target)
+            assert scanning.nearest_point_index(target) == expected
+            assert treed.nearest_point_index(target) == expected
+        assert "tree" not in vars(scanning)  # every target above took the scan
 
 
-def test_tree_is_built_by_the_first_query(tmp_path):
-    index = enumerate_workspace(desc_with(segment_count=2))
+def test_scan_breaks_ties_across_blocks():
+    rows = (0, _SCAN_ROWS + 5, 2 * _SCAN_ROWS)  # one tied point in each scan block
+    tied = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    for shift in range(3):  # the smallest key in the first, middle and last block
+        points = np.zeros((2 * _SCAN_ROWS + 1, 3))
+        points[:, 0] = 10.0 + np.arange(points.shape[0])
+        points[list(rows)] = np.roll(tied, shift, axis=0)
+        scanning, treed = scan_and_tree(synthetic_index(points))
+        assert scanning.nearest_point_index([0.0, 0.0, 0.0]) == rows[shift]
+        assert treed.nearest_point_index([0.0, 0.0, 0.0]) == rows[shift]
+        assert "tree" not in vars(scanning)
+
+
+def test_tree_is_built_once_scanning_would_pass_the_budget(tmp_path, default_desc):
+    index = enumerate_workspace(default_desc)
     index.save(tmp_path / "ws.plcw")
     assert "tree" not in vars(index)  # building and saving need no tree
-    index.nearest_point_index(index.points[0])
+    scans = SCAN_BUDGET // index.point_count
+    assert scans >= 2
+    for g in range(scans):  # these queries fit the budget: no tree
+        assert index.nearest_point_index(index.points[g]) == g
+        assert "tree" not in vars(index)
+    assert index._scanned == scans * index.point_count
+    assert index.nearest_point_index(index.points[0]) == 0  # one more would not
     assert vars(index)["tree"].n == index.point_count
+    index.nearest_point_index(index.points[1])
+    reach_accuracy(index, index.points[:3])
+    assert index._scanned == scans * index.point_count  # the tree answers from now on
+    # a batch that would pass the budget goes to the tree without scanning
+    fresh = fresh_copy(index)
+    assert reach_accuracy(fresh, index.points[: scans + 1]) == 0.0
+    assert fresh._scanned == 0 and "tree" in vars(fresh)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])  # 1e200 squared overflows
+def test_non_finite_targets_raise_on_both_paths(index_n2, bad):
+    reference = Configuration((0, 0), index_n2.desc.tooth_count)
+    for index, has_tree in zip(scan_and_tree(index_n2), (False, True)):
+        target = [0.0, bad, 0.0]
+        for query in (
+            index.nearest_point_index,
+            lambda t: knn_query(index, t),
+            lambda t: solve_ik(index, index.desc, t, reference),
+            lambda t: reach_accuracy(index, [index.points[0], t]),
+        ):
+            with pytest.raises(PlcError, match="non-finite or too far"):
+                query(target)
+        assert ("tree" in vars(index)) == has_tree  # each path was the one under test
 
 
 def test_knn_tie_breaks_by_lexicographic_key():
@@ -167,6 +226,8 @@ def test_reach_accuracy():
     assert reach_accuracy(single, [[3.0, 4.0, 0.0]]) == 5.0
     with pytest.raises(PlcError):
         reach_accuracy(single, np.empty((0, 3)))
+    with pytest.raises(PlcError, match="3-vectors"):
+        reach_accuracy(single, np.zeros((2, 3, 3)))
 
 
 def test_reach_accuracy_of_stored_points_is_zero(index_n3):
@@ -179,7 +240,22 @@ def test_reach_accuracy_matches_double_loop(index_n2):
     best = max(
         min(float(np.linalg.norm(p - q)) for p in index_n2.points) for q in queries
     )
-    assert reach_accuracy(index_n2, queries) == pytest.approx(best, rel=1e-12)
+    for index in scan_and_tree(index_n2):
+        assert reach_accuracy(index, queries) == pytest.approx(best, rel=1e-12)
+
+
+def test_reach_accuracy_prints_the_same_digits_by_scan_and_tree(index_n4):
+    # scan and tree may differ in the last bits of a distance, never in the
+    # nine digits the CLI prints
+    rng = np.random.default_rng(29)
+    offset_index = enumerate_workspace(desc_with(segment_count=3, tool_offset=(0.0, 4.0, 15.0)))
+    for index in (index_n4, offset_index):
+        _, treed = scan_and_tree(index)
+        for _ in range(300):
+            queries = rng.uniform(-150.0, 150.0, size=(20, 3))
+            scanning = fresh_copy(index)
+            assert _fmt(reach_accuracy(scanning, queries)) == _fmt(reach_accuracy(treed, queries))
+            assert "tree" not in vars(scanning)
 
 
 def test_omnivariance_unit_cube():
