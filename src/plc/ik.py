@@ -63,8 +63,6 @@ def solve_ik(
     lexicographically smallest joint-index tuple).  ``seed`` replaces the
     reference-based choice with a seeded uniform pick over the candidates.
     """
-    if index.point_count == 0:
-        raise PlcError("empty workspace index")
     if desc != index.desc:
         raise InvariantError("index was built from a different robot description")
     desc.check_configuration(reference)

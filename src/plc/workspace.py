@@ -12,9 +12,11 @@ distances it has scanned; the first query that would take the count past
 tree.  So a one-shot query (``plc ik``, ``plc workspace accuracy``) never
 pays the scipy import and tree build (about 0.5 s of a 0.9 s ``plc ik`` on a
 2-core Xeon), and a long run of queries pays them once, after at most
-``SCAN_BUDGET`` distances of scanning.  Scan and tree answer through the
-same exact squared distances and key tie-break, so the path taken never
-changes the answer.  Building and saving an index need neither.
+``SCAN_BUDGET`` distances of scanning.  Both paths pick, among the points at
+the exact smallest squared distance, the one with the smallest index, which
+is the smallest key because the constructor checks the key order.  So scan
+and tree agree bit for bit, ``reach_accuracy`` included.  Building and saving
+an index need neither.
 
 The index is immutable apart from that count and the cached tree, and is
 safe for concurrent queries: racing queries may both build the tree, or
@@ -52,6 +54,7 @@ KEY_CELL = 1e-6
 #: one-shot query.
 SCAN_BUDGET = 4_000_000
 _SCAN_ROWS = 1 << 16  # rows per scan block: bounds the scan's transient memory
+_UNMEASURABLE = "a target is non-finite or too far away to measure"
 
 INDEX_FORMAT_VERSION = 2
 _MAGIC = b"PLCW"
@@ -83,13 +86,22 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
-def _closest(points: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+def _closest(points: np.ndarray, target: np.ndarray) -> tuple[float, int]:
     """Smallest exact squared distance from ``target`` to a row of ``points``,
-    and the rows at exactly that distance (none if ``target`` holds NaN)."""
+    and the first row at exactly that distance."""
     diffs = points - target
     sq = np.einsum("ij,ij->i", diffs, diffs)
-    low = sq.min()
-    return low, np.flatnonzero(sq == low)
+    row = int(np.argmin(sq))
+    return sq[row], row
+
+
+def _strictly_ascending(keys: np.ndarray) -> bool:
+    """Whether the rows of ``keys`` are in strictly ascending lexicographic order."""
+    before, after = keys[:-1].T, keys[1:].T
+    later = before[2] < after[2]
+    for col in (1, 0):  # a row is later if its first differing column is larger
+        later = (before[col] < after[col]) | ((before[col] == after[col]) & later)
+    return bool(later.all())
 
 
 def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
@@ -104,9 +116,9 @@ class WorkspaceIndex:
     """Reachable-point set with nearest-point queries and a point -> configurations map.
 
     points:          (G, 3) distinct reachable tool-tip positions, one per key,
-                     ordered by ascending key; each is the tip position of the
-                     first configuration (in canonical order) that produced
-                     the key.
+                     in strictly ascending key order (checked, so a misordered
+                     file is refused); each is the tip position of the first
+                     configuration (in canonical order) that produced the key.
     bucket_offsets:  (G + 1,) slice bounds into bucket_members.
     bucket_members:  (M,) enumeration ranks grouped per point, each group in
                      canonical (ascending) order.
@@ -130,14 +142,14 @@ class WorkspaceIndex:
             raise InvariantError("bucket_offsets must span bucket_members exactly")
         if np.any(np.diff(bucket_offsets) < 1):
             raise InvariantError("every reachable point needs >= 1 configuration")
+        if not _strictly_ascending(position_key(points)):
+            raise InvariantError("points must be in strictly ascending key order")
         for arr in (points, bucket_offsets, bucket_members):
             arr.setflags(write=False)
         self.desc = desc
         self.points = points
         self.bucket_offsets = bucket_offsets
         self.bucket_members = bucket_members
-        self.keys = position_key(points)
-        self.keys.setflags(write=False)
         self._scanned = 0  # point distances scanned so far, up to SCAN_BUDGET
 
     @functools.cached_property
@@ -163,23 +175,17 @@ class WorkspaceIndex:
         self._scanned += cost
         return True
 
-    def _smallest_key(self, tied) -> int:
-        """The tied point with the lexicographically smallest quantized key."""
-        return int(min(tied, key=lambda g: tuple(self.keys[g])))
-
-    def _scan_nearest(self, target: np.ndarray) -> tuple[int, float]:
-        """Exact nearest point to ``target`` and its squared distance, by a
-        scan of every point in blocks of ``_SCAN_ROWS`` rows."""
-        best, tied = np.inf, []
+    def _scan_nearest(self, target: np.ndarray) -> int:
+        """Exact nearest point to ``target``, by a scan of every point in
+        blocks of ``_SCAN_ROWS`` rows; a tie goes to the earliest row."""
+        best, nearest = np.inf, -1
         for lo in range(0, self.point_count, _SCAN_ROWS):
-            low, hits = _closest(self.points[lo : lo + _SCAN_ROWS], target)
+            low, row = _closest(self.points[lo : lo + _SCAN_ROWS], target)
             if low < best:
-                best, tied = low, []
-            if low == best:
-                tied.append(hits + lo)
-        if not np.isfinite(best):  # the tree refuses the same targets
-            raise PlcError(f"target is non-finite or too far away to measure: {target.tolist()}")
-        return self._smallest_key(np.concatenate(tied)), best
+                best, nearest = low, lo + row
+        if nearest < 0:  # no finite distance: the tree refuses the same targets
+            raise PlcError(_UNMEASURABLE)
+        return nearest
 
     # -- size ----------------------------------------------------------------
 
@@ -209,41 +215,47 @@ class WorkspaceIndex:
     def config_map(self) -> dict[tuple[int, int, int], list[Configuration]]:
         """Materialized key -> configurations multimap (small robots only)."""
         return {
-            tuple(int(v) for v in self.keys[g]): self.configurations_at(g)
-            for g in range(self.point_count)
+            tuple(key): self.configurations_at(g)
+            for g, key in enumerate(position_key(self.points).tolist())
         }
 
     # -- queries ---------------------------------------------------------------
 
-    def nearest_point_index(self, target) -> int:
-        """Index of the stored point nearest to ``target``.
+    def nearest_point_indices(self, targets) -> np.ndarray:
+        """Indices (Q,) of the stored points nearest to each row of ``targets`` (Q, 3).
 
-        The nearest point has the smallest exact squared distance; exact ties
-        go to the lexicographically smallest quantized key.  A scan (see
-        ``SCAN_BUDGET``) checks every point.  The tree takes as candidates
-        every point within 1e-9 mm of its nearest distance, which always
-        holds the exact minimum; when the second-nearest point lies beyond
-        that margin, the nearest one is the only candidate and is returned
-        at once.
+        The nearest point has the smallest exact squared distance; an exact
+        tie goes to the smallest index, which is the smallest key.  A scan
+        (see ``SCAN_BUDGET``) checks every point.  The tree answers every
+        row with one k=2 query; a row whose second-nearest point lies within
+        1e-9 mm of its nearest takes as candidates every point in that
+        margin, which always holds the exact minimum.
         """
+        targets = np.asarray(targets, dtype=float)
+        if targets.ndim != 2 or targets.shape[1] != 3:
+            raise PlcError(f"targets must be 3-vectors, got shape {targets.shape}")
         if self.point_count == 0:
             raise PlcError("empty workspace index")
+        if self._scans(targets.shape[0]):
+            return np.array([self._scan_nearest(t) for t in targets], dtype=np.int64)
+        try:
+            dist, nearest = self.tree.query(targets, k=2)
+            nearest = nearest[:, 0]
+            for row, (first, second) in enumerate(dist.tolist()):
+                if second <= first + 1e-9:  # never for a one-point index: second is inf
+                    target = targets[row]
+                    ball = self.tree.query_ball_point(target, first + 1e-9, return_sorted=True)
+                    nearest[row] = ball[_closest(self.points[ball], target)[1]]
+        except ValueError as exc:  # scipy refuses non-finite and overflowing distances
+            raise PlcError(_UNMEASURABLE) from exc
+        return nearest
+
+    def nearest_point_index(self, target) -> int:
+        """Index of the stored point nearest to ``target`` (see ``nearest_point_indices``)."""
         target = np.asarray(target, dtype=float)
         if target.shape != (3,):
             raise PlcError(f"target must be a 3-vector, got shape {target.shape}")
-        if self._scans(1):
-            return self._scan_nearest(target)[0]
-        try:
-            (dist, second), (nearest, _) = self.tree.query(target, k=2)
-            if second > dist + 1e-9:  # a one-point index reports inf here
-                return int(nearest)
-            candidates = np.asarray(self.tree.query_ball_point(target, dist + 1e-9))
-        except ValueError as exc:  # scipy refuses non-finite and overflowing distances
-            raise PlcError(
-                f"target is non-finite or too far away to measure: {target.tolist()}"
-            ) from exc
-        _, hits = _closest(self.points[candidates], target)
-        return self._smallest_key(candidates[hits])
+        return int(self.nearest_point_indices(target[None])[0])
 
     # -- persistence -------------------------------------------------------------
 
@@ -329,23 +341,11 @@ def knn_query(index: WorkspaceIndex, target) -> tuple[np.ndarray, list[Configura
 
 def reach_accuracy(index: WorkspaceIndex, queries) -> float:
     """Worst-case distance from any query to its nearest reachable point."""
-    if index.point_count == 0:
-        raise PlcError("empty workspace index")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.size == 0:
         raise PlcError("no query points given")
-    if queries.ndim != 2 or queries.shape[1] != 3:
-        raise PlcError("queries must be 3-vectors")
-    if index._scans(queries.shape[0]):
-        worst = max(index._scan_nearest(q)[1] for q in queries)
-        return float(np.sqrt(worst))
-    try:
-        worst = float(np.max(index.tree.query(queries)[0]))
-    except ValueError:  # scipy refuses non-finite query points
-        worst = np.nan
-    if not np.isfinite(worst):  # as the scan refuses them, and overflowing distances
-        raise PlcError("a query point is non-finite or too far away to measure")
-    return worst
+    diffs = index.points[index.nearest_point_indices(queries)] - queries
+    return float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs).max()))
 
 
 def omnivariance(points) -> float:

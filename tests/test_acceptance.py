@@ -29,7 +29,7 @@ from plc import (
 )
 from plc.stiffness import bellows_twist, total_strain_energy
 
-from _oracles import IkOracle, nearest_by_scan
+from _oracles import IkOracle, nearest_by_scan, quantize
 from conftest import desc_with
 
 
@@ -66,7 +66,7 @@ def test_02_knn_matches_linear_scan_oracle():
             target = rng.uniform(lo, hi)
             checked += 1
             if index.nearest_point_index(target) != nearest_by_scan(
-                index.points, index.keys, target
+                index.points, quantize(index.points), target
             ):
                 mismatched += 1
     elapsed = time.perf_counter() - started

@@ -3,6 +3,7 @@ import pytest
 
 from plc import WorkspaceIndex, parse_robot_description
 from plc.cli import main
+from plc.workspace import _HEADER
 
 SMALL_ROBOT = "segment_count: 2\n"
 
@@ -358,6 +359,22 @@ def test_version_1_index_is_refused(capsys, tmp_path):
     )
     assert_domain_error(code, err)
     assert "version 1 unsupported" in err
+    assert out == ""
+
+
+def test_index_with_points_out_of_key_order_is_refused(capsys, tmp_path):
+    robot = robot_file(tmp_path)
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+    data = bytearray(index_path.read_bytes())
+    first, second = _HEADER.size, _HEADER.size + 24  # the first two point rows
+    data[first:second], data[second : second + 24] = data[second : second + 24], data[first:second]
+    index_path.write_bytes(bytes(data))
+    code, out, err = run(
+        capsys, "ik", "--robot", robot, "--index", str(index_path), "--target", "1,2,3"
+    )
+    assert_domain_error(code, err)
+    assert "ascending key order" in err
     assert out == ""
 
 

@@ -11,7 +11,7 @@ from plc import Configuration, chain_pose, enumerate_workspace
 from plc.kinematics import tip_positions
 from plc.workspace import KEY_CELL, WorkspaceIndex, configuration_from_rank
 
-from _oracles import all_tips, fk_matrix
+from _oracles import all_tips, fk_matrix, quantize
 from conftest import desc_with
 
 offsets = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -85,7 +85,7 @@ def test_chain_pose_reproduces_tip_positions_bitwise_ten_joints():
 def test_every_tip_lies_in_its_bucket_cell(desc):
     index = enumerate_workspace(desc)
     tips = all_tips(desc)[index.bucket_members]
-    keys = np.repeat(index.keys, np.diff(index.bucket_offsets), axis=0)
+    keys = np.repeat(quantize(index.points), np.diff(index.bucket_offsets), axis=0)
     assert np.all(np.abs(tips - keys * KEY_CELL) <= KEY_CELL / 2 + 1e-9)
 
 
@@ -102,6 +102,7 @@ def test_scan_and_tree_find_the_same_nearest_point(desc, data):
     moved = data.draw(st.lists(st.tuples(g, st.tuples(shift, shift, shift)), max_size=10))
     targets = [(points[a] + points[b]) / 2 for a, b in pairs]  # near and exact ties
     targets += [points[a] + np.array(d) for a, d in moved]  # stored, jittered and far
-    for target in targets:
-        assert scanning.nearest_point_index(target) == treed.nearest_point_index(target)
+    nearest = [scanning.nearest_point_index(target) for target in targets]
+    assert [treed.nearest_point_index(target) for target in targets] == nearest
+    assert treed.nearest_point_indices(targets).tolist() == nearest
     assert "tree" not in vars(scanning)  # every query above took the scan

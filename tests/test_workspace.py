@@ -18,7 +18,13 @@ from plc import (
 )
 from plc.cli import _fmt
 from plc.model import InvariantError
-from plc.workspace import _SCAN_ROWS, SCAN_BUDGET, WorkspaceIndex, configuration_from_rank
+from plc.workspace import (
+    _SCAN_ROWS,
+    KEY_CELL,
+    SCAN_BUDGET,
+    WorkspaceIndex,
+    configuration_from_rank,
+)
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
 from conftest import desc_with
@@ -90,10 +96,47 @@ def test_every_configuration_lands_in_exactly_one_bucket(index_n3):
     assert index_n3.tree.n == index_n3.point_count
 
 
+def test_fixture_indexes_start_fresh(index_n3):
+    # the test above built its index_n3's tree; this one gets a new index
+    assert "tree" not in vars(index_n3)
+    assert index_n3._scanned == 0
+
+
 def test_stored_keys_are_requantized_points(index_n3):
-    assert np.array_equal(index_n3.keys, position_key(index_n3.points))
-    keys = [tuple(k) for k in index_n3.keys]
-    assert keys == sorted(keys)  # points come out in key order
+    keys = position_key(index_n3.points)
+    assert np.array_equal(keys, quantize(index_n3.points))
+    keys = [tuple(k) for k in keys.tolist()]
+    assert keys == sorted(set(keys))  # one point per key, in ascending key order
+
+
+def test_points_out_of_key_order_are_refused(index_n3):
+    swapped = index_n3.points.copy()
+    swapped[[4, 5]] = swapped[[5, 4]]
+    duplicate = index_n3.points.copy()
+    duplicate[5] = duplicate[4] + KEY_CELL / 4  # other bits, the same key
+    for points in (swapped, duplicate):
+        with pytest.raises(InvariantError, match="ascending key order"):
+            WorkspaceIndex(index_n3.desc, points, index_n3.bucket_offsets, index_n3.bucket_members)
+
+
+@pytest.mark.parametrize(
+    "first, second, ordered",
+    [
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 1e-6), True),  # keys differ in z alone
+        ((0.0, 0.0, 1e-6), (0.0, 0.0, 0.0), False),
+        ((0.0, 0.0, 5.0), (0.0, 1e-6, 0.0), True),  # y decides before z
+        ((0.0, 1e-6, 0.0), (0.0, 0.0, 5.0), False),
+        ((0.0, 5.0, 5.0), (1e-6, 0.0, 0.0), True),  # x decides before y and z
+        ((1e-6, 0.0, 0.0), (0.0, 5.0, 5.0), False),
+        ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0 + 1e-7), False),  # one key twice
+    ],
+)
+def test_key_order_is_lexicographic(first, second, ordered):
+    if ordered:
+        synthetic_index([first, second])
+    else:
+        with pytest.raises(InvariantError, match="ascending key order"):
+            synthetic_index([first, second])
 
 
 def test_buckets_agree_with_oracle_fk(index_n2):
@@ -153,24 +196,43 @@ def test_knn_matches_linear_scan(index_n2, index_n3):
             far,  # 400 mm beyond reach
             (points[pairs[:, 0]] + points[pairs[:, 1]]) / 2,  # near ties
         ])
+        expected = [nearest_by_scan(points, quantize(points), target) for target in targets]
         scanning, treed = scan_and_tree(index)
-        for target in targets:
-            expected = nearest_by_scan(points, index.keys, target)
-            assert scanning.nearest_point_index(target) == expected
-            assert treed.nearest_point_index(target) == expected
+        assert [scanning.nearest_point_index(target) for target in targets] == expected
+        assert [treed.nearest_point_index(target) for target in targets] == expected
+        assert scanning.nearest_point_indices(targets).tolist() == expected
+        assert treed.nearest_point_indices(targets).tolist() == expected
         assert "tree" not in vars(scanning)  # every target above took the scan
 
 
+# rows of blocks_index holding the first, middle and last candidate: one per scan block
+BLOCK_ROWS = (0, _SCAN_ROWS + 5, 2 * _SCAN_ROWS)
+
+
+def blocks_index(first_z, middle_z):
+    """Key-ordered index whose BLOCK_ROWS hold (0, -1, first_z), (0, 0, middle_z)
+    and (0, 1, 0); every other point is more than 1 mm from the origin."""
+    points = np.zeros((2 * _SCAN_ROWS + 1, 3))
+    first, middle, last = BLOCK_ROWS
+    points[first] = (0.0, -1.0, first_z)
+    points[first + 1 : middle, 1] = -1.0  # (0, -1, k) for k = 1, 2, ...
+    points[first + 1 : middle, 2] = np.arange(1, middle - first)
+    points[middle] = (0.0, 0.0, middle_z)
+    points[middle + 1 : last, 2] = np.arange(2, last - middle + 1)  # (0, 0, k) for k = 2, 3, ...
+    points[last] = (0.0, 1.0, 0.0)
+    return synthetic_index(points)
+
+
 def test_scan_breaks_ties_across_blocks():
-    rows = (0, _SCAN_ROWS + 5, 2 * _SCAN_ROWS)  # one tied point in each scan block
-    tied = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    for shift in range(3):  # the smallest key in the first, middle and last block
-        points = np.zeros((2 * _SCAN_ROWS + 1, 3))
-        points[:, 0] = 10.0 + np.arange(points.shape[0])
-        points[list(rows)] = np.roll(tied, shift, axis=0)
-        scanning, treed = scan_and_tree(synthetic_index(points))
-        assert scanning.nearest_point_index([0.0, 0.0, 0.0]) == rows[shift]
-        assert treed.nearest_point_index([0.0, 0.0, 0.0]) == rows[shift]
+    for first_z, middle_z, nearest in (
+        (0.0, -1.0, 0),  # tied at 1 mm in all three blocks: the earliest row
+        (-2.0, -1.0, 1),  # tied in the middle and last blocks
+        (-2.0, -2.0, 2),  # the last block alone at 1 mm
+        (0.0, -0.5, 1),  # a later block strictly closer beats an earlier tie
+    ):
+        scanning, treed = scan_and_tree(blocks_index(first_z, middle_z))
+        assert scanning.nearest_point_index([0.0, 0.0, 0.0]) == BLOCK_ROWS[nearest]
+        assert treed.nearest_point_index([0.0, 0.0, 0.0]) == BLOCK_ROWS[nearest]
         assert "tree" not in vars(scanning)
 
 
@@ -204,6 +266,7 @@ def test_non_finite_targets_raise_on_both_paths(index_n2, bad):
             index.nearest_point_index,
             lambda t: knn_query(index, t),
             lambda t: solve_ik(index, index.desc, t, reference),
+            lambda t: index.nearest_point_indices([index.points[0], t]),
             lambda t: reach_accuracy(index, [index.points[0], t]),
         ):
             with pytest.raises(PlcError, match="non-finite or too far"):
@@ -212,13 +275,13 @@ def test_non_finite_targets_raise_on_both_paths(index_n2, bad):
 
 
 def test_knn_tie_breaks_by_lexicographic_key():
-    index = synthetic_index([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    point, _ = knn_query(index, [0.0, 0.0, 0.0])
-    assert np.array_equal(point, [-1.0, 0.0, 0.0])
-    # same outcome regardless of insertion order
-    index = synthetic_index([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    point, _ = knn_query(index, [0.0, 0.0, 0.0])
-    assert np.array_equal(point, [-1.0, 0.0, 0.0])
+    tied = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    for index in scan_and_tree(synthetic_index(tied)):
+        point, _ = knn_query(index, [0.0, 0.0, 0.0])
+        assert np.array_equal(point, [-1.0, 0.0, 0.0])
+    # the smallest key is the smallest index only because insertion order is checked
+    with pytest.raises(InvariantError, match="ascending key order"):
+        synthetic_index(tied[::-1])
 
 
 def test_reach_accuracy():
@@ -244,9 +307,9 @@ def test_reach_accuracy_matches_double_loop(index_n2):
         assert reach_accuracy(index, queries) == pytest.approx(best, rel=1e-12)
 
 
-def test_reach_accuracy_prints_the_same_digits_by_scan_and_tree(index_n4):
-    # scan and tree may differ in the last bits of a distance, never in the
-    # nine digits the CLI prints
+def test_reach_accuracy_is_bitwise_equal_by_scan_and_tree(index_n4):
+    # both paths pick the same points and measure them the same way, so the
+    # CLI's nine digits agree because the raw floats do
     rng = np.random.default_rng(29)
     offset_index = enumerate_workspace(desc_with(segment_count=3, tool_offset=(0.0, 4.0, 15.0)))
     for index in (index_n4, offset_index):
@@ -254,7 +317,9 @@ def test_reach_accuracy_prints_the_same_digits_by_scan_and_tree(index_n4):
         for _ in range(300):
             queries = rng.uniform(-150.0, 150.0, size=(20, 3))
             scanning = fresh_copy(index)
-            assert _fmt(reach_accuracy(scanning, queries)) == _fmt(reach_accuracy(treed, queries))
+            by_scan, by_tree = reach_accuracy(scanning, queries), reach_accuracy(treed, queries)
+            assert by_scan.hex() == by_tree.hex()
+            assert _fmt(by_scan) == _fmt(by_tree)
             assert "tree" not in vars(scanning)
 
 
