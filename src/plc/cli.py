@@ -20,7 +20,6 @@ from . import __version__
 from .ik import METRICS, solve_ik
 from .kinematics import chain_pose, tool_tip
 from .model import (
-    DEFAULT_ENUMERATION_BUDGET,
     Configuration,
     PlcError,
     RobotDescription,
@@ -37,6 +36,7 @@ from .stiffness import (
     stiffness_map,
 )
 from .workspace import (
+    DEFAULT_ENUMERATION_BUDGET,
     INDEX_FORMAT_VERSION,
     WorkspaceIndex,
     atomic_open,
@@ -105,11 +105,9 @@ def _parse_direction(text: str) -> np.ndarray:
 
 def _load_description(args) -> RobotDescription:
     if args.robot == "default":
-        desc = RobotDescription()
-        desc.check_budget(args.budget)
-        return desc
+        return RobotDescription()
     with open(args.robot, "r", encoding="utf-8") as fh:
-        return parse_robot_description(fh.read(), budget=args.budget)
+        return parse_robot_description(fh.read())
 
 
 def _config_for(desc: RobotDescription, text: str) -> Configuration:
@@ -379,7 +377,8 @@ def build_parser() -> _Parser:
         default="default",
         help="robot description file, or 'default' for the reference robot",
     )
-    common.add_argument(
+    enumerating = _Parser(add_help=False)  # commands that may enumerate the workspace
+    enumerating.add_argument(
         "--budget",
         type=_budget,
         default=DEFAULT_ENUMERATION_BUDGET,
@@ -403,17 +402,23 @@ def build_parser() -> _Parser:
     ws = sub.add_parser("workspace", help="enumerate and query the workspace")
     wssub = ws.add_subparsers(dest="workspace_command", required=True)
 
-    p = wssub.add_parser("build", parents=[common], help="enumerate and save an index")
+    p = wssub.add_parser(
+        "build", parents=[common, enumerating], help="enumerate and save an index"
+    )
     p.add_argument("--out", help="index file (default: the cache directory)")
     p.set_defaults(func=_cmd_workspace_build)
 
-    p = wssub.add_parser("export", parents=[common, out], help="export reachable points")
+    p = wssub.add_parser(
+        "export", parents=[common, enumerating, out], help="export reachable points"
+    )
     p.add_argument("--index", help="existing index file (default: cache)")
     p.add_argument("--format", choices=("ply", "csv"), required=True)
     p.set_defaults(func=_cmd_workspace_export)
 
     p = wssub.add_parser(
-        "omnivariance", parents=[common, out], help="spread measure of the point cloud"
+        "omnivariance",
+        parents=[common, enumerating, out],
+        help="spread measure of the point cloud",
     )
     p.add_argument("--index", help="existing index file (default: cache)")
     p.add_argument(
@@ -425,7 +430,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_workspace_omnivariance)
 
     p = wssub.add_parser(
-        "accuracy", parents=[common, out], help="worst-case distance to the workspace"
+        "accuracy",
+        parents=[common, enumerating, out],
+        help="worst-case distance to the workspace",
     )
     p.add_argument("--index", help="existing index file (default: cache)")
     p.add_argument("--queries", required=True, help="CSV of query points x,y,z")

@@ -15,16 +15,18 @@ import yaml
 
 TWO_PI = 2.0 * math.pi
 
-#: Default cap on tooth_count ** segment_count before enumeration is refused.
-DEFAULT_ENUMERATION_BUDGET = 10**8
-
 
 class PlcError(Exception):
     """Base class for domain errors raised by this package."""
 
 
 class SchemaError(PlcError):
-    """A robot-description document does not match the expected schema."""
+    """A robot-description field has the wrong type.
+
+    Raised by the :class:`RobotDescription` constructor, which checks every
+    field, and by :func:`parse_robot_description` for a document that is not
+    a mapping of known fields.
+    """
 
 
 class InvariantError(PlcError):
@@ -40,6 +42,7 @@ def index_angle(index, tooth_count):
     return (TWO_PI * np.asarray(index, dtype=float)) / tooth_count
 
 
+_INT_FIELDS = {"segment_count", "tooth_count", "skin_convolutions"}
 _POSITIVE_LENGTH_FIELDS = (
     "curve_length",
     "spine_outer_diameter",
@@ -79,10 +82,24 @@ class RobotDescription:
     tool_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("segment_count", "tooth_count", "skin_convolutions"):
+        # types first, so the range checks below compare numbers
+        for name in _FIELD_NAMES:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvariantError(f"{name} must be an integer, got {value!r}")
+            if name in _INT_FIELDS:
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise SchemaError(f"field '{name}' must be an integer, got {value!r}")
+                continue
+            if name != "tool_offset":
+                numbers = (value,)
+            elif isinstance(value, (list, tuple)) and len(value) == 3:
+                numbers = value
+            else:
+                raise SchemaError("field 'tool_offset' must be a list of 3 numbers")
+            for v in numbers:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise SchemaError(f"field '{name}' must be a number, got {v!r}")
+            floats = tuple(float(v) for v in numbers)
+            object.__setattr__(self, name, floats if name == "tool_offset" else floats[0])
         if self.segment_count < 1:
             raise InvariantError(f"segment_count must be >= 1, got {self.segment_count}")
         if self.tooth_count < 2:
@@ -93,8 +110,6 @@ class RobotDescription:
             )
         for name in _POSITIVE_LENGTH_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-                raise InvariantError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value) or value <= 0.0:
                 raise InvariantError(f"{name} must be > 0, got {value}")
         if self.spine_inner_diameter >= self.spine_outer_diameter:
@@ -126,15 +141,8 @@ class RobotDescription:
                 "skin_thickness must not exceed the skin inner radius "
                 f"(got {self.skin_thickness} > {self.skin_inner_diameter / 2.0})"
             )
-        offset = self.tool_offset
-        if (
-            not isinstance(offset, (tuple, list))
-            or len(offset) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in offset)
-            or not all(math.isfinite(float(v)) for v in offset)
-        ):
-            raise InvariantError(f"tool_offset must be 3 finite numbers, got {offset!r}")
-        object.__setattr__(self, "tool_offset", tuple(float(v) for v in offset))
+        if not all(math.isfinite(v) for v in self.tool_offset):
+            raise InvariantError(f"tool_offset must be 3 finite numbers, got {self.tool_offset!r}")
 
     # -- derived quantities -------------------------------------------------
 
@@ -167,13 +175,6 @@ class RobotDescription:
     def spine_polar_inertia(self) -> float:
         """Polar moment of the annular spine section, mm^4 (torsion)."""
         return math.pi * (self.spine_outer_diameter**4 - self.spine_inner_diameter**4) / 32.0
-
-    def check_budget(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> None:
-        count = self.raw_configuration_count
-        if count > budget:
-            raise InvariantError(
-                f"raw configuration count {count} exceeds enumeration budget {budget}"
-            )
 
     def check_configuration(self, config: "Configuration") -> None:
         """Raise unless ``config`` is valid for this robot."""
@@ -280,28 +281,16 @@ class RigidTransform:
 # -- description documents ---------------------------------------------------
 
 _FIELD_NAMES = tuple(f.name for f in fields(RobotDescription))
-_INT_FIELDS = {"segment_count", "tooth_count", "skin_convolutions"}
 
 
-def _coerce_number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field '{name}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _coerce_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"field '{name}' must be an integer, got {value!r}")
-    return value
-
-
-def parse_robot_description(
-    text: str, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> RobotDescription:
-    """Parse a key/value description document (YAML mapping, JSON works too).
+def parse_robot_description(text: str) -> RobotDescription:
+    """Read a key/value description document (YAML mapping, JSON works too).
 
     Field names match :class:`RobotDescription`; lengths are in mm, angles in
     degrees, moduli in MPa.  Missing fields take the reference-robot defaults.
+    The parser only reads the document: it refuses a non-mapping or an
+    unknown field, turns a numeric ``bend_angle`` into radians, and leaves
+    every type and range check to the constructor.
     """
     try:
         doc = yaml.safe_load(text)
@@ -316,22 +305,10 @@ def parse_robot_description(
     if unknown:
         raise SchemaError(f"unknown field '{unknown[0]}' in description document")
 
-    kwargs = {}
-    for name, value in doc.items():
-        if name in _INT_FIELDS:
-            kwargs[name] = _coerce_int(name, value)
-        elif name == "tool_offset":
-            if not isinstance(value, (list, tuple)) or len(value) != 3:
-                raise SchemaError("field 'tool_offset' must be a list of 3 numbers")
-            kwargs[name] = tuple(_coerce_number("tool_offset", v) for v in value)
-        elif name == "bend_angle":
-            kwargs[name] = math.radians(_coerce_number(name, value))
-        else:
-            kwargs[name] = _coerce_number(name, value)
-
-    desc = RobotDescription(**kwargs)
-    desc.check_budget(budget)
-    return desc
+    angle = doc.get("bend_angle")
+    if isinstance(angle, (int, float)) and not isinstance(angle, bool):
+        doc["bend_angle"] = math.radians(angle)
+    return RobotDescription(**doc)
 
 
 def _exact_degrees(radians_value: float) -> float:

@@ -36,13 +36,15 @@ import numpy as np
 
 from .kinematics import tip_positions
 from .model import (
-    DEFAULT_ENUMERATION_BUDGET,
     Configuration,
     InvariantError,
     PlcError,
     RobotDescription,
     description_digest,
 )
+
+#: Default cap on tooth_count ** segment_count before enumeration is refused.
+DEFAULT_ENUMERATION_BUDGET = 10**8
 
 #: Quantization cell edge for position keys, mm.  Far below the 0.2 mm
 #: mechanical clearance, far above float noise of <=16 composed transforms.
@@ -115,10 +117,11 @@ def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
 class WorkspaceIndex:
     """Reachable-point set with nearest-point queries and a point -> configurations map.
 
-    points:          (G, 3) distinct reachable tool-tip positions, one per key,
-                     in strictly ascending key order (checked, so a misordered
-                     file is refused); each is the tip position of the first
-                     configuration (in canonical order) that produced the key.
+    points:          (G, 3) distinct, finite reachable tool-tip positions, one
+                     per key, in strictly ascending key order (both checked, so
+                     a misordered or non-finite file is refused); each is the
+                     tip position of the first configuration (in canonical
+                     order) that produced the key.
     bucket_offsets:  (G + 1,) slice bounds into bucket_members.
     bucket_members:  (M,) enumeration ranks grouped per point, each group in
                      canonical (ascending) order.
@@ -142,6 +145,8 @@ class WorkspaceIndex:
             raise InvariantError("bucket_offsets must span bucket_members exactly")
         if np.any(np.diff(bucket_offsets) < 1):
             raise InvariantError("every reachable point needs >= 1 configuration")
+        if not np.isfinite(points).all():
+            raise InvariantError("points must be finite")
         if not _strictly_ascending(position_key(points)):
             raise InvariantError("points must be in strictly ascending key order")
         for arr in (points, bucket_offsets, bucket_members):
@@ -317,7 +322,11 @@ def enumerate_workspace(
     runs produce bit-identical indexes and bucket lists keep a reproducible
     order.
     """
-    desc.check_budget(budget)
+    count = desc.raw_configuration_count
+    if count > budget:
+        raise InvariantError(
+            f"raw configuration count {count} exceeds enumeration budget {budget}"
+        )
     positions = tip_positions(desc)
     keys = position_key(positions)
     # stable sort -> groups in key order, canonical rank order inside a group
