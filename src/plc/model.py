@@ -89,12 +89,12 @@ class RobotDescription:
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise SchemaError(f"field '{name}' must be an integer, got {value!r}")
                 continue
-            if name != "tool_offset":
-                numbers = (value,)
-            elif isinstance(value, (list, tuple)) and len(value) == 3:
+            if name == "tool_offset":
+                if not isinstance(value, (list, tuple)) or len(value) != 3:
+                    raise SchemaError("field 'tool_offset' must be a list of 3 numbers")
                 numbers = value
             else:
-                raise SchemaError("field 'tool_offset' must be a list of 3 numbers")
+                numbers = (value,)
             for v in numbers:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise SchemaError(f"field '{name}' must be a number, got {v!r}")

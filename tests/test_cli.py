@@ -72,6 +72,38 @@ def test_budget_exceeded(capsys, tmp_path):
     assert "1000000000" in err
 
 
+# 10**12 configurations: far past the enumeration budget, fine for every
+# command that does not enumerate
+LONG_CHAIN = "segment_count: 12\n"
+LONG_CONFIG = ",".join(str(k % 10) for k in range(12))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fk", "--config", LONG_CONFIG],
+        ["plan", "--start", "0," * 11 + "0", "--goal", LONG_CONFIG, "--verify"],
+        ["stiffness", "firm", "--config", LONG_CONFIG, "--direction", "1,0,0"],
+        ["stiffness", "curve", "--config", LONG_CONFIG, "--tension", "20", "--direction", "0,0,1"],
+        ["stiffness", "twist", "--skin", "--torque", "500"],
+    ],
+)
+def test_commands_that_never_enumerate_take_any_chain_length(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--robot", robot_file(tmp_path, LONG_CHAIN))
+    assert code == 0, err
+    assert out and err == ""
+
+
+def test_only_enumerating_commands_take_a_budget(capsys, tmp_path):
+    robot = robot_file(tmp_path, LONG_CHAIN)
+    code, _, err = run(capsys, "workspace", "build", "--robot", robot)
+    assert_domain_error(code, err)
+    assert "raw configuration count 1000000000000 exceeds" in err
+    code, _, err = run(capsys, "fk", "--robot", robot, "--budget", "1e9", "--config", LONG_CONFIG)
+    assert code == 1
+    assert "--budget" in err
+
+
 def test_workspace_build_and_export(capsys, tmp_path):
     robot = robot_file(tmp_path)
     index_path = tmp_path / "ws.plcw"
@@ -375,6 +407,22 @@ def test_index_with_points_out_of_key_order_is_refused(capsys, tmp_path):
     )
     assert_domain_error(code, err)
     assert "ascending key order" in err
+    assert out == ""
+
+
+def test_index_with_a_non_finite_point_is_refused(capsys, tmp_path):
+    # the default robot has two scan blocks: a NaN in the first one used to
+    # hide that block from the scan, and ik answered from the other
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", "default", "--out", str(index_path))
+    data = bytearray(index_path.read_bytes())
+    data[_HEADER.size : _HEADER.size + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    index_path.write_bytes(bytes(data))
+    code, out, err = run(
+        capsys, "ik", "--robot", "default", "--index", str(index_path), "--target", "1,2,30"
+    )
+    assert_domain_error(code, err)
+    assert "finite" in err
     assert out == ""
 
 

@@ -10,6 +10,7 @@ from plc import (
     RigidTransform,
     RobotDescription,
     SchemaError,
+    enumerate_workspace,
     parse_robot_description,
     serialize_robot_description,
 )
@@ -84,11 +85,34 @@ def test_parse_rejects_bad_types():
         parse_robot_description("- just\n- a list\n")
 
 
-def test_parse_enforces_enumeration_budget():
-    doc = "segment_count: 9\ntooth_count: 10\n"
-    with pytest.raises(InvariantError, match="1000000000"):
-        parse_robot_description(doc, budget=10**8)
-    assert parse_robot_description(doc, budget=10**9).segment_count == 9
+def test_parse_accepts_any_chain_length_and_enumeration_checks_the_budget():
+    # parsing never enumerates, so it takes a 10**9-configuration robot;
+    # only the enumeration refuses it at the default budget
+    desc = parse_robot_description("segment_count: 9\ntooth_count: 10\n")
+    assert desc.segment_count == 9
+    with pytest.raises(InvariantError, match="raw configuration count 1000000000 exceeds"):
+        enumerate_workspace(desc)
+
+
+@pytest.mark.parametrize("bad", ["a", None, True])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RobotDescription)])
+def test_constructor_refuses_wrong_types(name, bad):
+    with pytest.raises(SchemaError, match=f"field '{name}'"):
+        RobotDescription(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", ["a", None, True])
+def test_constructor_refuses_wrong_tool_offset_components(bad):
+    with pytest.raises(SchemaError, match="field 'tool_offset' must be a number"):
+        RobotDescription(tool_offset=(0.0, bad, 0.0))
+
+
+def test_constructor_stores_numbers_as_float():
+    desc = RobotDescription(curve_length=30, bend_angle=np.float64(0.5), tool_offset=[0, 1, 2])
+    assert type(desc.curve_length) is float and type(desc.bend_angle) is float
+    assert desc.tool_offset == (0.0, 1.0, 2.0)
+    assert all(type(v) is float for v in desc.tool_offset)
+    assert desc == RobotDescription(curve_length=30.0, bend_angle=0.5, tool_offset=(0.0, 1.0, 2.0))
 
 
 @pytest.mark.parametrize(

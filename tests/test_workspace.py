@@ -19,6 +19,7 @@ from plc import (
 from plc.cli import _fmt
 from plc.model import InvariantError
 from plc.workspace import (
+    _HEADER,
     _SCAN_ROWS,
     KEY_CELL,
     SCAN_BUDGET,
@@ -117,6 +118,22 @@ def test_points_out_of_key_order_are_refused(index_n3):
     for points in (swapped, duplicate):
         with pytest.raises(InvariantError, match="ascending key order"):
             WorkspaceIndex(index_n3.desc, points, index_n3.bucket_offsets, index_n3.bucket_members)
+
+
+@pytest.mark.parametrize("row, bad", [(0, np.nan), (1000, np.inf)])
+def test_non_finite_points_are_refused(tmp_path, index_n4, row, bad):
+    points = index_n4.points.copy()
+    points[row, 1] = bad
+    with pytest.raises(InvariantError, match="points must be finite"):
+        WorkspaceIndex(index_n4.desc, points, index_n4.bucket_offsets, index_n4.bucket_members)
+    path = tmp_path / "n4.plcw"
+    index_n4.save(path)
+    data = bytearray(path.read_bytes())
+    at = _HEADER.size + (row * 3 + 1) * 8  # the y coordinate of point ``row``
+    data[at : at + 8] = np.array([bad], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvariantError, match="points must be finite"):
+        WorkspaceIndex.load(path, index_n4.desc)
 
 
 @pytest.mark.parametrize(
