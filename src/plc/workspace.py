@@ -320,7 +320,8 @@ def enumerate_workspace(
 
     Order is canonical (joint 1 slowest, tooth index ascending), so repeated
     runs produce bit-identical indexes and bucket lists keep a reproducible
-    order.
+    order.  This is the one place the enumeration budget is checked: a robot
+    with more than ``budget`` raw configurations is refused before any work.
     """
     count = desc.raw_configuration_count
     if count > budget:
