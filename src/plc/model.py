@@ -43,7 +43,10 @@ def index_angle(index, tooth_count):
 
 
 _INT_FIELDS = {"segment_count", "tooth_count", "skin_convolutions"}
-_POSITIVE_LENGTH_FIELDS = (
+MAX_TOOTH_COUNT = 10**6  # every command builds per-tooth tables: about 150 MB here
+_POSITIVE_FIELDS = (
+    "youngs_modulus",
+    "tendon_stiffness",
     "curve_length",
     "spine_outer_diameter",
     "spine_inner_diameter",
@@ -102,13 +105,15 @@ class RobotDescription:
             object.__setattr__(self, name, floats if name == "tool_offset" else floats[0])
         if self.segment_count < 1:
             raise InvariantError(f"segment_count must be >= 1, got {self.segment_count}")
-        if self.tooth_count < 2:
-            raise InvariantError(f"tooth_count must be >= 2, got {self.tooth_count}")
+        if not 2 <= self.tooth_count <= MAX_TOOTH_COUNT:
+            raise InvariantError(
+                f"tooth_count must be in [2, {MAX_TOOTH_COUNT}], got {self.tooth_count}"
+            )
         if self.skin_convolutions < 1:
             raise InvariantError(
                 f"skin_convolutions must be >= 1, got {self.skin_convolutions}"
             )
-        for name in _POSITIVE_LENGTH_FIELDS:
+        for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise InvariantError(f"{name} must be > 0, got {value}")
@@ -129,12 +134,6 @@ class RobotDescription:
         if not (0.0 < self.poisson_ratio < 0.5):
             raise InvariantError(
                 f"poisson_ratio must lie in (0, 0.5), got {self.poisson_ratio}"
-            )
-        if self.youngs_modulus <= 0.0 or not math.isfinite(self.youngs_modulus):
-            raise InvariantError(f"youngs_modulus must be > 0, got {self.youngs_modulus}")
-        if self.tendon_stiffness <= 0.0 or not math.isfinite(self.tendon_stiffness):
-            raise InvariantError(
-                f"tendon_stiffness must be > 0, got {self.tendon_stiffness}"
             )
         if self.skin_thickness > self.skin_inner_diameter / 2.0:
             raise InvariantError(

@@ -299,7 +299,9 @@ class WorkspaceIndex:
                 )
             if digest != description_digest(desc):
                 raise PlcError("index was built for a different robot description")
-            if (n, teeth) != (desc.segment_count, desc.tooth_count):
+            # every configuration is stored, and teeth**64 exceeds any stored count
+            expected = (desc.segment_count, desc.tooth_count, teeth ** min(n, 64))
+            if (n, teeth, configs_n) != expected:
                 raise PlcError("index header disagrees with robot description")
             expected = _HEADER.size + points_n * 24 + (points_n + 1) * 8 + configs_n * 8
             if size != expected:
@@ -323,8 +325,11 @@ def enumerate_workspace(
     order.  This is the one place the enumeration budget is checked: a robot
     with more than ``budget`` raw configurations is refused before any work.
     """
-    count = desc.raw_configuration_count
-    if count > budget:
+    teeth, n = desc.tooth_count, desc.segment_count
+    # teeth**n >= 2**(n * (bit_length - 1)): refuse before forming a vast power
+    far_over = n * (teeth.bit_length() - 1) > budget.bit_length() + 4096
+    count = f"{teeth}**{n}" if far_over else desc.raw_configuration_count
+    if far_over or count > budget:
         raise InvariantError(
             f"raw configuration count {count} exceeds enumeration budget {budget}"
         )

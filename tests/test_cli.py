@@ -3,6 +3,7 @@ import pytest
 
 from plc import WorkspaceIndex, parse_robot_description
 from plc.cli import main
+from plc.model import description_digest
 from plc.workspace import _HEADER
 
 SMALL_ROBOT = "segment_count: 2\n"
@@ -94,14 +95,26 @@ def test_commands_that_never_enumerate_take_any_chain_length(capsys, tmp_path, a
     assert out and err == ""
 
 
-def test_only_enumerating_commands_take_a_budget(capsys, tmp_path):
+def test_budget_is_a_usage_error_where_nothing_enumerates(capsys, tmp_path):
     robot = robot_file(tmp_path, LONG_CHAIN)
-    code, _, err = run(capsys, "workspace", "build", "--robot", robot)
-    assert_domain_error(code, err)
-    assert "raw configuration count 1000000000000 exceeds" in err
     code, _, err = run(capsys, "fk", "--robot", robot, "--budget", "1e9", "--config", LONG_CONFIG)
     assert code == 1
     assert "--budget" in err
+
+
+def test_budget_refuses_a_vast_chain(capsys, tmp_path):
+    robot = robot_file(tmp_path, "segment_count: 5000\n")
+    code, _, err = run(capsys, "workspace", "build", "--robot", robot)
+    assert_domain_error(code, err)
+    assert "raw configuration count 10**5000 exceeds" in err
+
+
+def test_tooth_count_is_bounded_for_every_command(capsys, tmp_path):
+    # 10**10 teeth would need about 1 TB of per-tooth tables
+    robot = robot_file(tmp_path, "segment_count: 1\ntooth_count: 10000000000\n")
+    code, _, err = run(capsys, "fk", "--robot", robot, "--config", "0")
+    assert_domain_error(code, err)
+    assert "tooth_count must be in" in err
 
 
 def test_workspace_build_and_export(capsys, tmp_path):
@@ -407,6 +420,24 @@ def test_index_with_points_out_of_key_order_is_refused(capsys, tmp_path):
     )
     assert_domain_error(code, err)
     assert "ascending key order" in err
+    assert out == ""
+
+
+def test_index_claiming_a_longer_chain_is_refused(capsys, tmp_path):
+    # a 2-unit index relabelled, digest and all, as a 3-unit robot's
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot_file(tmp_path), "--out", str(index_path))
+    data = index_path.read_bytes()
+    magic, version, _, _, teeth, points_n, configs_n = _HEADER.unpack(data[: _HEADER.size])
+    robot = robot_file(tmp_path, "segment_count: 3\n")
+    digest = description_digest(parse_robot_description("segment_count: 3\n"))
+    header = _HEADER.pack(magic, version, digest, 3, teeth, points_n, configs_n)
+    index_path.write_bytes(header + data[_HEADER.size :])
+    code, out, err = run(
+        capsys, "ik", "--robot", robot, "--index", str(index_path), "--target", "1,2,30"
+    )
+    assert_domain_error(code, err)
+    assert "header disagrees" in err
     assert out == ""
 
 

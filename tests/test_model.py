@@ -14,7 +14,7 @@ from plc import (
     parse_robot_description,
     serialize_robot_description,
 )
-from plc.model import description_digest, index_angle
+from plc.model import MAX_TOOTH_COUNT, description_digest, index_angle
 
 from conftest import desc_with
 
@@ -223,6 +223,7 @@ def test_types_are_immutable():
         ({"poisson_ratio": 0.5}, "poisson_ratio"),
         ({"curve_length": 0.0}, "curve_length"),
         ({"tendon_stiffness": -1.0}, "tendon_stiffness"),
+        ({"youngs_modulus": 0.0}, "youngs_modulus must be > 0"),
         ({"skin_thickness": 9.0}, "skin_thickness"),
         ({"segment_count": 0}, "segment_count"),
         ({"tooth_count": 1}, "tooth_count"),
@@ -232,3 +233,12 @@ def test_types_are_immutable():
 def test_description_invariants(overrides, message):
     with pytest.raises(InvariantError, match=message):
         desc_with(**overrides)
+
+
+def test_tooth_count_is_bounded():
+    # every command builds per-tooth tables, so the bound guards them all
+    assert desc_with(tooth_count=MAX_TOOTH_COUNT).tooth_count == MAX_TOOTH_COUNT
+    with pytest.raises(InvariantError, match=f"tooth_count must be in \\[2, {MAX_TOOTH_COUNT}\\]"):
+        desc_with(tooth_count=MAX_TOOTH_COUNT + 1)
+    with pytest.raises(InvariantError, match="tooth_count"):
+        parse_robot_description("segment_count: 1\ntooth_count: 10000000000\n")

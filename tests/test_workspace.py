@@ -17,7 +17,7 @@ from plc import (
     solve_ik,
 )
 from plc.cli import _fmt
-from plc.model import InvariantError
+from plc.model import InvariantError, description_digest
 from plc.workspace import (
     _HEADER,
     _SCAN_ROWS,
@@ -88,6 +88,12 @@ def test_budget_is_enforced():
     desc = desc_with(segment_count=4)
     with pytest.raises(InvariantError, match="10000"):
         enumerate_workspace(desc, budget=9999)
+
+
+def test_budget_refuses_a_vast_chain_without_printing_its_count():
+    # 10**5000 has more digits than Python will turn into a string
+    with pytest.raises(InvariantError, match=r"count 10\*\*5000 exceeds enumeration budget"):
+        enumerate_workspace(desc_with(segment_count=5000))
 
 
 def test_every_configuration_lands_in_exactly_one_bucket(index_n3):
@@ -448,6 +454,24 @@ def test_load_rejects_corrupt_files(tmp_path, index_n3):
     (tmp_path / "vers.plcw").write_bytes(data[:4] + b"\x63\x00\x00\x00" + data[8:])
     with pytest.raises(PlcError, match="version"):
         WorkspaceIndex.load(tmp_path / "vers.plcw", index_n3.desc)
+
+
+@pytest.mark.parametrize("segment_count", [3, 10**9])
+def test_load_rejects_a_header_that_claims_another_chain_length(
+    tmp_path, index_n2, segment_count
+):
+    # a forged header can carry the digest of any robot; its configuration
+    # count must still be tooth_count ** segment_count
+    path = tmp_path / "n2.plcw"
+    index_n2.save(path)
+    data = path.read_bytes()
+    magic, version, _, _, teeth, points_n, configs_n = _HEADER.unpack(data[: _HEADER.size])
+    desc = desc_with(segment_count=segment_count)
+    digest = description_digest(desc)
+    header = _HEADER.pack(magic, version, digest, segment_count, teeth, points_n, configs_n)
+    path.write_bytes(header + data[_HEADER.size :])
+    with pytest.raises(PlcError, match="header disagrees"):
+        WorkspaceIndex.load(path, desc)
 
 
 def test_load_rejects_short_reads(tmp_path, index_n2, monkeypatch):
