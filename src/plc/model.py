@@ -43,7 +43,7 @@ def index_angle(index, tooth_count):
 
 
 _INT_FIELDS = {"segment_count", "tooth_count", "skin_convolutions"}
-MAX_TOOTH_COUNT = 10**6  # every command builds per-tooth tables: about 150 MB here
+MAX_TOOTH_COUNT = 10**6  # every command builds per-tooth tables: about 140 MB at the bound
 _POSITIVE_FIELDS = (
     "youngs_modulus",
     "tendon_stiffness",

@@ -223,11 +223,11 @@ def test_types_are_immutable():
         ({"poisson_ratio": 0.5}, "poisson_ratio"),
         ({"curve_length": 0.0}, "curve_length"),
         ({"tendon_stiffness": -1.0}, "tendon_stiffness"),
-        ({"youngs_modulus": 0.0}, "youngs_modulus must be > 0"),
         ({"skin_thickness": 9.0}, "skin_thickness"),
         ({"segment_count": 0}, "segment_count"),
         ({"tooth_count": 1}, "tooth_count"),
         ({"skin_inner_diameter": 22.0}, "inner diameter must be < outer"),
+        ({"youngs_modulus": 0.0}, "youngs_modulus must be > 0"),
     ],
 )
 def test_description_invariants(overrides, message):
