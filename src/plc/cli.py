@@ -36,7 +36,6 @@ from .stiffness import (
     stiffness_map,
 )
 from .workspace import (
-    DEFAULT_ENUMERATION_BUDGET,
     INDEX_FORMAT_VERSION,
     WorkspaceIndex,
     atomic_open,
@@ -130,7 +129,7 @@ def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
             return WorkspaceIndex.load(cache, desc)
         except PlcError:
             pass  # stale or foreign cache entry: rebuild below
-    index = enumerate_workspace(desc, budget=args.budget)
+    index = enumerate_workspace(desc)
     cache.parent.mkdir(parents=True, exist_ok=True)
     index.save(cache)
     return index
@@ -180,7 +179,7 @@ def _cmd_fk(args) -> int:
 
 def _cmd_workspace_build(args) -> int:
     desc = _load_description(args)
-    index = enumerate_workspace(desc, budget=args.budget)
+    index = enumerate_workspace(desc)
     path = Path(args.out) if args.out else _cache_path(desc)
     path.parent.mkdir(parents=True, exist_ok=True)
     index.save(path)
@@ -360,29 +359,12 @@ def _cmd_normalize(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad budget {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("budget must be >= 1")
-    return value
-
-
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
         "--robot",
         default="default",
         help="robot description file, or 'default' for the reference robot",
-    )
-    enumerating = _Parser(add_help=False)  # commands that may enumerate the workspace
-    enumerating.add_argument(
-        "--budget",
-        type=_budget,
-        default=DEFAULT_ENUMERATION_BUDGET,
-        help="cap on tooth_count ** segment_count (default 1e8)",
     )
     out = _Parser(add_help=False)
     out.add_argument("--out", help="write output to this file instead of stdout")
@@ -402,22 +384,18 @@ def build_parser() -> _Parser:
     ws = sub.add_parser("workspace", help="enumerate and query the workspace")
     wssub = ws.add_subparsers(dest="workspace_command", required=True)
 
-    p = wssub.add_parser(
-        "build", parents=[common, enumerating], help="enumerate and save an index"
-    )
+    p = wssub.add_parser("build", parents=[common], help="enumerate and save an index")
     p.add_argument("--out", help="index file (default: the cache directory)")
     p.set_defaults(func=_cmd_workspace_build)
 
-    p = wssub.add_parser(
-        "export", parents=[common, enumerating, out], help="export reachable points"
-    )
+    p = wssub.add_parser("export", parents=[common, out], help="export reachable points")
     p.add_argument("--index", help="existing index file (default: cache)")
     p.add_argument("--format", choices=("ply", "csv"), required=True)
     p.set_defaults(func=_cmd_workspace_export)
 
     p = wssub.add_parser(
         "omnivariance",
-        parents=[common, enumerating, out],
+        parents=[common, out],
         help="spread measure of the point cloud",
     )
     p.add_argument("--index", help="existing index file (default: cache)")
@@ -431,7 +409,7 @@ def build_parser() -> _Parser:
 
     p = wssub.add_parser(
         "accuracy",
-        parents=[common, enumerating, out],
+        parents=[common, out],
         help="worst-case distance to the workspace",
     )
     p.add_argument("--index", help="existing index file (default: cache)")

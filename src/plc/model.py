@@ -101,7 +101,7 @@ class RobotDescription:
             for v in numbers:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise SchemaError(f"field '{name}' must be a number, got {v!r}")
-            floats = tuple(float(v) for v in numbers)
+            floats = tuple(_as_float(name, v) for v in numbers)
             object.__setattr__(self, name, floats if name == "tool_offset" else floats[0])
         if self.segment_count < 1:
             raise InvariantError(f"segment_count must be >= 1, got {self.segment_count}")
@@ -282,6 +282,14 @@ class RigidTransform:
 _FIELD_NAMES = tuple(f.name for f in fields(RobotDescription))
 
 
+def _as_float(name: str, value) -> float:
+    """``float(value)``, refusing an integer too large for a float without printing it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvariantError(f"{name} must be finite, got an integer too large for a float") from None
+
+
 def parse_robot_description(text: str) -> RobotDescription:
     """Read a key/value description document (YAML mapping, JSON works too).
 
@@ -293,20 +301,20 @@ def parse_robot_description(text: str) -> RobotDescription:
     """
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of > 4300 digits, a bad date
         raise SchemaError(f"unparseable description document: {exc}") from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise SchemaError("description document must be a key/value mapping")
 
-    unknown = sorted(set(doc) - set(_FIELD_NAMES))
+    unknown = sorted(set(doc) - set(_FIELD_NAMES), key=str)  # keys may be of mixed types
     if unknown:
         raise SchemaError(f"unknown field '{unknown[0]}' in description document")
 
     angle = doc.get("bend_angle")
     if isinstance(angle, (int, float)) and not isinstance(angle, bool):
-        doc["bend_angle"] = math.radians(angle)
+        doc["bend_angle"] = math.radians(_as_float("bend_angle", angle))
     return RobotDescription(**doc)
 
 

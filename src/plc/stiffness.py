@@ -28,6 +28,9 @@ import numpy as np
 from .kinematics import chain_pose
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 
+#: Most directions ``stiffness_map`` samples: about 0.6 KB each, so 0.6 GB.
+MAX_SPHERE_SAMPLES = 10**6
+
 
 def _bending_inertia(desc: RobotDescription, literal_polar: bool) -> float:
     # literal_polar doubles the bending inertia (uses the torsion polar moment
@@ -37,7 +40,8 @@ def _bending_inertia(desc: RobotDescription, literal_polar: bool) -> float:
 
 def _check_unit(vector, what: str) -> np.ndarray:
     v = np.asarray(vector, dtype=float)
-    if v.shape != (3,) or abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+    # written so that a NaN norm fails the bound too
+    if v.shape != (3,) or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
         raise InvariantError(f"{what} must be a unit 3-vector")
     return v
 
@@ -166,6 +170,8 @@ def stiffness_map(
     """Directional stiffness sampled over the sphere for plotting/export."""
     if sphere_samples < 6:
         raise PlcError(f"need at least 6 sphere samples, got {sphere_samples}")
+    if sphere_samples > MAX_SPHERE_SAMPLES:
+        raise PlcError(f"need at most {MAX_SPHERE_SAMPLES} sphere samples, got {sphere_samples}")
     compliance = firmed_compliance(desc, config, literal_polar)
     samples = []
     for direction in fibonacci_sphere(sphere_samples):

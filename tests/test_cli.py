@@ -66,13 +66,14 @@ def test_missing_robot_file(capsys, tmp_path):
 
 
 def test_budget_exceeded(capsys, tmp_path):
-    path = robot_file(tmp_path, "segment_count: 9\n")
+    # 10**12 configurations need about 200 TB, more than any host's memory
+    path = robot_file(tmp_path, "segment_count: 12\n")
     code, _, err = run(capsys, "workspace", "build", "--robot", path)
-    assert code == 2
-    assert "1000000000" in err
+    assert_domain_error(code, err)
+    assert "count 1000000000000 needs about" in err
 
 
-# 10**12 configurations: far past the enumeration budget, fine for every
+# 10**12 configurations: far past any host's memory, fine for every
 # command that does not enumerate
 LONG_CHAIN = "segment_count: 12\n"
 LONG_CONFIG = ",".join(str(k % 10) for k in range(12))
@@ -94,11 +95,30 @@ def test_commands_that_never_enumerate_take_any_chain_length(capsys, tmp_path, a
     assert out and err == ""
 
 
-def test_budget_is_a_usage_error_where_nothing_enumerates(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv", [["fk", "--config", LONG_CONFIG], ["workspace", "build"]], ids=["fk", "build"]
+)
+def test_budget_is_a_usage_error(capsys, tmp_path, argv):
     robot = robot_file(tmp_path, LONG_CHAIN)
-    code, _, err = run(capsys, "fk", "--robot", robot, "--budget", "1e9", "--config", LONG_CONFIG)
+    code, _, err = run(capsys, *argv, "--robot", robot, "--budget", "1e9")
     assert code == 1
     assert "--budget" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "curve_length: 1" + "0" * 400,  # too large for the constructor's float()
+        "bend_angle: 1" + "0" * 400,  # too large for the parser's radians()
+        "curve_length: 1" + "0" * 5000,  # too many digits for the YAML loader
+    ],
+    ids=["length", "angle", "digits"],
+)
+def test_integer_literals_too_large_for_a_float(capsys, tmp_path, text):
+    robot = robot_file(tmp_path, text + "\n")
+    code, _, err = run(capsys, "fk", "--robot", robot, "--config", "0,0,0,0,0")
+    assert_domain_error(code, err)
+    assert "0" * 100 not in err
 
 
 def test_tooth_count_is_bounded_for_every_command(capsys, tmp_path):
@@ -248,6 +268,12 @@ def test_stiffness_firm_sphere(capsys):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 13
+    code, _, err = run(
+        capsys, "stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0",
+        "--sphere", "1000001",
+    )
+    assert_domain_error(code, err)
+    assert "at most 1000000 sphere samples" in err
 
 
 def test_stiffness_curve(capsys):

@@ -70,6 +70,9 @@ def test_parse_rejects_equal_spine_diameters():
 def test_parse_rejects_unknown_field():
     with pytest.raises(SchemaError, match="spine_diameter"):
         parse_robot_description("spine_diameter: 8\n")
+    # keys of mixed types do not sort, so they are named in string order
+    with pytest.raises(SchemaError, match="unknown field '1'"):
+        parse_robot_description("1: 2\na: 3\n")
 
 
 def test_parse_rejects_bad_types():
@@ -86,11 +89,11 @@ def test_parse_rejects_bad_types():
 
 
 def test_parse_accepts_any_chain_length_and_enumeration_checks_the_budget():
-    # parsing never enumerates, so it takes a 10**9-configuration robot;
-    # only the enumeration refuses it at the default budget
-    desc = parse_robot_description("segment_count: 9\ntooth_count: 10\n")
-    assert desc.segment_count == 9
-    with pytest.raises(InvariantError, match="raw configuration count 1000000000 exceeds"):
+    # parsing never enumerates, so it takes a 10**12-configuration robot;
+    # only the enumeration refuses it, as more than any host's memory
+    desc = parse_robot_description("segment_count: 12\ntooth_count: 10\n")
+    assert desc.segment_count == 12
+    with pytest.raises(InvariantError, match="raw configuration count 1000000000000 needs about"):
         enumerate_workspace(desc)
 
 

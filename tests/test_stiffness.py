@@ -157,6 +157,19 @@ def test_stiffness_map_properties(default_desc):
         assert forward == pytest.approx(backward, rel=1e-12)
     with pytest.raises(PlcError):
         stiffness_map(default_desc, config, 5)
+    with pytest.raises(PlcError, match="at most 1000000 sphere samples"):
+        stiffness_map(default_desc, config, 10**6 + 1)
+
+
+def test_unit_vectors_refuse_nan(default_desc):
+    config = Configuration((0, 3, 6, 1, 8), 10)
+    nan = [math.nan, 0.0, 0.0]
+    with pytest.raises(InvariantError, match="direction must be a unit 3-vector"):
+        directional_stiffness(default_desc, config, nan)
+    with pytest.raises(InvariantError, match="direction must be a unit 3-vector"):
+        force_deflection(default_desc, config, 20.0, nan)
+    with pytest.raises(InvariantError, match="segment axis must be a unit 3-vector"):
+        segment_strain_energy(default_desc, nan, 10.0 * Z)
 
 
 def test_loosening_threshold_values(default_desc):

@@ -18,9 +18,11 @@ from plc import (
 )
 from plc.cli import _fmt
 from plc.model import InvariantError, description_digest
+from plc import workspace
 from plc.workspace import (
     _HEADER,
     _SCAN_ROWS,
+    BYTES_PER_CONFIGURATION,
     KEY_CELL,
     SCAN_BUDGET,
     WorkspaceIndex,
@@ -84,16 +86,30 @@ def test_enumeration_is_deterministic():
     assert np.array_equal(a.bucket_members, b.bucket_members)
 
 
-def test_budget_is_enforced():
-    desc = desc_with(segment_count=4)
-    with pytest.raises(InvariantError, match="10000"):
-        enumerate_workspace(desc, budget=9999)
+def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
+    desc = desc_with(segment_count=3)
+    needed = 1000 * BYTES_PER_CONFIGURATION
+    monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
+    with pytest.raises(InvariantError, match=r"count 1000 needs about .* GB available"):
+        enumerate_workspace(desc)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: needed)
+    assert enumerate_workspace(desc).configuration_count == 1000
+
+
+def test_enumeration_within_the_real_memory_builds():
+    assert workspace._available_memory() > 1000 * BYTES_PER_CONFIGURATION
+    assert enumerate_workspace(desc_with(segment_count=3)).configuration_count == 1000
 
 
 def test_budget_refuses_a_vast_chain_without_printing_its_count():
     # 10**5000 has more digits than Python will turn into a string
-    with pytest.raises(InvariantError, match=r"count 10\*\*5000 exceeds enumeration budget"):
+    with pytest.raises(InvariantError, match=r"count 10\*\*5000 is at least 2\*\*64$"):
         enumerate_workspace(desc_with(segment_count=5000))
+    with pytest.raises(InvariantError, match=r"count 2\*\*64 is at least 2\*\*64$"):
+        enumerate_workspace(desc_with(segment_count=64, tooth_count=2))
+    # one configuration fewer than 2**64 is formed exactly and needs too much memory
+    with pytest.raises(InvariantError, match=f"count {2**63} needs about"):
+        enumerate_workspace(desc_with(segment_count=63, tooth_count=2))
 
 
 def test_every_configuration_lands_in_exactly_one_bucket(index_n3):
@@ -385,6 +401,17 @@ def test_local_omnivariance():
     assert np.all(local_omnivariance(flat, 8) <= 1e-10)
     with pytest.raises(PlcError):
         local_omnivariance(cloud, 41)
+
+
+def test_local_omnivariance_in_blocks_matches_each_point_alone():
+    rng = np.random.default_rng(41)
+    cloud = rng.normal(size=(3000, 3))
+    k = 50
+    assert cloud.shape[0] > 2 * (_SCAN_ROWS // k)  # the cloud spans three blocks
+    values = local_omnivariance(cloud, k)
+    for i in range(0, cloud.shape[0], 7):
+        hood = np.argsort(np.sum((cloud - cloud[i]) ** 2, axis=1))[:k]
+        assert values[i] == pytest.approx(omnivariance(cloud[hood]), rel=1e-9)
 
 
 def test_save_load_round_trip(tmp_path, index_n3):
