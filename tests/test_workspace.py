@@ -89,16 +89,13 @@ def test_enumeration_is_deterministic():
 def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
     desc = desc_with(segment_count=3)
     needed = 1000 * BYTES_PER_CONFIGURATION
+    assert workspace._available_memory() > needed  # the real memory builds it
+    assert enumerate_workspace(desc).configuration_count == 1000
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
     with pytest.raises(InvariantError, match=r"count 1000 needs about .* GB available"):
         enumerate_workspace(desc)
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed)
     assert enumerate_workspace(desc).configuration_count == 1000
-
-
-def test_enumeration_within_the_real_memory_builds():
-    assert workspace._available_memory() > 1000 * BYTES_PER_CONFIGURATION
-    assert enumerate_workspace(desc_with(segment_count=3)).configuration_count == 1000
 
 
 def test_budget_refuses_a_vast_chain_without_printing_its_count():
