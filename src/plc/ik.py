@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import chain_pose, tool_tip
+from .kinematics import tool_position
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 from .workspace import WorkspaceIndex, configuration_from_rank
 
@@ -81,8 +81,7 @@ def solve_ik(
         best = int(np.argmin(scores))
 
     config = Configuration(tuple(digits[best].tolist()), desc.tooth_count)
-    end_pose, _ = chain_pose(desc, config)
-    achieved = tool_tip(end_pose, desc.tool_offset)
+    achieved = tool_position(desc, config)
     error = float(np.linalg.norm(achieved - np.asarray(target, dtype=float)))
     return IkSolution(
         config=config,

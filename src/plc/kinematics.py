@@ -13,11 +13,14 @@ with frame rotation RotZ(q) * RotY(beta).
 This module holds the library's only FK.  :func:`unit_table` evaluates the
 unit transform above once per tooth index (rotations (N, 3, 3), translations
 (N, 3)) and caches it per description, and a chain is built by one step per
-joint, ``(R, p) <- (R R_k, p + R t_k)``.  :func:`chain_pose` walks that step
-for one configuration; :func:`tip_positions` applies it to every prefix of
-the canonical enumeration at once, level by level.  Both share that
+joint, ``(R, p) <- (R R_k, p + R t_k)``, written once in :func:`_step`.
+:func:`chain_pose` walks that step for one configuration; :func:`_prefix_poses`
+applies it to every prefix of the canonical enumeration at once, level by
+level, for :func:`tip_positions` and for the cached prefix table that
+:func:`tool_position` starts its walk from.  All of them share that
 arithmetic, so at zero tool offset the end translation of :func:`chain_pose`
-equals the stored workspace point bit for bit.
+equals the stored workspace point bit for bit, and :func:`tool_position`
+equals :func:`tool_tip` of :func:`chain_pose` bit for bit.
 """
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ import math
 import numpy as np
 
 from .model import Configuration, RigidTransform, RobotDescription, index_angle
+
+# the cached prefix table holds at most this many poses (about 400 KB)
+PREFIX_TABLE_ROWS = 4096
 
 
 def _unit_transforms(desc: RobotDescription, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,22 +107,71 @@ def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTran
     return RigidTransform(rotation, position), axes
 
 
+def _prefix_poses(desc: RobotDescription, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (N**levels, 3, 3) and positions (N**levels, 3) of every
+    ``levels``-joint prefix, in canonical rank order.
+
+    Level by level, the N**k prefix poses are multiplied by the N table rows
+    (prefix-major, so canonical rank order carries over).
+    """
+    rot, tra = unit_table(desc)
+    rotation, position = rot, tra
+    for _ in range(levels - 1):
+        rotation, position = _step(rotation[:, None], position[:, None], rot, tra)
+        rotation, position = rotation.reshape(-1, 3, 3), position.reshape(-1, 3)
+    return rotation, position
+
+
 def tip_positions(desc: RobotDescription) -> np.ndarray:
     """Tool-tip positions of every configuration in canonical rank order, (N**n, 3).
 
-    Level by level, the N**k prefix poses are multiplied by the N table rows
-    (prefix-major, so canonical rank order carries over); the last joint uses
-    the per-tooth tip vector t_k + R_k tool_offset, so it needs only mat-vecs.
+    The last joint uses the per-tooth tip vector t_k + R_k tool_offset on
+    every (n-1)-joint prefix pose, so it needs only mat-vecs.
     """
     rot, tra = unit_table(desc)
     tip = tra + rot @ np.asarray(desc.tool_offset)
     if desc.segment_count == 1:
         return tip
-    rotation, position = rot, tra
-    for _ in range(desc.segment_count - 2):
-        rotation, position = _step(rotation[:, None], position[:, None], rot, tra)
-        rotation, position = rotation.reshape(-1, 3, 3), position.reshape(-1, 3)
+    rotation, position = _prefix_poses(desc, desc.segment_count - 1)
     return _step(rotation[:, None], position[:, None], None, tip)[1].reshape(-1, 3)
+
+
+@functools.lru_cache
+def _prefix_table(desc: RobotDescription) -> tuple[int, np.ndarray, np.ndarray]:
+    """Depth m and the read-only :func:`_prefix_poses` of the first m joints.
+
+    m is the largest depth <= n whose N**m poses fit in
+    ``PREFIX_TABLE_ROWS``, and at least 1 (then the table is
+    :func:`unit_table` itself).  Cached per description.
+    """
+    teeth, levels = desc.tooth_count, 1
+    while levels < desc.segment_count and teeth ** (levels + 1) <= PREFIX_TABLE_ROWS:
+        levels += 1
+    rotation, position = _prefix_poses(desc, levels)
+    rotation.setflags(write=False)
+    position.setflags(write=False)
+    return levels, rotation, position
+
+
+def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
+    """Base-frame tool tip of a full chain, without the axes or the checked
+    end pose of :func:`chain_pose`.
+
+    The first m joints are one row of the cached prefix table; the rest are
+    walked with :func:`_step`.  Bit-identical to
+    ``tool_tip(chain_pose(desc, config)[0], desc.tool_offset)``.
+    """
+    desc.check_configuration(config)
+    indices = config.indices
+    levels, prefix_rotation, prefix_position = _prefix_table(desc)
+    rank = 0
+    for k in indices[:levels]:
+        rank = rank * desc.tooth_count + k
+    rotation, position = prefix_rotation[rank], prefix_position[rank]
+    rot, tra = unit_table(desc)
+    for k in indices[levels:]:
+        rotation, position = _step(rotation, position, rot[k], tra[k])
+    return rotation @ np.asarray(desc.tool_offset, dtype=float) + position
 
 
 def tool_tip(end_pose: RigidTransform, tool_offset) -> np.ndarray:

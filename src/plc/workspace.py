@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import os
+import resource
 import struct
 import tempfile
 from contextlib import contextmanager
@@ -317,17 +318,32 @@ class WorkspaceIndex:
         return cls(desc, points.reshape(points_n, 3), offsets, members)
 
 
-def _available_memory() -> int:
-    """Bytes of memory available to new allocations: ``MemAvailable`` from
-    /proc/meminfo, or the physical memory where that cannot be read."""
+def _proc_bytes(path: str, field: str) -> int | None:
+    """The ``field:  N kB`` line of a /proc file, in bytes, or None where it
+    cannot be read."""
     try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
+        with open(path, encoding="ascii", errors="replace") as fh:
             for line in fh:
-                if line.startswith("MemAvailable:"):
+                if line.startswith(field + ":"):
                     return int(line.split()[1]) * 1024
     except OSError:
         pass
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return None
+
+
+def _available_memory() -> int:
+    """Bytes of memory available to new allocations: ``MemAvailable`` from
+    /proc/meminfo, or the physical memory where that cannot be read, and no
+    more than a finite soft ``RLIMIT_AS`` less the process's current
+    ``VmSize``."""
+    available = _proc_bytes("/proc/meminfo", "MemAvailable")
+    if available is None:
+        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        in_use = _proc_bytes("/proc/self/status", "VmSize") or 0
+        available = min(available, max(limit - in_use, 0))
+    return available
 
 
 def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:

@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +11,7 @@ from plc import WorkspaceIndex, parse_robot_description
 from plc.cli import main
 from plc.workspace import _HEADER
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ROBOT = "segment_count: 2\n"
 
 
@@ -71,6 +78,23 @@ def test_budget_exceeded(capsys, tmp_path):
     code, _, err = run(capsys, "workspace", "build", "--robot", path)
     assert_domain_error(code, err)
     assert "count 1000000000000 needs about" in err
+
+
+def test_build_is_refused_past_the_address_space_limit(tmp_path):
+    # 10**7 configurations need about 2 GB, more than a 1.5 GB RLIMIT_AS
+    # allows whatever the host's free memory; without the limit in the
+    # check, numpy ran out of address space mid-build (exit 1, traceback)
+    path = robot_file(tmp_path, "segment_count: 7\n")
+    env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"), OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    limit = 1_500_000_000
+    proc = subprocess.run(
+        [sys.executable, "-m", "plc.cli", "workspace", "build", "--robot", path],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert_domain_error(proc.returncode, proc.stderr)
+    assert "count 10000000 needs about 2 GB" in proc.stderr
 
 
 # 10**12 configurations: far past any host's memory, fine for every

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from plc import Configuration, PlcError, enumerate_workspace, solve_ik
+from plc import (
+    Configuration,
+    PlcError,
+    chain_pose,
+    enumerate_workspace,
+    ik,
+    kinematics,
+    solve_ik,
+    tool_tip,
+)
 from plc.ik import configuration_distance
 from plc.model import InvariantError
 from plc.workspace import WorkspaceIndex, configuration_from_rank, reach_accuracy
@@ -80,13 +89,38 @@ def test_resolving_again_with_answer_is_idempotent(index_n5):
         assert second.config == first.config
 
 
-def test_achieved_position_matches_error(index_n3):
-    rng = np.random.default_rng(53)
-    target = rng.uniform(-40.0, 60.0, size=3)
-    solution = solve_ik(index_n3, index_n3.desc, target, Configuration((0, 0, 0), 10))
+def assert_achieved_is_the_tool_tip(solution, desc, target):
+    expected = tool_tip(chain_pose(desc, solution.config)[0], desc.tool_offset)
+    assert solution.achieved_position.tobytes() == expected.tobytes()
     assert solution.position_error == pytest.approx(
         float(np.linalg.norm(solution.achieved_position - target)), abs=0.0
     )
+
+
+# the reference choice, a seeded pick and the other metric
+OPTIONS = [{}, {"seed": 5}, {"metric": "euclidean"}]
+
+
+def test_achieved_position_matches_error():
+    rng = np.random.default_rng(53)
+    for tool_offset in [(0.0, 0.0, 0.0), (3.0, -2.0, 15.0)]:
+        desc = desc_with(segment_count=3, tool_offset=tool_offset)
+        index = enumerate_workspace(desc)
+        for target in rng.uniform(-40.0, 60.0, size=(20, 3)):
+            for options in OPTIONS:
+                solution = solve_ik(index, desc, target, Configuration((0, 0, 0), 10), **options)
+                assert_achieved_is_the_tool_tip(solution, desc, target)
+
+
+def test_solve_ik_does_not_walk_chain_pose(index_n3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_ik called chain_pose")
+
+    for module in (kinematics, ik):  # also the name solve_ik's module would import
+        monkeypatch.setattr(module, "chain_pose", refuse, raising=False)
+    target = index_n3.points[7]
+    solution = solve_ik(index_n3, index_n3.desc, target, Configuration((0, 0, 0), 10))
+    assert solution.position_error < 1e-9
 
 
 def test_wrapped_metric_measures_actual_rotation():
@@ -136,6 +170,9 @@ def test_tool_offset_targets_reach_their_own_tip():
     for indices in all_configurations(desc):
         config = Configuration(indices, desc.tooth_count)
         target = tip_position(desc, indices)
-        solution = solve_ik(index, desc, target, config)
-        assert solution.position_error <= 1e-9
-        assert solution.config == config
+        for options in OPTIONS:
+            solution = solve_ik(index, desc, target, config, **options)
+            assert solution.position_error <= 1e-9
+            assert_achieved_is_the_tool_tip(solution, desc, target)
+            if "seed" not in options:
+                assert solution.config == config

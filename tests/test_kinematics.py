@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plc import Configuration, RobotDescription, chain_pose, tool_tip
-from plc.kinematics import segment_transform, unit_table
+from plc.kinematics import _prefix_table, segment_transform, unit_table
 from plc.model import RigidTransform, index_angle
 
 from _oracles import fk_matrix, fk_position
@@ -152,3 +152,22 @@ def test_unit_table_is_cached_and_read_only():
         rot[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         tra[0] = 0.0
+    # the prefix table: 7**4 = 2401 poses fit in 4096, 7**5 would not
+    levels, rotations, positions = _prefix_table(desc)
+    assert _prefix_table(desc) is _prefix_table(desc_with(tooth_count=7))
+    assert (levels, rotations.shape, positions.shape) == (4, (2401, 3, 3), (2401, 3))
+    with pytest.raises(ValueError):
+        rotations[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        positions[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "teeth, segments, levels",
+    [(4, 10, 6), (10, 5, 3), (10, 3, 3), (10, 2, 2), (64, 5, 2), (65, 5, 1), (5000, 3, 1)],
+)
+def test_prefix_table_depth_is_the_deepest_that_fits(teeth, segments, levels):
+    desc = desc_with(tooth_count=teeth, segment_count=segments)
+    assert _prefix_table(desc)[0] == levels
+    if levels == 1:
+        assert _prefix_table(desc)[1] is unit_table(desc)[0]

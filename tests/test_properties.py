@@ -1,14 +1,23 @@
 """Property tests over small random robots: FK against the homogeneous
-oracle, the scalar chain walk against the batched enumeration bit for bit,
-every enumerated tool tip inside its bucket's key cell, and the same nearest
-point from the exact scan and from the k-d tree."""
+oracle, the scalar chain walk against the batched enumeration and the prefix
+table bit for bit, every enumerated tool tip inside its bucket's key cell, and
+the same nearest point from the exact scan and from the k-d tree."""
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from plc import Configuration, chain_pose, enumerate_workspace
-from plc.kinematics import tip_positions
+from plc import (
+    Configuration,
+    chain_pose,
+    enumerate_workspace,
+    kinematics,
+    tool_position,
+    tool_tip,
+)
+from plc.kinematics import _prefix_poses, tip_positions
 from plc.workspace import KEY_CELL, WorkspaceIndex, configuration_from_rank
 
 from _oracles import all_tips, fk_matrix, quantize
@@ -72,6 +81,38 @@ def test_chain_pose_reproduces_tip_positions_bitwise_ten_joints():
     desc = desc_with(tooth_count=4, segment_count=10, bend_angle=math.radians(45.0))
     ranks = np.random.default_rng(10).integers(desc.raw_configuration_count, size=300)
     assert_chain_pose_reproduces_tips(desc, ranks)
+
+
+@checked
+@given(robots)
+def test_prefix_poses_match_chain_pose_of_the_prefix_bitwise(desc):
+    for levels in range(1, desc.segment_count + 1):
+        prefix = dataclasses.replace(desc, segment_count=levels)
+        rotations, positions = _prefix_poses(desc, levels)
+        assert positions.shape == (prefix.raw_configuration_count, 3)
+        for rank, digits in enumerate(configuration_from_rank(np.arange(len(positions)), prefix)):
+            end, _ = chain_pose(prefix, Configuration(tuple(digits.tolist()), desc.tooth_count))
+            assert end.rotation.tobytes() == rotations[rank].tobytes()
+            assert end.translation.tobytes() == positions[rank].tobytes()
+
+
+@checked
+@given(robots, st.data())
+def test_tool_position_matches_tool_tip_of_chain_pose_bitwise(desc, data):
+    configs = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(0, desc.tooth_count - 1)] * desc.segment_count),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    for levels in range(1, desc.segment_count + 1):
+        table = (levels, *_prefix_poses(desc, levels))
+        with mock.patch.object(kinematics, "_prefix_table", lambda _: table):
+            for indices in configs:
+                config = Configuration(indices, desc.tooth_count)
+                expected = tool_tip(chain_pose(desc, config)[0], desc.tool_offset)
+                assert tool_position(desc, config).tobytes() == expected.tobytes()
 
 
 @checked

@@ -98,6 +98,20 @@ def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
     assert enumerate_workspace(desc).configuration_count == 1000
 
 
+def test_available_memory_is_capped_by_the_address_space_limit(monkeypatch):
+    resource = workspace.resource
+    unlimited = workspace._available_memory()
+    in_use = workspace._proc_bytes("/proc/self/status", "VmSize")
+    assert in_use > 0
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (resource.RLIM_INFINITY,) * 2)
+    assert workspace._available_memory() == pytest.approx(unlimited, rel=0.05)
+    limit = in_use + 10**8  # VmSize may grow a little between the two reads
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (limit, resource.RLIM_INFINITY))
+    assert 0 < workspace._available_memory() <= 10**8
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (in_use // 2, resource.RLIM_INFINITY))
+    assert workspace._available_memory() == 0
+
+
 def test_budget_refuses_a_vast_chain_without_printing_its_count():
     # 10**5000 has more digits than Python will turn into a string
     with pytest.raises(InvariantError, match=r"count 10\*\*5000 is at least 2\*\*64$"):
