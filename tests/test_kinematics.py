@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from plc import Configuration, RobotDescription, chain_pose, tool_tip
+from plc import Configuration, RobotDescription, chain_pose, tool_position, tool_tip
 from plc.kinematics import _prefix_table, segment_transform, unit_table
-from plc.model import RigidTransform, index_angle
+from plc.model import InvariantError, RigidTransform, index_angle
 
 from _oracles import fk_matrix, fk_position
 from conftest import desc_with
@@ -171,3 +171,12 @@ def test_prefix_table_depth_is_the_deepest_that_fits(teeth, segments, levels):
     assert _prefix_table(desc)[0] == levels
     if levels == 1:
         assert _prefix_table(desc)[1] is unit_table(desc)[0]
+
+
+@pytest.mark.parametrize("fk", [chain_pose, tool_position])
+def test_configuration_must_fit_the_robot(fk):
+    desc = desc_with(segment_count=3)
+    with pytest.raises(InvariantError, match="2 joints, robot has 3"):
+        fk(desc, Configuration((1, 2), 10))
+    with pytest.raises(InvariantError, match="tooth count 12 != robot tooth count 10"):
+        fk(desc, Configuration((1, 2, 11), 12))
