@@ -11,11 +11,10 @@ from .model import (
     parse_robot_description,
     serialize_robot_description,
 )
-from .kinematics import chain_pose, segment_transform, tool_position, tool_tip
+from .kinematics import chain_pose, tool_position
 from .workspace import (
     WorkspaceIndex,
     enumerate_workspace,
-    knn_query,
     local_omnivariance,
     omnivariance,
     position_key,
@@ -72,6 +71,7 @@ __all__ = [
     "SchemaError",
     "Unlock",
     "WorkspaceIndex",
+    "__version__",
     "all_locked",
     "build_comparison",
     "builtin_designs",
@@ -80,7 +80,6 @@ __all__ = [
     "enumerate_workspace",
     "firmed_compliance",
     "force_deflection",
-    "knn_query",
     "load_designs",
     "local_omnivariance",
     "loosening_threshold",
@@ -91,7 +90,6 @@ __all__ = [
     "position_key",
     "reach_accuracy",
     "segment_strain_energy",
-    "segment_transform",
     "serialize_robot_description",
     "simulate",
     "simulate_step",
@@ -100,6 +98,4 @@ __all__ = [
     "spine_twist",
     "stiffness_map",
     "tool_position",
-    "tool_tip",
-    "__version__",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .ik import METRICS, solve_ik
-from .kinematics import chain_pose, tool_tip
+from .kinematics import chain_pose
 from .model import (
     Configuration,
     PlcError,
@@ -166,7 +166,7 @@ def _cmd_fk(args) -> int:
     desc = _load_description(args)
     config = _config_for(desc, args.config)
     end, _ = chain_pose(desc, config)
-    tip = tool_tip(end, desc.tool_offset)
+    tip = end.transform_point(desc.tool_offset)
     header = (
         "x_mm,y_mm,z_mm,"
         "r11,r12,r13,r21,r22,r23,r31,r32,r33,"

@@ -20,7 +20,8 @@ level, for :func:`tip_positions` and for the cached prefix table that
 :func:`tool_position` starts its walk from.  All of them share that
 arithmetic, so at zero tool offset the end translation of :func:`chain_pose`
 equals the stored workspace point bit for bit, and :func:`tool_position`
-equals :func:`tool_tip` of :func:`chain_pose` bit for bit.
+equals the tool offset carried through the end pose of :func:`chain_pose`
+(``RigidTransform.transform_point``) bit for bit.
 """
 from __future__ import annotations
 
@@ -35,26 +36,6 @@ from .model import Configuration, RigidTransform, RobotDescription, index_angle
 PREFIX_TABLE_ROWS = 4096
 
 
-def _unit_transforms(desc: RobotDescription, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (K, 3, 3) and translations (K, 3) of one unit at angles ``q``."""
-    beta = desc.bend_angle
-    radius = desc.curve_length / beta
-    sag = radius * (1.0 - math.cos(beta))
-    cq, sq = np.cos(q), np.sin(q)
-    cb, sb = math.cos(beta), math.sin(beta)
-    rot = np.zeros((q.shape[0], 3, 3))
-    rot[:, 0, 0] = cq * cb
-    rot[:, 0, 1] = -sq
-    rot[:, 0, 2] = cq * sb
-    rot[:, 1, 0] = sq * cb
-    rot[:, 1, 1] = cq
-    rot[:, 1, 2] = sq * sb
-    rot[:, 2, 0] = -sb
-    rot[:, 2, 2] = cb
-    tra = np.stack([sag * cq, sag * sq, np.full(q.shape[0], radius * sb)], axis=1)
-    return rot, tra
-
-
 @functools.lru_cache
 def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
     """Per-tooth-index unit rotation (N, 3, 3) and translation (N, 3) tables.
@@ -63,7 +44,22 @@ def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
     shares them.
     """
     teeth = desc.tooth_count
-    rot, tra = _unit_transforms(desc, index_angle(np.arange(teeth), teeth))
+    beta = desc.bend_angle
+    radius = desc.curve_length / beta
+    sag = radius * (1.0 - math.cos(beta))
+    q = index_angle(np.arange(teeth), teeth)
+    cq, sq = np.cos(q), np.sin(q)
+    cb, sb = math.cos(beta), math.sin(beta)
+    rot = np.zeros((teeth, 3, 3))
+    rot[:, 0, 0] = cq * cb
+    rot[:, 0, 1] = -sq
+    rot[:, 0, 2] = cq * sb
+    rot[:, 1, 0] = sq * cb
+    rot[:, 1, 1] = cq
+    rot[:, 1, 2] = sq * sb
+    rot[:, 2, 0] = -sb
+    rot[:, 2, 2] = cb
+    tra = np.stack([sag * cq, sag * sq, np.full(teeth, radius * sb)], axis=1)
     rot.setflags(write=False)
     tra.setflags(write=False)
     return rot, tra
@@ -81,12 +77,6 @@ def _step(rotation, position, unit_rotation, unit_translation):
     if unit_rotation is None:
         return None, position
     return rotation @ unit_rotation, position
-
-
-def segment_transform(desc: RobotDescription, q: float) -> RigidTransform:
-    """Transform across one unit at joint angle ``q`` (radians)."""
-    rot, tra = _unit_transforms(desc, np.array([q], dtype=float))
-    return RigidTransform(rot[0], tra[0])
 
 
 def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTransform, np.ndarray]:
@@ -159,7 +149,7 @@ def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
 
     The first m joints are one row of the cached prefix table; the rest are
     walked with :func:`_step`.  Bit-identical to
-    ``tool_tip(chain_pose(desc, config)[0], desc.tool_offset)``.
+    ``chain_pose(desc, config)[0].transform_point(desc.tool_offset)``.
     """
     desc.check_configuration(config)
     indices = config.indices
@@ -172,8 +162,3 @@ def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
     for k in indices[levels:]:
         rotation, position = _step(rotation, position, rot[k], tra[k])
     return rotation @ np.asarray(desc.tool_offset, dtype=float) + position
-
-
-def tool_tip(end_pose: RigidTransform, tool_offset) -> np.ndarray:
-    """Base-frame tool-tip position for a tool mounted at ``tool_offset``."""
-    return end_pose.transform_point(tool_offset)

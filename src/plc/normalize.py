@@ -54,7 +54,13 @@ def normalize_stiffness(k: float, length: float, radius: float) -> float:
     """k * L^3 / R^4, the size-independent bending-stiffness comparator."""
     if not (length > 0.0 and radius > 0.0):
         raise PlcError(f"length and radius must be > 0, got {length}, {radius}")
-    return k * length**3 / radius**4
+    try:
+        value = k * length**3 / radius**4
+    except (OverflowError, ZeroDivisionError):  # a power past the float range, or R^4 down to 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise PlcError(f"k * L^3 / R^4 is out of the float range for {k}, {length}, {radius}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,8 @@ def parse_designs_csv(text: str) -> list[DesignRecord]:
     records = []
     for row in reader:
         name = (row.get("name") or "").strip()
-        k_max = _parse_optional(row.get("k_max", ""), name, "k_max")
-        k_min = _parse_optional(row.get("k_min", ""), name, "k_min")
+        k_max = _parse_optional(row.get("k_max") or "", name, "k_max")
+        k_min = _parse_optional(row.get("k_min") or "", name, "k_min")
         if k_max is None or k_min is None:
             raise PlcError(f"design '{name}': k_max and k_min are required")
         records.append(
@@ -144,20 +150,7 @@ def load_designs(path) -> list[DesignRecord]:
         return parse_designs_csv(fh.read())
 
 
-def builtin_designs_text() -> str:
-    return (
-        resources.files("plc").joinpath("data").joinpath(BUILTIN_DESIGNS_RESOURCE).read_text("utf-8")
-    )
-
-
 def builtin_designs() -> list[DesignRecord]:
     """Bundled literature survey of varying-stiffness designs."""
-    return parse_designs_csv(builtin_designs_text())
-
-
-def cantilever_reference(youngs_modulus: float) -> float:
-    """Normalized stiffness of an ideal cantilever: 3 E pi / 64.
-
-    Independent of beam size; useful as a sanity anchor for the monomial law.
-    """
-    return 3.0 * youngs_modulus * math.pi / 64.0
+    data = resources.files("plc").joinpath("data").joinpath(BUILTIN_DESIGNS_RESOURCE)
+    return parse_designs_csv(data.read_text("utf-8"))

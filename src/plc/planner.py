@@ -39,9 +39,6 @@ class RotateShaft:
                 f"shaft rotation must be an integer pitch count, got {self.pitch_steps!r}"
             )
 
-    def angle(self, desc: RobotDescription) -> float:
-        return self.pitch_steps * desc.tooth_pitch
-
 
 ActuationStep = Union[Unlock, Lock, RotateShaft]
 

@@ -31,6 +31,9 @@ from .model import Configuration, InvariantError, PlcError, RobotDescription
 #: Most directions ``stiffness_map`` samples: about 0.6 KB each, so 0.6 GB.
 MAX_SPHERE_SAMPLES = 10**6
 
+#: Magnitude of the tip force ``stiffness_map`` applies along each direction, N.
+SAMPLE_FORCE = 50.0
+
 
 def _bending_inertia(desc: RobotDescription, literal_polar: bool) -> float:
     # literal_polar doubles the bending inertia (uses the torsion polar moment
@@ -164,7 +167,6 @@ def stiffness_map(
     desc: RobotDescription,
     config: Configuration,
     sphere_samples: int,
-    force_magnitude: float = 50.0,
     literal_polar: bool = False,
 ) -> list[StiffnessSample]:
     """Directional stiffness sampled over the sphere for plotting/export."""
@@ -175,8 +177,8 @@ def stiffness_map(
     compliance = firmed_compliance(desc, config, literal_polar)
     samples = []
     for direction in fibonacci_sphere(sphere_samples):
-        displacement = compliance.displacement(force_magnitude * direction)
-        per_newton = float(np.linalg.norm(displacement)) / force_magnitude
+        displacement = compliance.displacement(SAMPLE_FORCE * direction)
+        per_newton = float(np.linalg.norm(displacement)) / SAMPLE_FORCE
         samples.append(
             StiffnessSample(
                 direction=direction,
@@ -326,9 +328,7 @@ def bellows_twist(
     )
 
 
-def skin_twist(
-    desc: RobotDescription, torque: float, convolutions: int | None = None
-) -> float:
+def skin_twist(desc: RobotDescription, torque: float) -> float:
     """Twist angle (rad) of one unit's bellows skin under an axial torque."""
     return bellows_twist(
         torque,
@@ -336,6 +336,6 @@ def skin_twist(
         desc.skin_inner_diameter,
         desc.skin_outer_diameter,
         desc.skin_thickness,
-        desc.skin_convolutions if convolutions is None else convolutions,
+        desc.skin_convolutions,
         desc.shear_modulus,
     )

@@ -9,10 +9,14 @@ Nearest-point queries start as exact scans over every point, in fixed row
 blocks, with no tree and no scipy import.  Each index counts the point
 distances it has scanned; the first query that would take the count past
 ``SCAN_BUDGET`` builds the k-d tree instead, and every later query uses the
-tree.  So a one-shot query (``plc ik``, ``plc workspace accuracy``) never
-pays the scipy import and tree build (about 0.5 s of a 0.9 s ``plc ik`` on a
-2-core Xeon), and a long run of queries pays them once, after at most
-``SCAN_BUDGET`` distances of scanning.  Both paths pick, among the points at
+tree.  So while ``point_count <= SCAN_BUDGET`` (the reference robot up to 6
+segments, 982,750 points), a one-shot ``plc ik`` never pays the scipy import
+and tree build (about 0.5 s of a 0.9 s ``plc ik`` on a 2-core Xeon), nor does
+a ``plc workspace accuracy`` whose query rows times points stay within the
+budget.  A larger index (9,764,811 points at 7 segments) builds the tree on
+its first query, since one scan alone would pass the budget.  A long run of
+queries pays the import and build once, after at most ``SCAN_BUDGET``
+distances of scanning.  Both paths pick, among the points at
 the exact smallest squared distance, the one with the smallest index, which
 is the smallest key because the constructor checks the key order.  So scan
 and tree agree bit for bit, ``reach_accuracy`` included.  Building and saving
@@ -37,7 +41,6 @@ import numpy as np
 
 from .kinematics import tip_positions
 from .model import (
-    Configuration,
     InvariantError,
     PlcError,
     RobotDescription,
@@ -48,6 +51,17 @@ from .model import (
 #: the peak RSS of ``plc workspace build`` above the interpreter's: 180 B at
 #: 10**6, 185 B at 10**7 and 139 B at 4**10 configurations (numpy 2.4, Linux).
 BYTES_PER_CONFIGURATION = 200
+
+#: (limit, usage) files of the cgroup memory controller: v2, then v1.  A limit
+#: that is missing or not an integer (v2 writes "max") sets none; a usage that
+#: cannot be read counts as 0.
+CGROUP_MEMORY_FILES = (
+    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+    (
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+        "/sys/fs/cgroup/memory/memory.usage_in_bytes",
+    ),
+)
 
 #: Quantization cell edge for position keys, mm.  Far below the 0.2 mm
 #: mechanical clearance, far above float noise of <=16 composed transforms.
@@ -60,6 +74,11 @@ KEY_CELL = 1e-6
 SCAN_BUDGET = 4_000_000
 _SCAN_ROWS = 1 << 16  # rows per scan block, neighbors per local block: bounds transient memory
 _UNMEASURABLE = "a target is non-finite or too far away to measure"
+
+#: Most neighbors (K x point count) ``local_omnivariance`` gathers: run time
+#: grows with it, 6.7 s at 10**7 and 45 s at 10**8 (the default robot at K=100
+#: and K=1000, 2-core Xeon).
+MAX_LOCAL_NEIGHBORS = 10**8
 
 INDEX_FORMAT_VERSION = 2
 _MAGIC = b"PLCW"
@@ -118,7 +137,8 @@ def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
 
 
 class WorkspaceIndex:
-    """Reachable-point set with nearest-point queries and a point -> configurations map.
+    """Reachable-point set with nearest-point queries and, per point, the
+    enumeration ranks of the configurations that reach it.
 
     points:          (G, 3) distinct, finite reachable tool-tip positions, one
                      per key, in strictly ascending key order (both checked, so
@@ -214,18 +234,6 @@ class WorkspaceIndex:
         """Enumeration ranks of the configurations reaching a point."""
         lo, hi = self.bucket_offsets[point_index], self.bucket_offsets[point_index + 1]
         return self.bucket_members[lo:hi]
-
-    def configurations_at(self, point_index: int) -> list[Configuration]:
-        digits = configuration_from_rank(self.bucket_ranks(point_index), self.desc)
-        teeth = self.desc.tooth_count
-        return [Configuration(tuple(int(k) for k in row), teeth) for row in digits]
-
-    def config_map(self) -> dict[tuple[int, int, int], list[Configuration]]:
-        """Materialized key -> configurations multimap (small robots only)."""
-        return {
-            tuple(key): self.configurations_at(g)
-            for g, key in enumerate(position_key(self.points).tolist())
-        }
 
     # -- queries ---------------------------------------------------------------
 
@@ -331,11 +339,21 @@ def _proc_bytes(path: str, field: str) -> int | None:
     return None
 
 
+def _file_int(path: str) -> int | None:
+    """The integer a file holds, or None where it cannot be read or holds
+    something else."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return int(fh.read())
+    except (OSError, ValueError):
+        return None
+
+
 def _available_memory() -> int:
     """Bytes of memory available to new allocations: ``MemAvailable`` from
     /proc/meminfo, or the physical memory where that cannot be read, and no
     more than a finite soft ``RLIMIT_AS`` less the process's current
-    ``VmSize``."""
+    ``VmSize``, or a cgroup memory limit less the group's usage."""
     available = _proc_bytes("/proc/meminfo", "MemAvailable")
     if available is None:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -343,6 +361,10 @@ def _available_memory() -> int:
     if limit != resource.RLIM_INFINITY:
         in_use = _proc_bytes("/proc/self/status", "VmSize") or 0
         available = min(available, max(limit - in_use, 0))
+    for limit_path, usage_path in CGROUP_MEMORY_FILES:
+        limit = _file_int(limit_path)
+        if limit is not None:
+            available = min(available, max(limit - (_file_int(usage_path) or 0), 0))
     return available
 
 
@@ -378,12 +400,6 @@ def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:
     first_rank = order[starts]
     points = positions[first_rank]
     return WorkspaceIndex(desc, points, offsets, order.astype(np.int64))
-
-
-def knn_query(index: WorkspaceIndex, target) -> tuple[np.ndarray, list[Configuration]]:
-    """Nearest reachable point and every configuration that reaches it."""
-    g = index.nearest_point_index(target)
-    return index.points[g].copy(), index.configurations_at(g)
 
 
 def reach_accuracy(index: WorkspaceIndex, queries) -> float:
@@ -423,7 +439,8 @@ def local_omnivariance(points, neighbors: int) -> np.ndarray:
     """Per-point omnivariance over each point's k-nearest neighborhood.
 
     The neighborhood includes the point itself; ``neighbors`` >= 4 keeps the
-    local covariance non-degenerate in general position.
+    local covariance non-degenerate in general position.  Run time grows with
+    ``neighbors`` x point count, which may not exceed ``MAX_LOCAL_NEIGHBORS``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -431,6 +448,11 @@ def local_omnivariance(points, neighbors: int) -> np.ndarray:
     if not 2 <= neighbors <= pts.shape[0]:
         raise PlcError(
             f"neighborhood size {neighbors} outside [2, {pts.shape[0]}]"
+        )
+    if neighbors * pts.shape[0] > MAX_LOCAL_NEIGHBORS:
+        raise PlcError(
+            f"neighborhood size {neighbors} x {pts.shape[0]} points exceeds "
+            f"{MAX_LOCAL_NEIGHBORS} neighbors"
         )
     from scipy.spatial import cKDTree
 

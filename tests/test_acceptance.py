@@ -179,7 +179,10 @@ def test_07_parallel_force_deflection_curves():
 def test_08_convolution_invariance_and_tube_limit():
     desc = RobotDescription()
     torque = 1000.0
-    values = [skin_twist(desc, torque, convolutions=n) for n in (2, 4, 6, 8)]
+    values = [
+        skin_twist(dataclasses.replace(desc, skin_convolutions=n), torque)
+        for n in (2, 4, 6, 8)
+    ]
     spread = max(abs(v - values[0]) / abs(values[0]) for v in values)
     diameter, thickness = 20.0, 0.75
     constant = bellows_twist(

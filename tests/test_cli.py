@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plc import WorkspaceIndex, parse_robot_description
+from plc import WorkspaceIndex, parse_robot_description, workspace
 from plc.cli import main
 from plc.workspace import _HEADER
 
@@ -96,6 +96,20 @@ def test_build_is_refused_past_the_address_space_limit(tmp_path):
     assert_domain_error(proc.returncode, proc.stderr)
     assert "count 10000000 needs about 2 GB" in proc.stderr
 
+
+
+def test_build_is_refused_past_the_cgroup_limit(capsys, tmp_path, monkeypatch):
+    # the limit leaves 0.1 GB; six segments need about 0.2 GB
+    limit, usage = tmp_path / "memory.max", tmp_path / "memory.current"
+    limit.write_text("300000000\n")
+    usage.write_text("200000000\n")
+    monkeypatch.setattr(workspace, "CGROUP_MEMORY_FILES", ((str(limit), str(usage)),))
+    out = tmp_path / "ws.plcw"
+    robot = robot_file(tmp_path, "segment_count: 6\n")
+    code, _, err = run(capsys, "workspace", "build", "--robot", robot, "--out", str(out))
+    assert_domain_error(code, err)
+    assert "more than the 0.1 GB available" in err
+    assert not out.exists()
 
 # 10**12 configurations: far past any host's memory, fine for every
 # command that does not enumerate
@@ -208,6 +222,17 @@ def test_workspace_local_omnivariance(capsys, tmp_path):
     assert lines[0] == "x,y,z,local_omnivariance"
     assert len(lines) > 1
 
+
+
+def test_local_omnivariance_is_bounded(capsys, tmp_path, index_n5):
+    # 1012 neighbors x 98,910 points is the first K past 10**8: refused before any query
+    path = tmp_path / "n5.plcw"
+    index_n5.save(path)
+    argv = ["workspace", "omnivariance", "--index", str(path), "--local", "1012"]
+    code, out, err = run(capsys, *argv)
+    assert_domain_error(code, err)
+    assert "1012 x 98910 points exceeds 100000000 neighbors" in err
+    assert out == ""
 
 def test_workspace_accuracy(capsys, tmp_path):
     robot = robot_file(tmp_path)

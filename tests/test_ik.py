@@ -9,7 +9,6 @@ from plc import (
     ik,
     kinematics,
     solve_ik,
-    tool_tip,
 )
 from plc.ik import configuration_distance
 from plc.model import InvariantError
@@ -50,7 +49,8 @@ def test_exact_target_with_unique_preimage(index_n3):
 def test_reference_member_selects_itself(index_n5):
     desc = index_n5.desc
     g = bucket_of_size(index_n5, 2)
-    configs = index_n5.configurations_at(g)
+    digits = configuration_from_rank(index_n5.bucket_ranks(g), desc).tolist()
+    configs = [Configuration(tuple(row), desc.tooth_count) for row in digits]
     for reference in configs:
         solution = solve_ik(index_n5, desc, index_n5.points[g], reference)
         assert solution.config == reference
@@ -90,7 +90,7 @@ def test_resolving_again_with_answer_is_idempotent(index_n5):
 
 
 def assert_achieved_is_the_tool_tip(solution, desc, target):
-    expected = tool_tip(chain_pose(desc, solution.config)[0], desc.tool_offset)
+    expected = chain_pose(desc, solution.config)[0].transform_point(desc.tool_offset)
     assert solution.achieved_position.tobytes() == expected.tobytes()
     assert solution.position_error == pytest.approx(
         float(np.linalg.norm(solution.achieved_position - target)), abs=0.0

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from plc import Configuration, RobotDescription, chain_pose, tool_position, tool_tip
-from plc.kinematics import _prefix_table, segment_transform, unit_table
+from plc import Configuration, RobotDescription, chain_pose, tool_position
+from plc.kinematics import _prefix_table, unit_table
 from plc.model import InvariantError, RigidTransform, index_angle
 
 from _oracles import fk_matrix, fk_position
@@ -26,9 +26,15 @@ SAG_AT_30DEG = 7.676178925121034
 RISE_AT_30DEG = 28.64788975654116
 
 
+def unit_row(desc, k: int) -> RigidTransform:
+    """Transform across one unit at tooth index ``k``: row k of the unit table."""
+    rot, tra = unit_table(desc)
+    return RigidTransform(rot[k], tra[k])
+
+
 def test_segment_translation_at_zero():
     desc = RobotDescription()
-    pose = segment_transform(desc, 0.0)
+    pose = unit_row(desc, 0)
     radius = desc.curve_length / desc.bend_angle
     expected = np.array(
         [radius * (1.0 - math.cos(desc.bend_angle)), 0.0, radius * math.sin(desc.bend_angle)]
@@ -39,22 +45,22 @@ def test_segment_translation_at_zero():
 
 def test_segment_rotation_at_zero_is_pure_pitch():
     desc = RobotDescription()
-    pose = segment_transform(desc, 0.0)
+    pose = unit_row(desc, 0)
     assert np.array_equal(pose.rotation, rot_y(desc.bend_angle))
 
 
 def test_segment_translation_at_half_turn():
     desc = RobotDescription()
-    pose = segment_transform(desc, float(index_angle(5, 10)))
+    pose = unit_row(desc, 5)
     assert pose.translation[0] == pytest.approx(-SAG_AT_30DEG, abs=1e-9)
     assert pose.translation[1] == pytest.approx(0.0, abs=1e-12)
     assert pose.translation[2] == pytest.approx(RISE_AT_30DEG, abs=1e-9)
 
 
-def test_single_segment_chain_equals_segment_transform():
+def test_single_segment_chain_equals_unit_table_row():
     desc = desc_with(segment_count=1)
     end, axes = chain_pose(desc, Configuration((3,), 10))
-    direct = segment_transform(desc, float(index_angle(3, 10)))
+    direct = unit_row(desc, 3)
     assert np.array_equal(end.rotation, direct.rotation)
     assert np.array_equal(end.translation, direct.translation)
     assert axes.shape == (1, 3)
@@ -72,7 +78,7 @@ def test_intermediate_transforms_compose_to_end_pose():
     end, _ = chain_pose(desc, config)
     combined = RigidTransform.identity()
     for k in config.indices:
-        combined = combined.compose(segment_transform(desc, float(index_angle(k, 10))))
+        combined = combined.compose(unit_row(desc, k))
     assert np.allclose(combined.translation, end.translation, atol=1e-10)
     assert np.allclose(combined.rotation, end.rotation, atol=1e-10)
 
@@ -102,11 +108,11 @@ def test_segment_axes_match_cumulative_frames():
 def test_tool_tip():
     desc = RobotDescription()
     end, _ = chain_pose(desc, Configuration((1, 2, 3, 4, 5), 10))
-    assert np.array_equal(tool_tip(end, (0.0, 0.0, 0.0)), end.translation)
+    assert np.array_equal(end.transform_point((0.0, 0.0, 0.0)), end.translation)
     identity = RigidTransform.identity()
-    assert np.allclose(tool_tip(identity, (1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
+    assert np.allclose(identity.transform_point((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
     turned = RigidTransform(rot_z(math.pi / 2.0), np.array([10.0, 0.0, 0.0]))
-    assert np.allclose(tool_tip(turned, (1.0, 0.0, 0.0)), [10.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(turned.transform_point((1.0, 0.0, 0.0)), [10.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_end_position_within_arc_length_bound():

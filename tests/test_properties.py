@@ -15,7 +15,6 @@ from plc import (
     enumerate_workspace,
     kinematics,
     tool_position,
-    tool_tip,
 )
 from plc.kinematics import _prefix_poses, tip_positions
 from plc.workspace import KEY_CELL, WorkspaceIndex, configuration_from_rank
@@ -111,7 +110,7 @@ def test_tool_position_matches_tool_tip_of_chain_pose_bitwise(desc, data):
         with mock.patch.object(kinematics, "_prefix_table", lambda _: table):
             for indices in configs:
                 config = Configuration(indices, desc.tooth_count)
-                expected = tool_tip(chain_pose(desc, config)[0], desc.tool_offset)
+                expected = chain_pose(desc, config)[0].transform_point(desc.tool_offset)
                 assert tool_position(desc, config).tobytes() == expected.tobytes()
 
 

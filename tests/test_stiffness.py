@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,7 +267,10 @@ def test_spine_twist_closed_form(default_desc):
 
 def test_skin_twist_independent_of_convolutions(default_desc):
     torque = 500.0
-    values = [skin_twist(default_desc, torque, convolutions=n) for n in (2, 4, 6, 8)]
+    values = [
+        skin_twist(dataclasses.replace(default_desc, skin_convolutions=n), torque)
+        for n in (2, 4, 6, 8)
+    ]
     for value in values[1:]:
         assert value == pytest.approx(values[0], rel=1e-9)
     assert skin_twist(default_desc, 0.0) == 0.0

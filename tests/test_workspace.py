@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -9,7 +10,6 @@ from plc import (
     PlcError,
     RobotDescription,
     enumerate_workspace,
-    knn_query,
     local_omnivariance,
     omnivariance,
     position_key,
@@ -70,6 +70,30 @@ def test_single_segment_workspace_is_a_circle():
     assert np.all(index.points[:, 2] == index.points[0, 2])
 
 
+@pytest.fixture
+def index_offset():
+    """A 7-tooth, 3-segment, 17-degree robot with a tool offset."""
+    return enumerate_workspace(
+        desc_with(
+            tooth_count=7,
+            segment_count=3,
+            bend_angle=math.radians(17.0),
+            tool_offset=(3.0, -2.0, 15.0),
+        )
+    )
+
+
+@pytest.mark.parametrize("fixture", ["index_n3", "index_offset"])
+def test_reachable_set_is_n_fold_symmetric(fixture, request):
+    # joint 1 spins the whole chain about the base z-axis by whole tooth pitches
+    index = request.getfixturevalue(fixture)
+    angle = 2.0 * math.pi / index.desc.tooth_count
+    c, s = math.cos(angle), math.sin(angle)
+    rotated = index.points @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+    gaps = np.linalg.norm(rotated[:, None] - index.points[None], axis=2).min(axis=1)
+    assert gaps.max() < 1e-9
+
+
 def test_enumeration_order_is_canonical():
     desc = desc_with(segment_count=2, tooth_count=3)
     digits = configuration_from_rank(np.arange(9), desc)
@@ -110,6 +134,36 @@ def test_available_memory_is_capped_by_the_address_space_limit(monkeypatch):
     assert 0 < workspace._available_memory() <= 10**8
     monkeypatch.setattr(resource, "getrlimit", lambda _: (in_use // 2, resource.RLIM_INFINITY))
     assert workspace._available_memory() == 0
+
+
+def test_available_memory_is_capped_by_the_cgroup_limit(monkeypatch, tmp_path):
+    resource = workspace.resource
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (resource.RLIM_INFINITY,) * 2)
+
+    def available(*pairs):
+        """_available_memory() with cgroup (limit, usage) files holding ``pairs``
+        (None: no such file)."""
+        files = []
+        for i, pair in enumerate(pairs):
+            paths = (tmp_path / f"limit{i}", tmp_path / f"usage{i}")
+            for path, text in zip(paths, pair):
+                path.unlink(missing_ok=True)
+                if text is not None:
+                    path.write_text(text + "\n")
+            files.append(tuple(map(str, paths)))
+        monkeypatch.setattr(workspace, "CGROUP_MEMORY_FILES", tuple(files))
+        return workspace._available_memory()
+
+    unlimited = available()
+    assert unlimited > 5 * 10**8
+    # no limit: v2 "max", v1's largest page-aligned count, missing or garbled files
+    for pair in [("max", "123"), ("9223372036854771712", "883355648"), (None, "1"), ("x", "1")]:
+        assert available(pair) == pytest.approx(unlimited, rel=0.05)
+    assert available(("300000000", "100000000")) == 2 * 10**8
+    assert available(("300000000", "400000000")) == 0
+    assert available(("300000000", None)) == 3 * 10**8  # unread usage counts as 0
+    assert available(("max", "1"), ("500000000", "100000000")) == 4 * 10**8
+    assert available(("300000000", "0"), ("500000000", "0")) == 3 * 10**8
 
 
 def test_budget_refuses_a_vast_chain_without_printing_its_count():
@@ -190,23 +244,29 @@ def test_key_order_is_lexicographic(first, second, ordered):
 
 
 def test_buckets_agree_with_oracle_fk(index_n2):
-    desc = index_n2.desc
-    rng = np.random.default_rng(5)
-    for rank in rng.integers(0, 100, 40):
-        indices = tuple(int(v) for v in configuration_from_rank(int(rank), desc))
-        oracle_pos = fk_position(desc, indices)
-        point, configs = knn_query(index_n2, oracle_pos)
-        assert np.linalg.norm(point - oracle_pos) < 1e-9
-        assert Configuration(indices, desc.tooth_count) in configs
+    # every bucket: its members' oracle tips are its point, and its point is
+    # the nearest one to each of them; every configuration is in one bucket
+    desc, seen = index_n2.desc, []
+    for g, point in enumerate(index_n2.points):
+        ranks = index_n2.bucket_ranks(g).tolist()
+        members = configuration_from_rank(ranks, desc).tolist()
+        assert tuple(quantize(fk_position(desc, members[0]))) == tuple(position_key(point))
+        for indices in members:
+            oracle_pos = fk_position(desc, indices)
+            assert np.linalg.norm(point - oracle_pos) < 1e-9
+            assert index_n2.nearest_point_index(oracle_pos) == g
+        seen += ranks
+    assert sorted(seen) == list(range(desc.raw_configuration_count))
 
 
 @pytest.mark.parametrize("fixture", ["index_n3", "index_n4"])
 def test_chain_pose_reproduces_every_stored_point_bitwise(fixture, request):
     # one FK formula: the scalar walk and the batched enumeration agree to the bit
     index = request.getfixturevalue(fixture)
+    teeth = index.desc.tooth_count
     for g in range(index.point_count):
-        first = index.configurations_at(g)[0]
-        end, _ = chain_pose(index.desc, first)
+        first = configuration_from_rank(index.bucket_ranks(g)[0], index.desc)
+        end, _ = chain_pose(index.desc, Configuration(tuple(first.tolist()), teeth))
         assert end.translation.tobytes() == index.points[g].tobytes()
 
 
@@ -222,12 +282,11 @@ def test_knn_exact_point_returns_full_bucket(index_n4):
     sizes = np.diff(index_n4.bucket_offsets)
     g = int(np.argmax(sizes))
     assert sizes[g] > 1  # the 4-segment robot has genuinely redundant points
-    point, configs = knn_query(index_n4, index_n4.points[g])
-    assert np.array_equal(point, index_n4.points[g])
-    assert len(configs) == sizes[g]
-    ranks = index_n4.bucket_ranks(g)
-    digits = configuration_from_rank(ranks, index_n4.desc)
-    assert [c.indices for c in configs] == [tuple(int(v) for v in row) for row in digits]
+    assert index_n4.nearest_point_index(index_n4.points[g]) == g
+    members = configuration_from_rank(index_n4.bucket_ranks(g), index_n4.desc)
+    assert members.shape == (sizes[g], 4)
+    for indices in members.tolist():
+        assert np.linalg.norm(fk_position(index_n4.desc, indices) - index_n4.points[g]) < 1e-9
 
 
 def test_knn_matches_linear_scan(index_n2, index_n3):
@@ -314,7 +373,6 @@ def test_non_finite_targets_raise_on_both_paths(index_n2, bad):
         target = [0.0, bad, 0.0]
         for query in (
             index.nearest_point_index,
-            lambda t: knn_query(index, t),
             lambda t: solve_ik(index, index.desc, t, reference),
             lambda t: index.nearest_point_indices([index.points[0], t]),
             lambda t: reach_accuracy(index, [index.points[0], t]),
@@ -327,8 +385,7 @@ def test_non_finite_targets_raise_on_both_paths(index_n2, bad):
 def test_knn_tie_breaks_by_lexicographic_key():
     tied = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
     for index in scan_and_tree(synthetic_index(tied)):
-        point, _ = knn_query(index, [0.0, 0.0, 0.0])
-        assert np.array_equal(point, [-1.0, 0.0, 0.0])
+        assert index.nearest_point_index([0.0, 0.0, 0.0]) == 0
     # the smallest key is the smallest index only because insertion order is checked
     with pytest.raises(InvariantError, match="ascending key order"):
         synthetic_index(tied[::-1])
@@ -412,6 +469,14 @@ def test_local_omnivariance():
     assert np.all(local_omnivariance(flat, 8) <= 1e-10)
     with pytest.raises(PlcError):
         local_omnivariance(cloud, 41)
+
+
+def test_local_omnivariance_bounds_neighbors_times_points(monkeypatch):
+    cloud = np.random.default_rng(43).normal(size=(100, 3))
+    monkeypatch.setattr(workspace, "MAX_LOCAL_NEIGHBORS", 100 * 50)
+    assert local_omnivariance(cloud, 50).shape == (100,)
+    with pytest.raises(PlcError, match=r"size 51 x 100 points exceeds 5000 neighbors"):
+        local_omnivariance(cloud, 51)
 
 
 def test_local_omnivariance_in_blocks_matches_each_point_alone():
@@ -522,12 +587,3 @@ def test_load_rejects_short_reads(tmp_path, index_n2, monkeypatch):
     )
     with pytest.raises(PlcError, match="truncated"):
         WorkspaceIndex.load(path, index_n2.desc)
-
-
-def test_config_map_covers_every_point(index_n2):
-    mapping = index_n2.config_map()
-    assert len(mapping) == index_n2.point_count
-    assert sum(len(v) for v in mapping.values()) == 100
-    for key, configs in mapping.items():
-        assert len(configs) >= 1
-        assert tuple(quantize(fk_position(index_n2.desc, configs[0].indices))) == key
