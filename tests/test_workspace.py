@@ -245,17 +245,28 @@ def test_key_order_is_lexicographic(first, second, ordered):
 
 def test_buckets_agree_with_oracle_fk(index_n2):
     # every bucket: its members' oracle tips are its point, and its point is
-    # the nearest one to each of them; every configuration is in one bucket
-    desc, seen = index_n2.desc, []
+    # the nearest one to each of them
+    desc = index_n2.desc
     for g, point in enumerate(index_n2.points):
-        ranks = index_n2.bucket_ranks(g).tolist()
-        members = configuration_from_rank(ranks, desc).tolist()
-        assert tuple(quantize(fk_position(desc, members[0]))) == tuple(position_key(point))
+        members = configuration_from_rank(index_n2.bucket_ranks(g).tolist(), desc).tolist()
         for indices in members:
             oracle_pos = fk_position(desc, indices)
             assert np.linalg.norm(point - oracle_pos) < 1e-9
             assert index_n2.nearest_point_index(oracle_pos) == g
+
+
+def test_config_map_covers_every_point(index_n2):
+    # the point -> configurations map read through bucket_ranks: every point
+    # has a non-empty bucket keyed by its first member's oracle tip, and the
+    # buckets together hold all 100 configurations once each
+    desc, seen = index_n2.desc, []
+    for g, point in enumerate(index_n2.points):
+        ranks = index_n2.bucket_ranks(g).tolist()
+        assert len(ranks) >= 1
+        first = configuration_from_rank(ranks[0], desc).tolist()
+        assert tuple(quantize(fk_position(desc, first))) == tuple(position_key(point))
         seen += ranks
+    assert len(seen) == 100
     assert sorted(seen) == list(range(desc.raw_configuration_count))
 
 
