@@ -40,6 +40,10 @@ class DesignRecord:
             value = getattr(self, attr)
             if value is not None and not value > 0.0:
                 raise InvariantError(f"{attr} must be > 0 when present, got {value}")
+        for attr in ("k_max", "k_min", "length", "radius"):  # a CSV cell of 1e400 reads as inf
+            value = getattr(self, attr)
+            if value is not None and not math.isfinite(value):
+                raise InvariantError(f"{attr} must be finite, got {value}")
 
     @property
     def has_geometry(self) -> bool:

@@ -9,7 +9,7 @@ import pytest
 
 from plc import WorkspaceIndex, parse_robot_description, workspace
 from plc.cli import main
-from plc.workspace import _HEADER
+from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ROBOT = "segment_count: 2\n"
@@ -73,7 +73,7 @@ def test_missing_robot_file(capsys, tmp_path):
 
 
 def test_budget_exceeded(capsys, tmp_path):
-    # 10**12 configurations need about 200 TB, more than any host's memory
+    # 10**12 configurations need about 100 TB, more than any host's memory
     path = robot_file(tmp_path, "segment_count: 12\n")
     code, _, err = run(capsys, "workspace", "build", "--robot", path)
     assert_domain_error(code, err)
@@ -81,34 +81,47 @@ def test_budget_exceeded(capsys, tmp_path):
 
 
 def test_build_is_refused_past_the_address_space_limit(tmp_path):
-    # 10**7 configurations need about 2 GB, more than a 1.5 GB RLIMIT_AS
+    # 10**7 configurations need more than an RLIMIT_AS of 3/4 of that
     # allows whatever the host's free memory; without the limit in the
     # check, numpy ran out of address space mid-build (exit 1, traceback)
     path = robot_file(tmp_path, "segment_count: 7\n")
     env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"), OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    limit = 1_500_000_000
+    needed = 10**7 * BYTES_PER_CONFIGURATION
+    limit = needed * 3 // 4
     proc = subprocess.run(
         [sys.executable, "-m", "plc.cli", "workspace", "build", "--robot", path],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert_domain_error(proc.returncode, proc.stderr)
-    assert "count 10000000 needs about 2 GB" in proc.stderr
+    assert f"count 10000000 needs about {needed / 1e9:.3g} GB" in proc.stderr
 
+
+
+def test_build_refuses_a_tip_past_the_key_range(capsys, tmp_path):
+    # tips near 1e16 mm: the int64 cast used to merge 16 tips into 8, with a warning
+    path = robot_file(tmp_path, "segment_count: 2\ntooth_count: 4\ncurve_length: 10000000000000000\n")
+    out = tmp_path / "ws.plcw"
+    code, stdout, err = run(capsys, "workspace", "build", "--robot", path, "--out", str(out))
+    assert_domain_error(code, err)
+    assert "outside the key range" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_build_is_refused_past_the_cgroup_limit(capsys, tmp_path, monkeypatch):
-    # the limit leaves 0.1 GB; six segments need about 0.2 GB
+    # the limit leaves half of what six segments need
+    left = 10**6 * BYTES_PER_CONFIGURATION // 2
     limit, usage = tmp_path / "memory.max", tmp_path / "memory.current"
     limit.write_text("300000000\n")
-    usage.write_text("200000000\n")
+    usage.write_text(f"{300000000 - left}\n")
     monkeypatch.setattr(workspace, "CGROUP_MEMORY_FILES", ((str(limit), str(usage)),))
     out = tmp_path / "ws.plcw"
     robot = robot_file(tmp_path, "segment_count: 6\n")
     code, _, err = run(capsys, "workspace", "build", "--robot", robot, "--out", str(out))
     assert_domain_error(code, err)
-    assert "more than the 0.1 GB available" in err
+    assert f"more than the {left / 1e9:.3g} GB available" in err
     assert not out.exists()
 
 # 10**12 configurations: far past any host's memory, fine for every
@@ -367,6 +380,15 @@ def test_normalize_builtin_and_atomic_out(capsys, tmp_path):
     code, _, err = run(capsys, "normalize", "--designs", str(bad), "--out", str(missing_out))
     assert code == 2
     assert not missing_out.exists()  # domain errors leave no partial output
+
+
+def test_normalize_refuses_non_finite_cells(capsys, tmp_path):
+    path = tmp_path / "designs.csv"
+    path.write_text("name,k_max,k_min,length_mm,radius_mm\na,1e400,1,,\nb,1e400,1e400,,\n")
+    code, out, err = run(capsys, "normalize", "--designs", str(path))
+    assert_domain_error(code, err)
+    assert "k_max must be finite" in err
+    assert out == ""
 
 
 def test_normalize_missing_file(capsys, tmp_path):

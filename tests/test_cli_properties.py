@@ -4,6 +4,7 @@ in exit code 0 (result), 1 (usage), 2 (domain) or 3 (I/O), never in an
 exception.  Robots stay small and every file lives in a temporary directory."""
 import contextlib
 import io
+import math
 
 import pytest
 import yaml
@@ -67,11 +68,15 @@ documents = st.one_of(
     st.dictionaries(st.text(max_size=5), st.integers(), max_size=2).map(yaml.safe_dump),
     st.text(max_size=40),
 )
-# a designs CSV: the header, then rows of text and numbers
-designs = st.lists(
+# a designs CSV: the header, then rows of text and numbers, and named rows
+# of numbers that mostly reach the table
+design_rows = st.one_of(
     st.lists(st.one_of(number_texts, st.text(max_size=4)), min_size=1, max_size=6).map(",".join),
-    max_size=4,
-).map(lambda rows: "\n".join(["name,k_max,k_min,length_mm,radius_mm", *rows]))
+    st.lists(number_texts, min_size=2, max_size=4).map(lambda cells: ",".join(["a", *cells])),
+)
+designs = st.lists(design_rows, max_size=4).map(
+    lambda rows: "\n".join(["name,k_max,k_min,length_mm,radius_mm", *rows])
+)
 
 
 def commands(configs):
@@ -141,6 +146,7 @@ def assert_contract(argv):
     assert "Traceback" not in stderr.getvalue()
     if code:
         assert stderr.getvalue(), argv  # every failure says why
+    return code, stdout.getvalue()
 
 
 @checked
@@ -161,4 +167,9 @@ def test_normalize_ends_in_an_exit_code(workdir, document, out):
     path = workdir / "designs.csv"
     path.write_text(document, encoding="utf-8")
     out = ["--out", str(workdir / "table.csv")] if out else []
-    assert_contract(["normalize", "--designs", str(path), *out])
+    code, stdout = assert_contract(["normalize", "--designs", str(path), *out])
+    if code == 0:  # every number in the table is finite
+        table = (workdir / "table.csv").read_text(encoding="utf-8") if out else stdout
+        for line in table.splitlines()[1:]:
+            for cell in line.rsplit(",", 5)[1:]:
+                assert cell == "NA" or math.isfinite(float(cell)), line

@@ -68,6 +68,20 @@ def test_design_record_invariants():
         DesignRecord("", k_max=1.0, k_min=0.5)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(k_max=math.inf, k_min=1.0),
+        dict(k_max=math.inf, k_min=math.inf),
+        dict(k_max=2.0, k_min=1.0, length=math.inf, radius=1.0),
+        dict(k_max=2.0, k_min=1.0, length=1.0, radius=math.inf),
+    ],
+)
+def test_design_record_refuses_non_finite_values(fields):
+    with pytest.raises(InvariantError, match="must be finite"):
+        DesignRecord("inf", **fields)
+
+
 def test_build_comparison_sorting_and_na():
     records = [
         DesignRecord("alpha", 2.0, 1.0),

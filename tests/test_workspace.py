@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plc import (
     Configuration,
@@ -26,8 +27,10 @@ from plc.workspace import (
     KEY_CELL,
     SCAN_BUDGET,
     WorkspaceIndex,
+    _sort_and_group,
     configuration_from_rank,
 )
+from plc.kinematics import tip_positions
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
 from conftest import desc_with
@@ -177,6 +180,18 @@ def test_budget_refuses_a_vast_chain_without_printing_its_count():
         enumerate_workspace(desc_with(segment_count=63, tooth_count=2))
 
 
+def test_enumeration_is_refused_past_32_bit_ranks(monkeypatch):
+    # the memory check passes on a host with 2**62 bytes; the sort's ranks do not
+    monkeypatch.setattr(workspace, "_available_memory", lambda: 2**62)
+
+    def enumerated(desc):
+        raise AssertionError("the refusal must come before any enumeration")
+
+    monkeypatch.setattr(workspace, "tip_positions", enumerated)
+    with pytest.raises(InvariantError, match=r"count 4294967296 is at least 2\*\*32$"):
+        enumerate_workspace(desc_with(segment_count=32, tooth_count=2))
+
+
 def test_every_configuration_lands_in_exactly_one_bucket(index_n3):
     members = np.sort(index_n3.bucket_members)
     assert np.array_equal(members, np.arange(index_n3.configuration_count))
@@ -287,6 +302,107 @@ def test_position_key_quantization():
     b = position_key([1.0000004e-6, -3.4e-7, 2.0])
     assert np.array_equal(a, b)
     assert a[2] == 2_000_000
+
+
+def test_position_key_spans_the_int64_range():
+    top = np.nextafter(2.0**63 * KEY_CELL, 0.0)  # its key is just below 2**63
+    keys = position_key([-(2.0**63) * KEY_CELL, top, 9.2e12])
+    assert keys[0] == -(2**63)
+    assert 2**63 - 4096 <= keys[1] < 2**63
+    assert keys[2] == 9_200_000_000_000_000_000
+
+
+@pytest.mark.parametrize("coordinate", [2.0**63 * KEY_CELL, -9.3e12, 1e300, np.nan, np.inf])
+def test_position_key_refuses_coordinates_past_the_int64_range(coordinate):
+    # the cast would wrap or saturate, and merge the point with others
+    with pytest.raises(InvariantError, match="outside the key range"):
+        position_key([[0.0, 0.0, 0.0], [1.0, coordinate, 2.0]])
+
+
+def test_load_refuses_a_point_past_the_int64_key_range(tmp_path, index_n2):
+    path = tmp_path / "n2.plcw"
+    index_n2.save(path)
+    data = bytearray(path.read_bytes())
+    at = _HEADER.size + (index_n2.point_count - 1) * 24  # x of the last point: still in order
+    data[at : at + 8] = np.array([1e13], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvariantError, match="outside the key range"):
+        WorkspaceIndex.load(path, index_n2.desc)
+
+
+def lexsort_groups(keys):
+    """Reference grouping: stable lexsort by (x, y, z), then a new group at
+    every row that differs from the one before."""
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    new_group = np.ones(order.shape[0], dtype=bool)
+    new_group[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order, np.flatnonzero(new_group)
+
+
+_I64 = (-(2**63), 2**63 - 1)
+# a few values per column, so rows repeat; wide ones leave y or z partly packed
+column_values = st.lists(
+    st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(2**30), 2**30),
+        st.integers(-(2**40), 2**40),
+        st.integers(*_I64),
+        st.sampled_from([*_I64, 2**32, 2**32 + 1, 2**62]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def key_arrays(draw):
+    pools = [draw(column_values) for _ in range(3)]
+    rows = draw(st.integers(1, 40))
+    picks = [draw(st.lists(st.integers(0, len(p) - 1), min_size=rows, max_size=rows)) for p in pools]
+    return np.array([[p[i] for i in pick] for p, pick in zip(pools, picks)], dtype=np.int64).T
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(key_arrays())
+@example(np.array([[5, -7, 11]]))  # a single row
+@example(np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0], [1, 1, 1], [0, 0, 0]]))  # duplicates
+# x and y take 29 bits each and z the top 6 of 41: rows 0-2 share a primary key
+@example(np.array([[0, 2**29 - 1, 1], [0, 2**29 - 1, 0], [0, 2**29 - 1, 1], [2**29 - 1, 0, 2**40], [0, 0, 2]]))
+# a packed z bit spilling into y's last bit would put row 0 after row 1
+@example(np.array([[0, 0, 3 * 2**39], [0, 1, 0], [2**29 - 1, 2**29 - 1, 0]]))
+# x and y spans above 2**32: y is partly packed and z not at all
+@example(np.array([[2**33, 2**40, 0], [0, 1, 5], [2**33, 2**40 + 1, 0], [0, 0, 7], [0, 1, 4]]))
+# spans near 2**63 and 2**64: x alone fills the primary key
+@example(np.array([[_I64[1], 3, 1], [_I64[0], 2, 2], [_I64[1], 3, 0], [_I64[0], 2, 2], [0, _I64[0], 9]]))
+@example(np.array([[2**62, 1, 1], [-(2**62), 0, 0], [2**62, 0, 1], [2**62, 1, 0]]))
+def test_sort_and_group_matches_lexsort(keys):
+    order, starts = _sort_and_group(keys)
+    expected_order, expected_starts = lexsort_groups(keys)
+    assert order.dtype == starts.dtype == np.int64
+    assert np.array_equal(order, expected_order)
+    assert np.array_equal(starts, expected_starts)
+
+
+def test_sort_and_group_resorts_runs_of_a_real_workspace(monkeypatch):
+    # 300 mm units: keys span 31 + 31 + 30 bits, so the primary key holds 2
+    # bits of z, and points on the symmetry axis share it with other points
+    keys = position_key(tip_positions(desc_with(segment_count=4, curve_length=300.0)))
+    subsets = []
+    lexsort = np.lexsort
+
+    def spy(columns):
+        subsets.append(len(columns[0]))
+        return lexsort(columns)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    order, starts = _sort_and_group(keys)
+    monkeypatch.undo()
+    assert len(subsets) == 1 and 0 < subsets[0] < keys.shape[0]
+    expected_order, expected_starts = lexsort_groups(keys)
+    assert np.array_equal(order, expected_order)
+    assert np.array_equal(starts, expected_starts)
+    assert starts.shape[0] < keys.shape[0]  # some points merge
 
 
 def test_knn_exact_point_returns_full_bucket(index_n4):
