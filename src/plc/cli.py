@@ -196,9 +196,8 @@ def _cmd_workspace_export(args) -> int:
     index = _load_or_build_index(desc, args)
     if args.format == "csv":
         lines = ["x,y,z,bucket_size"]
-        for g in range(index.point_count):
-            x, y, z = index.points[g]
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{index.bucket_size(g)}")
+        for (x, y, z), size in zip(index.points, np.diff(index.bucket_offsets).tolist()):
+            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{size}")
         _emit(args, "\n".join(lines) + "\n")
     else:
         lines = [

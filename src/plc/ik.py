@@ -68,6 +68,10 @@ def solve_ik(
     desc.check_configuration(reference)
     if metric not in METRICS:
         raise PlcError(f"unknown configuration metric '{metric}'")
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
+    ):
+        raise PlcError(f"seed must be a non-negative integer, got {seed!r}")
 
     g = index.nearest_point_index(target)
     ranks = index.bucket_ranks(g)

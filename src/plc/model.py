@@ -146,11 +146,6 @@ class RobotDescription:
     # -- derived quantities -------------------------------------------------
 
     @property
-    def tooth_pitch(self) -> float:
-        """Angular spacing of stable joint positions: 2*pi / tooth_count."""
-        return TWO_PI / self.tooth_count
-
-    @property
     def raw_configuration_count(self) -> int:
         """tooth_count ** segment_count, before duplicate-position merging."""
         return self.tooth_count**self.segment_count
@@ -217,19 +212,11 @@ class Configuration:
                 )
         object.__setattr__(self, "indices", tuple(int(k) for k in self.indices))
 
-    @property
-    def angles(self) -> np.ndarray:
-        """Joint angles in radians, exactly 2*pi*k / tooth_count per joint."""
-        return index_angle(np.array(self.indices, dtype=float), self.tooth_count)
-
     def with_index(self, joint: int, index: int) -> "Configuration":
         """Copy with joint ``joint`` (0-based) set to tooth index ``index``."""
         new = list(self.indices)
         new[joint] = index
         return Configuration(tuple(new), self.tooth_count)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,17 +248,6 @@ class RigidTransform:
         tra.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self followed by other expressed in self's frame: T_self * T_other."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
     def transform_point(self, point) -> np.ndarray:
         return self.rotation @ np.asarray(point, dtype=float) + self.translation

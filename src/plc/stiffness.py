@@ -28,7 +28,7 @@ import numpy as np
 from .kinematics import chain_pose
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 
-#: Most directions ``stiffness_map`` samples: about 0.6 KB each, so 0.6 GB.
+#: Most directions ``stiffness_map`` samples: about 0.5 KB each, so 0.5 GB.
 MAX_SPHERE_SAMPLES = 10**6
 
 #: Magnitude of the tip force ``stiffness_map`` applies along each direction, N.
@@ -104,9 +104,6 @@ class ComplianceMatrix:
         """Tip displacement (mm) under a tip force (N)."""
         return self.matrix @ np.asarray(force, dtype=float)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def compliance_from_axes(
     desc: RobotDescription, axes, literal_polar: bool = False
@@ -144,12 +141,10 @@ class StiffnessSample:
     """One sampled direction of a stiffness map.
 
     stiffness is |F|/|delta| (N/mm); compliance is the reciprocal |delta|/|F|
-    (mm/N) that stiffness plots usually color by.  displacement is the full
-    tip displacement vector under the sampling force.
+    (mm/N) that stiffness plots usually color by.
     """
 
     direction: np.ndarray
-    displacement: np.ndarray
     stiffness: float
     compliance: float
 
@@ -180,12 +175,7 @@ def stiffness_map(
         displacement = compliance.displacement(SAMPLE_FORCE * direction)
         per_newton = float(np.linalg.norm(displacement)) / SAMPLE_FORCE
         samples.append(
-            StiffnessSample(
-                direction=direction,
-                displacement=displacement,
-                stiffness=1.0 / per_newton,
-                compliance=per_newton,
-            )
+            StiffnessSample(direction=direction, stiffness=1.0 / per_newton, compliance=per_newton)
         )
     return samples
 
@@ -216,7 +206,6 @@ class ForceDeflectionCurve:
     threshold_force: float
     firm_slope: float
     loose_slope: float
-    breakpoint_deflection: float
 
     def __post_init__(self):
         if self.threshold_force < 0.0:
@@ -226,9 +215,11 @@ class ForceDeflectionCurve:
                 "slopes must satisfy firm > loose > 0, got "
                 f"firm={self.firm_slope}, loose={self.loose_slope}"
             )
-        expected = self.threshold_force / self.firm_slope
-        if self.breakpoint_deflection != expected:
-            raise InvariantError("breakpoint must equal threshold / firm slope")
+
+    @property
+    def breakpoint_deflection(self) -> float:
+        """Deflection (mm) at the threshold force: threshold_force / firm_slope."""
+        return self.threshold_force / self.firm_slope
 
     def deflection(self, force):
         """Deflection (mm) at external force(s) (N)."""
@@ -259,12 +250,7 @@ def force_deflection(
             f"{firm} N/mm along this direction"
         )
     threshold = loosening_threshold(desc, tension)
-    return ForceDeflectionCurve(
-        threshold_force=threshold,
-        firm_slope=firm,
-        loose_slope=loose,
-        breakpoint_deflection=threshold / firm,
-    )
+    return ForceDeflectionCurve(threshold_force=threshold, firm_slope=firm, loose_slope=loose)
 
 
 def spine_twist(desc: RobotDescription, torque: float) -> float:

@@ -48,9 +48,9 @@ from .model import (
 )
 
 #: Peak memory of an enumeration per raw configuration, bytes, rounded up from
-#: the peak RSS of ``plc workspace build`` above the interpreter's: 96 B at
-#: 10**6, 90 B at 10**7 and 69 B at 4**10 configurations (numpy 2.4, Linux).
-BYTES_PER_CONFIGURATION = 100
+#: the peak RSS of ``plc workspace build`` above the interpreter's: 69 B at
+#: 10**6, 74 B at 10**7 and 69 B at 4**10 configurations (numpy 2.4, Linux).
+BYTES_PER_CONFIGURATION = 80
 
 #: (limit, usage) files of the cgroup memory controller: v2, then v1.  A limit
 #: that is missing or not an integer (v2 writes "max") sets none; a usage that
@@ -180,8 +180,10 @@ class WorkspaceIndex:
             raise InvariantError("every reachable point needs >= 1 configuration")
         if not np.isfinite(points).all():
             raise InvariantError("points must be finite")
-        if not _strictly_ascending(position_key(points)):
-            raise InvariantError("points must be in strictly ascending key order")
+        # in blocks that overlap by one row, so every neighbouring pair is compared
+        for lo in range(0, points.shape[0], _SCAN_ROWS):
+            if not _strictly_ascending(position_key(points[lo : lo + _SCAN_ROWS + 1])):
+                raise InvariantError("points must be in strictly ascending key order")
         for arr in (points, bucket_offsets, bucket_members):
             arr.setflags(write=False)
         self.desc = desc
@@ -236,9 +238,6 @@ class WorkspaceIndex:
         return self.bucket_members.shape[0]
 
     # -- buckets ---------------------------------------------------------------
-
-    def bucket_size(self, point_index: int) -> int:
-        return int(self.bucket_offsets[point_index + 1] - self.bucket_offsets[point_index])
 
     def bucket_ranks(self, point_index: int) -> np.ndarray:
         """Enumeration ranks of the configurations reaching a point."""
@@ -298,9 +297,10 @@ class WorkspaceIndex:
         )
         with atomic_open(path) as fh:
             fh.write(header)
-            fh.write(self.points.astype("<f8").tobytes())
-            fh.write(self.bucket_offsets.astype("<i8").tobytes())
-            fh.write(self.bucket_members.astype("<i8").tobytes())
+            # the arrays themselves, not copies, on a little-endian host
+            fh.write(self.points.astype("<f8", copy=False))
+            fh.write(self.bucket_offsets.astype("<i8", copy=False))
+            fh.write(self.bucket_members.astype("<i8", copy=False))
 
     @classmethod
     def load(cls, path, desc: RobotDescription) -> "WorkspaceIndex":
@@ -422,7 +422,7 @@ def _sort_and_group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     share a primary key (a run) come out in any order, and one value sort of
     (run << rank_bits | row) puts each run back in row order.  Run ids (1 to
     M) and rows each take at most 32 bits while M < 2**32, which
-    ``enumerate_workspace`` requires; a larger M would need over 400 GB.
+    ``enumerate_workspace`` requires; a larger M would need over 340 GB.
     A run whose rows differ in the bits left out of the primary key (points
     on the symmetry axis) is re-sorted by (x, y, z, row) on its own.
     """

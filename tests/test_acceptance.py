@@ -282,7 +282,7 @@ def test_12_compliance_matrix_properties():
         matrix = compliance.matrix
         if not np.array_equal(matrix, matrix.T):
             symmetric = False
-        smallest = float(compliance.eigenvalues()[0])
+        smallest = float(np.linalg.eigvalsh(matrix)[0])
         floor = min(floor, smallest)
         if smallest <= 0.0:
             positive = False

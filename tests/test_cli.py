@@ -73,7 +73,7 @@ def test_missing_robot_file(capsys, tmp_path):
 
 
 def test_budget_exceeded(capsys, tmp_path):
-    # 10**12 configurations need about 100 TB, more than any host's memory
+    # 10**12 configurations need about 80 TB, more than any host's memory
     path = robot_file(tmp_path, "segment_count: 12\n")
     code, _, err = run(capsys, "workspace", "build", "--robot", path)
     assert_domain_error(code, err)
@@ -216,6 +216,23 @@ def test_workspace_build_and_export(capsys, tmp_path):
         "--format", "ply",
     )
     assert ply2 == ply
+
+
+def test_export_csv_lists_each_points_bucket_size(capsys, tmp_path):
+    # 60 points, 4 of them reached by two configurations
+    text = "segment_count: 3\ntooth_count: 4\nbend_angle: 45\n"
+    robot = robot_file(tmp_path, text)
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+    index = WorkspaceIndex.load(index_path, parse_robot_description(text))
+    code, out, _ = run(
+        capsys, "workspace", "export", "--robot", robot, "--index", str(index_path),
+        "--format", "csv",
+    )
+    assert code == 0
+    sizes = [int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+    assert sizes == [len(index.bucket_ranks(g)) for g in range(index.point_count)]
+    assert sorted(set(sizes)) == [1, 2]
 
 
 def test_workspace_omnivariance_uses_cache(capsys, tmp_path):
@@ -411,6 +428,18 @@ def test_ik_rejects_non_finite_target(capsys, tmp_path, target):
         capsys, "ik", "--robot", robot, "--index", str(index_path), f"--target={target}"
     )
     assert_domain_error(code, err)
+    assert out == ""
+
+
+def test_ik_rejects_a_negative_seed(capsys, tmp_path):
+    robot = robot_file(tmp_path)
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+    code, out, err = run(
+        capsys, "ik", "--robot", robot, "--index", str(index_path), "--target=0,0,60", "--seed=-1"
+    )
+    assert_domain_error(code, err)
+    assert "seed" in err
     assert out == ""
 
 

@@ -1,16 +1,20 @@
 """Property tests of the CLI contract: whatever the arguments and whatever the
-description document, ``fk``, ``plan``, ``stiffness`` and ``normalize`` end
-in exit code 0 (result), 1 (usage), 2 (domain) or 3 (I/O), never in an
-exception.  Robots stay small and every file lives in a temporary directory."""
+description document, ``fk``, ``plan``, ``stiffness``, ``normalize``, ``ik``
+and ``workspace`` end in exit code 0 (result), 1 (usage), 2 (domain) or 3
+(I/O), never in an exception.  Robots stay small and every file lives in a
+temporary directory."""
 import contextlib
 import io
 import math
+import os
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from plc.cli import main
+from plc.ik import METRICS
 
 checked = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -173,3 +177,65 @@ def test_normalize_ends_in_an_exit_code(workdir, document, out):
         for line in table.splitlines()[1:]:
             for cell in line.rsplit(",", 5)[1:]:
                 assert cell == "NA" or math.isfinite(float(cell)), line
+
+
+INDEX_ROBOT = "segment_count: 2\ntooth_count: 6\n"
+OTHER_ROBOT = "segment_count: 2\ntooth_count: 6\ncurve_length: 31\n"
+index_configs = st.one_of(
+    st.lists(st.integers(0, 5), min_size=2, max_size=2).map(lambda v: ",".join(map(str, v))),
+    configs,
+)
+# a header or none, then rows of number texts
+query_files = st.builds(
+    lambda header, rows: "\n".join([*header, *rows]),
+    st.sampled_from([[], ["x,y,z"]]),
+    st.lists(st.lists(number_texts, max_size=4).map(",".join), max_size=4),
+)
+index_commands = st.one_of(
+    st.builds(
+        lambda target, reference, seed, metric: ["ik", f"--target={target}", *reference, *seed, *metric],
+        vectors,
+        st.one_of(st.just([]), index_configs.map(lambda c: [f"--reference={c}"])),
+        st.one_of(st.just([]), number_texts.map(lambda s: [f"--seed={s}"])),
+        st.one_of(st.just([]), st.one_of(st.sampled_from(METRICS), texts).map(lambda m: [f"--metric={m}"])),
+    ),
+    st.one_of(st.sampled_from(["csv", "ply"]), texts).map(
+        lambda f: ["workspace", "export", f"--format={f}"]
+    ),
+    st.one_of(st.just([]), number_texts.map(lambda k: [f"--local={k}"])).map(
+        lambda local: ["workspace", "omnivariance", *local]
+    ),
+    st.just(["workspace", "accuracy"]),
+)
+
+
+@pytest.fixture(scope="module")
+def index_dir(tmp_path_factory):
+    """A temporary directory holding a small robot's index, a corrupt index
+    and the cache directory."""
+    directory = tmp_path_factory.mktemp("index")
+    for name, text in (("robot.yaml", INDEX_ROBOT), ("other.yaml", OTHER_ROBOT)):
+        (directory / name).write_text(text, encoding="utf-8")
+    index = directory / "index.plcw"
+    assert main(["workspace", "build", "--robot", str(directory / "robot.yaml"), "--out", str(index)]) == 0
+    (directory / "corrupt.plcw").write_bytes(index.read_bytes()[:100])
+    return directory
+
+
+@checked
+@given(
+    index_commands,
+    st.sampled_from(["index.plcw", "corrupt.plcw", "missing.plcw", None]),
+    st.sampled_from(["robot.yaml", "other.yaml"]),
+    query_files,
+    st.booleans(),
+)
+def test_index_commands_end_in_an_exit_code(index_dir, command, index, robot, queries, out):
+    path = index_dir / "queries.csv"
+    path.write_text(queries, encoding="utf-8")
+    if command[-1] == "accuracy":
+        command = [*command, "--queries", str(path)]
+    index = ["--index", str(index_dir / index)] if index else []  # else the cache below
+    out = ["--out", str(index_dir / "out.csv")] if out else []
+    with mock.patch.dict(os.environ, {"PLC_CACHE_DIR": str(index_dir / "cache")}):
+        assert_contract([*command, "--robot", str(index_dir / robot), *index, *out])

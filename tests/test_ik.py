@@ -37,7 +37,7 @@ def redundant_index(members_per_bucket):
 def test_exact_target_with_unique_preimage(index_n3):
     desc = index_n3.desc
     g = bucket_of_size(index_n3, 1)
-    assert index_n3.bucket_size(g) == 1
+    assert len(index_n3.bucket_ranks(g)) == 1
     reference = Configuration((0, 0, 0), 10)
     solution = solve_ik(index_n3, desc, index_n3.points[g], reference)
     expected = configuration_from_rank(int(index_n3.bucket_ranks(g)[0]), desc)
@@ -156,6 +156,16 @@ def test_seeded_choice_ignores_reference():
     assert len(picks) > 1  # genuinely random across seeds
     again = solve_ik(index, index.desc, index.points[0], reference, seed=3)
     assert again.config == solve_ik(index, index.desc, index.points[0], reference, seed=3).config
+
+
+def test_seed_must_be_a_non_negative_integer():
+    index = redundant_index([[1, 4, 8]])
+    reference = Configuration((0,), 10)
+    for seed in (-1, True, 2.0, "3", np.int64(-1)):
+        with pytest.raises(PlcError, match="seed must be a non-negative integer"):
+            solve_ik(index, index.desc, index.points[0], reference, seed=seed)
+    numpy_seed = solve_ik(index, index.desc, index.points[0], reference, seed=np.int64(3))
+    assert numpy_seed.config == solve_ik(index, index.desc, index.points[0], reference, seed=3).config
 
 
 def test_description_mismatch_is_rejected(index_n3):

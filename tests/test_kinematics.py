@@ -76,11 +76,12 @@ def test_intermediate_transforms_compose_to_end_pose():
     desc = RobotDescription()
     config = Configuration((2, 9, 0, 5, 7), 10)
     end, _ = chain_pose(desc, config)
-    combined = RigidTransform.identity()
+    rotation, translation = np.eye(3), np.zeros(3)
     for k in config.indices:
-        combined = combined.compose(unit_row(desc, k))
-    assert np.allclose(combined.translation, end.translation, atol=1e-10)
-    assert np.allclose(combined.rotation, end.rotation, atol=1e-10)
+        unit = unit_row(desc, k)
+        rotation, translation = rotation @ unit.rotation, rotation @ unit.translation + translation
+    assert np.allclose(translation, end.translation, atol=1e-10)
+    assert np.allclose(rotation, end.rotation, atol=1e-10)
 
 
 def test_chain_matches_homogeneous_oracle():
@@ -109,7 +110,7 @@ def test_tool_tip():
     desc = RobotDescription()
     end, _ = chain_pose(desc, Configuration((1, 2, 3, 4, 5), 10))
     assert np.array_equal(end.transform_point((0.0, 0.0, 0.0)), end.translation)
-    identity = RigidTransform.identity()
+    identity = RigidTransform(np.eye(3), np.zeros(3))
     assert np.allclose(identity.transform_point((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
     turned = RigidTransform(rot_z(math.pi / 2.0), np.array([10.0, 0.0, 0.0]))
     assert np.allclose(turned.transform_point((1.0, 0.0, 0.0)), [10.0, 1.0, 0.0], atol=1e-12)

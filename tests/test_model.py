@@ -150,15 +150,15 @@ def test_parsed_documents_round_trip_exactly():
 @pytest.mark.parametrize("teeth,degrees", [(10, 36.0), (360, 1.0), (24, 15.0)])
 def test_tooth_pitch(teeth, degrees):
     desc = desc_with(tooth_count=teeth)
-    assert desc.tooth_pitch == 2.0 * math.pi / teeth
-    assert math.degrees(desc.tooth_pitch) == pytest.approx(degrees, rel=1e-12)
+    pitch = index_angle(1, desc.tooth_count)
+    assert pitch == 2.0 * math.pi / teeth
+    assert math.degrees(pitch) == pytest.approx(degrees, rel=1e-12)
 
 
 def test_configuration_angles_are_exact():
     config = Configuration((0, 3, 7, 9), 10)
     expected = np.array([(2.0 * math.pi * k) / 10 for k in (0, 3, 7, 9)])
-    assert np.array_equal(config.angles, expected)
-    assert np.array_equal(config.angles, index_angle(np.array([0, 3, 7, 9]), 10))
+    assert np.array_equal(index_angle(config.indices, config.tooth_count), expected)
 
 
 def test_configuration_validation():
@@ -200,10 +200,13 @@ def test_rigid_transform_compose_and_apply():
         np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
         np.array([1.0, 0.0, 0.0]),
     )
-    identity = RigidTransform.identity()
-    combined = quarter.compose(identity)
-    assert np.allclose(combined.rotation, quarter.rotation)
+    half = RigidTransform(
+        quarter.rotation @ quarter.rotation,
+        quarter.rotation @ quarter.translation + quarter.translation,
+    )
     assert np.allclose(quarter.transform_point([1.0, 0.0, 0.0]), [1.0, 1.0, 0.0])
+    twice = quarter.transform_point(quarter.transform_point([1.0, 0.0, 0.0]))
+    assert np.allclose(half.transform_point([1.0, 0.0, 0.0]), twice)
 
 
 def test_types_are_immutable():
@@ -213,7 +216,7 @@ def test_types_are_immutable():
     config = Configuration((0,), 10)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.indices = (1,)
-    transform = RigidTransform.identity()
+    transform = RigidTransform(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         transform.rotation[0, 0] = 2.0  # arrays are write-locked
 

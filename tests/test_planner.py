@@ -117,7 +117,7 @@ def test_random_plans_reach_goal_without_double_unlock():
 def test_total_rotation_budget():
     desc = desc_with(segment_count=7)
     rng = np.random.default_rng(83)
-    pitch = desc.tooth_pitch
+    pitch = 2 * math.pi / desc.tooth_count
     for _ in range(50):
         steps = plan_to(desc, random_config(rng, 7), random_config(rng, 7))
         total = sum(abs(s.pitch_steps) * pitch for s in steps if isinstance(s, RotateShaft))

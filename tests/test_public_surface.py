@@ -1,10 +1,26 @@
 """The package's public surface: what ``plc`` exports, which functions its
-modules define, and the keyword options its functions take.  Each job has
-one way to do it, so a second way added back shows up here."""
+modules define, the members of its value types, and the keyword options its
+functions take.  Each job has one way to do it, so a second way added back
+shows up here."""
+import dataclasses
 import inspect
+import sys
 
 import plc
-from plc import WorkspaceIndex, kinematics, normalize, planner, stiffness, workspace
+from plc import (
+    ComplianceMatrix,
+    Configuration,
+    ForceDeflectionCurve,
+    RigidTransform,
+    RobotDescription,
+    WorkspaceIndex,
+    kinematics,
+    normalize,
+    planner,
+    stiffness,
+    workspace,
+)
+from plc.stiffness import StiffnessSample
 
 
 def functions_of(module, private=False):
@@ -17,6 +33,18 @@ def functions_of(module, private=False):
         and value.__module__ == module.__name__
         and (private or not name.startswith("_"))
     }
+
+
+def members_of(cls):
+    """The fields of ``cls`` and every name its class body defines, less the
+    entries Python and ``dataclass`` add (``__doc__``, ``__init__``, ...)."""
+    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    source = sys.modules[cls.__module__].__file__
+    for name, value in vars(cls).items():
+        written = inspect.isfunction(value) and value.__code__.co_filename == source
+        if written or not name.startswith("__"):
+            names.add(name)
+    return names
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -56,17 +84,6 @@ def test_modules_define_one_way_to_do_each_job():
         "omnivariance",
         "local_omnivariance",
     }
-    assert {name for name in vars(WorkspaceIndex) if not name.startswith("_")} == {
-        "tree",
-        "point_count",
-        "configuration_count",
-        "bucket_size",
-        "bucket_ranks",
-        "nearest_point_indices",
-        "nearest_point_index",
-        "save",
-        "load",
-    }
     assert functions_of(normalize) == {
         "normalize_stiffness",
         "build_comparison",
@@ -89,3 +106,52 @@ def test_stiffness_functions_take_no_unused_options():
         "literal_polar",
     ]
     assert stiffness.SAMPLE_FORCE == 50.0
+
+
+def test_value_types_carry_only_what_the_library_reads():
+    description_fields = {f.name for f in dataclasses.fields(RobotDescription)}
+    assert members_of(RobotDescription) - description_fields == {
+        "__post_init__",
+        "raw_configuration_count",
+        "shear_modulus",
+        "spine_cross_section_area",
+        "spine_bending_inertia",
+        "spine_polar_inertia",
+        "check_configuration",
+    }
+    assert members_of(Configuration) == {"indices", "tooth_count", "__post_init__", "with_index"}
+    assert members_of(RigidTransform) == {
+        "rotation",
+        "translation",
+        "__post_init__",
+        "transform_point",
+    }
+    assert members_of(ComplianceMatrix) == {"matrix", "__post_init__", "displacement"}
+    assert members_of(StiffnessSample) == {"direction", "stiffness", "compliance"}
+    # the breakpoint is derived, so it cannot disagree with the slopes
+    assert [f.name for f in dataclasses.fields(ForceDeflectionCurve)] == [
+        "threshold_force",
+        "firm_slope",
+        "loose_slope",
+    ]
+    assert members_of(ForceDeflectionCurve) == {
+        "threshold_force",
+        "firm_slope",
+        "loose_slope",
+        "__post_init__",
+        "breakpoint_deflection",
+        "deflection",
+    }
+    assert members_of(WorkspaceIndex) == {
+        "__init__",
+        "tree",
+        "_scans",
+        "_scan_nearest",
+        "point_count",
+        "configuration_count",
+        "bucket_ranks",
+        "nearest_point_indices",
+        "nearest_point_index",
+        "save",
+        "load",
+    }

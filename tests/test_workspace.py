@@ -212,14 +212,17 @@ def test_stored_keys_are_requantized_points(index_n3):
     assert keys == sorted(set(keys))  # one point per key, in ascending key order
 
 
-def test_points_out_of_key_order_are_refused(index_n3):
-    swapped = index_n3.points.copy()
-    swapped[[4, 5]] = swapped[[5, 4]]
-    duplicate = index_n3.points.copy()
-    duplicate[5] = duplicate[4] + KEY_CELL / 4  # other bits, the same key
-    for points in (swapped, duplicate):
-        with pytest.raises(InvariantError, match="ascending key order"):
-            WorkspaceIndex(index_n3.desc, points, index_n3.bucket_offsets, index_n3.bucket_members)
+def test_points_out_of_key_order_are_refused(index_n3, index_n5):
+    # rows 4 and 5, and the last row of the first key-check block and the first of the next
+    for index, row in ((index_n3, 4), (index_n5, _SCAN_ROWS - 1)):
+        swapped = index.points.copy()
+        swapped[[row, row + 1]] = swapped[[row + 1, row]]
+        duplicate = index.points.copy()
+        duplicate[row + 1] = duplicate[row] + KEY_CELL / 4  # other bits, the same key
+        assert np.array_equal(position_key(duplicate[row]), position_key(duplicate[row + 1]))
+        for points in (swapped, duplicate):
+            with pytest.raises(InvariantError, match="ascending key order"):
+                WorkspaceIndex(index.desc, points, index.bucket_offsets, index.bucket_members)
 
 
 @pytest.mark.parametrize("row, bad", [(0, np.nan), (1000, np.inf)])
