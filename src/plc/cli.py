@@ -5,6 +5,10 @@ All numeric output is fixed at 9 significant digits so identical inputs
 produce byte-identical files across runs and platforms.  File outputs are
 written to a temporary file and renamed, so failed runs never leave partial
 files behind.
+
+Each command imports the library modules it runs when it runs, and numpy
+only where it builds an array, so ``plan`` and ``normalize`` load no numpy
+and a ``--robot default`` command loads no PyYAML.
 """
 from __future__ import annotations
 
@@ -14,35 +18,15 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .ik import METRICS, solve_ik
-from .kinematics import chain_pose
+from .files import INDEX_FORMAT_VERSION, atomic_open
 from .model import (
+    METRICS,
     Configuration,
     PlcError,
     RobotDescription,
     description_digest,
     parse_robot_description,
-)
-from .normalize import build_comparison, builtin_designs, load_designs
-from .planner import Lock, RotateShaft, Unlock, all_locked, plan_to, simulate
-from .stiffness import (
-    directional_stiffness,
-    force_deflection,
-    skin_twist,
-    spine_twist,
-    stiffness_map,
-)
-from .workspace import (
-    INDEX_FORMAT_VERSION,
-    WorkspaceIndex,
-    atomic_open,
-    enumerate_workspace,
-    local_omnivariance,
-    omnivariance,
-    reach_accuracy,
 )
 
 EXIT_OK = 0
@@ -83,6 +67,8 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    import numpy as np
+
     try:
         parts = [float(part.strip()) for part in text.split(",")]
     except ValueError:
@@ -95,6 +81,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_direction(text: str) -> np.ndarray:
+    import numpy as np
+
     v = _parse_vector(text)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
@@ -121,6 +109,8 @@ def _cache_path(desc: RobotDescription) -> Path:
 
 
 def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
+    from .workspace import WorkspaceIndex, enumerate_workspace
+
     if getattr(args, "index", None):
         return WorkspaceIndex.load(args.index, desc)
     cache = _cache_path(desc)
@@ -136,6 +126,8 @@ def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
 
 
 def _read_queries(path) -> np.ndarray:
+    import numpy as np
+
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -163,6 +155,8 @@ def _read_queries(path) -> np.ndarray:
 
 
 def _cmd_fk(args) -> int:
+    from .kinematics import chain_pose
+
     desc = _load_description(args)
     config = _config_for(desc, args.config)
     end, _ = chain_pose(desc, config)
@@ -178,6 +172,8 @@ def _cmd_fk(args) -> int:
 
 
 def _cmd_workspace_build(args) -> int:
+    from .workspace import enumerate_workspace
+
     desc = _load_description(args)
     index = enumerate_workspace(desc)
     path = Path(args.out) if args.out else _cache_path(desc)
@@ -192,6 +188,8 @@ def _cmd_workspace_build(args) -> int:
 
 
 def _cmd_workspace_export(args) -> int:
+    import numpy as np
+
     desc = _load_description(args)
     index = _load_or_build_index(desc, args)
     if args.format == "csv":
@@ -216,6 +214,8 @@ def _cmd_workspace_export(args) -> int:
 
 
 def _cmd_workspace_omnivariance(args) -> int:
+    from .workspace import local_omnivariance, omnivariance
+
     desc = _load_description(args)
     index = _load_or_build_index(desc, args)
     if args.local:
@@ -230,6 +230,8 @@ def _cmd_workspace_omnivariance(args) -> int:
 
 
 def _cmd_workspace_accuracy(args) -> int:
+    from .workspace import reach_accuracy
+
     desc = _load_description(args)
     index = _load_or_build_index(desc, args)
     queries = _read_queries(args.queries)
@@ -238,6 +240,9 @@ def _cmd_workspace_accuracy(args) -> int:
 
 
 def _cmd_ik(args) -> int:
+    from .ik import solve_ik
+    from .workspace import WorkspaceIndex
+
     desc = _load_description(args)
     index = WorkspaceIndex.load(args.index, desc)
     target = _parse_vector(args.target)
@@ -260,6 +265,8 @@ def _cmd_ik(args) -> int:
 
 
 def _cmd_stiffness_firm(args) -> int:
+    from .stiffness import directional_stiffness, stiffness_map
+
     desc = _load_description(args)
     config = _config_for(desc, args.config)
     header = "ux,uy,uz,stiffness_n_per_mm,compliance_mm_per_n"
@@ -285,12 +292,15 @@ def _cmd_stiffness_firm(args) -> int:
 
 
 def _cmd_stiffness_curve(args) -> int:
+    import numpy as np
+
+    from .stiffness import force_deflection
+
     desc = _load_description(args)
     config = _config_for(desc, args.config)
     direction = _parse_direction(args.direction)
     curve = force_deflection(desc, config, args.tension, direction, args.literal_polar)
-    top = 2.0 * curve.threshold_force if curve.threshold_force > 0 else 10.0
-    forces = np.unique(np.append(np.linspace(0.0, top, 81), curve.threshold_force))
+    forces = np.unique(np.append(np.linspace(0.0, curve.top_force, 81), curve.threshold_force))
     lines = ["force_n,deflection_mm"]
     for force in forces:
         lines.append(f"{_fmt(force)},{_fmt(curve.deflection(force))}")
@@ -299,6 +309,8 @@ def _cmd_stiffness_curve(args) -> int:
 
 
 def _cmd_stiffness_twist(args) -> int:
+    from .stiffness import skin_twist, spine_twist
+
     desc = _load_description(args)
     if args.skin:
         value = skin_twist(desc, args.torque)
@@ -309,6 +321,8 @@ def _cmd_stiffness_twist(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .planner import Lock, RotateShaft, Unlock, all_locked, plan_to, simulate
+
     desc = _load_description(args)
     start = _config_for(desc, args.start)
     goal = _config_for(desc, args.goal)
@@ -332,6 +346,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .normalize import build_comparison, builtin_designs, load_designs
+
     if args.designs == "builtin":
         records = builtin_designs()
     else:

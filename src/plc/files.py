@@ -1,0 +1,47 @@
+"""File conventions shared by the workspace index and the CLI.
+
+This module imports no numpy, so a command that only writes text (``plan
+--out``, ``normalize --out``) and the CLI's ``--version`` do not pay for it.
+"""
+from __future__ import annotations
+
+import os
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+#: Version of the ``.plcw`` workspace index layout written by
+#: ``WorkspaceIndex.save``; ``load`` refuses any other.
+INDEX_FORMAT_VERSION = 2
+
+
+def _naming(exc: OSError, path: Path) -> OSError:
+    """``exc`` told of ``path``, not of the temporary file beside it."""
+    return OSError(exc.errno, exc.strerror, str(path))
+
+
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` and rename it over ``path`` on success.
+
+    If the ``with`` body raises, the temporary file is removed, so a failed
+    write leaves neither a partial ``path`` nor a stray ``*.tmp`` file.  An
+    error in creating or renaming the temporary file names ``path``, since
+    the temporary file's random name means nothing to the caller.
+    """
+    path = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise _naming(exc, path) from None
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _naming(exc, path) from None
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import tool_position
-from .model import Configuration, InvariantError, PlcError, RobotDescription
+from .model import METRICS, Configuration, InvariantError, PlcError, RobotDescription
 from .workspace import WorkspaceIndex, configuration_from_rank
-
-METRICS = ("wrapped", "euclidean")
 
 
 @dataclass(frozen=True)

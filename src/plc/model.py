@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
-import yaml
+from numbers import Integral
 
 TWO_PI = 2.0 * math.pi
+
+#: Distances between configurations that IK can disambiguate by (see
+#: ``plc.ik.configuration_distance``).
+METRICS = ("wrapped", "euclidean")
 
 
 class PlcError(Exception):
@@ -39,6 +41,8 @@ def index_angle(index, tooth_count):
     Works element-wise on arrays.  All modules derive angles through this
     single expression so index -> angle is bit-for-bit reproducible.
     """
+    import numpy as np
+
     return (TWO_PI * np.asarray(index, dtype=float)) / tooth_count
 
 
@@ -204,7 +208,8 @@ class Configuration:
         if not self.indices:
             raise InvariantError("configuration needs at least one joint")
         for k in self.indices:
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            # int first: the Integral check (numpy integers) is several times slower
+            if isinstance(k, bool) or not (isinstance(k, int) or isinstance(k, Integral)):
                 raise InvariantError(f"tooth index must be an integer, got {k!r}")
             if not 0 <= k < self.tooth_count:
                 raise InvariantError(
@@ -227,6 +232,8 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         rot = np.array(self.rotation, dtype=float)
         tra = np.array(self.translation, dtype=float)
         if rot.shape != (3, 3):
@@ -250,6 +257,8 @@ class RigidTransform:
         object.__setattr__(self, "translation", tra)
 
     def transform_point(self, point) -> np.ndarray:
+        import numpy as np
+
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
 
@@ -275,6 +284,8 @@ def parse_robot_description(text: str) -> RobotDescription:
     unknown field, turns a numeric ``bend_angle`` into radians, and leaves
     every type and range check to the constructor.
     """
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of > 4300 digits, a bad date

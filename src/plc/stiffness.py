@@ -191,7 +191,10 @@ def loosening_threshold(desc: RobotDescription, tension: float) -> float:
     """
     if tension < 0.0 or not math.isfinite(tension):
         raise PlcError(f"tension must be >= 0, got {tension}")
-    return 2.0 * desc.tendon_anchor_radius * tension / desc.lever_arm
+    threshold = 2.0 * desc.tendon_anchor_radius * tension / desc.lever_arm
+    if not math.isfinite(threshold):
+        raise PlcError(f"tension {tension} N is too large to compute the loosening threshold")
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,9 @@ class ForceDeflectionCurve:
 
     Below threshold_force the chain deflects at the firmed slope; past it,
     tendon stretch takes over at the (shallower) loose slope.  The curve is
-    continuous at the breakpoint by construction.
+    continuous at the breakpoint by construction.  It is drawn over forces
+    from 0 to ``top_force``, so a curve whose deflection there leaves the
+    float range is refused.
     """
 
     threshold_force: float
@@ -215,11 +220,23 @@ class ForceDeflectionCurve:
                 "slopes must satisfy firm > loose > 0, got "
                 f"firm={self.firm_slope}, loose={self.loose_slope}"
             )
+        # top_force > threshold_force, so this is deflection(top_force)
+        top = self.breakpoint_deflection + (self.top_force - self.threshold_force) / self.loose_slope
+        if not math.isfinite(top):
+            raise InvariantError(
+                f"deflection at {self.top_force} N is out of the float range"
+            )
 
     @property
     def breakpoint_deflection(self) -> float:
         """Deflection (mm) at the threshold force: threshold_force / firm_slope."""
         return self.threshold_force / self.firm_slope
+
+    @property
+    def top_force(self) -> float:
+        """Top of the force range (N) the curve is drawn over: twice the
+        threshold, or 10 N when the threshold is zero."""
+        return 2.0 * self.threshold_force if self.threshold_force > 0 else 10.0
 
     def deflection(self, force):
         """Deflection (mm) at external force(s) (N)."""
@@ -260,7 +277,15 @@ def spine_twist(desc: RobotDescription, torque: float) -> float:
     """
     if not math.isfinite(torque):
         raise PlcError(f"torque must be finite, got {torque}")
-    return torque * desc.curve_length / (desc.spine_polar_inertia * desc.shear_modulus)
+    return _finite_twist(
+        torque * desc.curve_length / (desc.spine_polar_inertia * desc.shear_modulus), torque
+    )
+
+
+def _finite_twist(angle: float, torque: float) -> float:
+    if not math.isfinite(angle):
+        raise PlcError(f"torque {torque} N*mm is too large to compute the twist angle")
+    return angle
 
 
 def bellows_twist(
@@ -307,10 +332,11 @@ def bellows_twist(
     rise = (outer_diameter - inner_diameter) / 2.0
     if rise == 0.0:  # tube: constant J along the segment
         polar = 2.0 * math.pi * thickness * u_in * (u_in**2 + a**2)
-        return torque * segment_length / (polar * shear_modulus)
+        return _finite_twist(torque * segment_length / (polar * shear_modulus), torque)
     ratio = a**2 * rise * (u_out + u_in) / (u_in**2 * (u_out**2 + a**2))
-    return torque * segment_length * math.log1p(ratio) / (
-        math.pi * thickness**3 * rise * shear_modulus
+    return _finite_twist(
+        torque * segment_length * math.log1p(ratio) / (math.pi * thickness**3 * rise * shear_modulus),
+        torque,
     )
 
 

@@ -33,12 +33,10 @@ import functools
 import os
 import resource
 import struct
-import tempfile
-from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
+from .files import INDEX_FORMAT_VERSION, atomic_open
 from .kinematics import tip_positions
 from .model import (
     InvariantError,
@@ -80,7 +78,6 @@ _UNMEASURABLE = "a target is non-finite or too far away to measure"
 #: and K=1000, 2-core Xeon).
 MAX_LOCAL_NEIGHBORS = 10**8
 
-INDEX_FORMAT_VERSION = 2
 _MAGIC = b"PLCW"
 _HEADER = struct.Struct("<4sI32sIIQQ")
 
@@ -99,25 +96,6 @@ def position_key(position) -> np.ndarray:
             f"a position lies outside the key range of +-{2.0**63 * KEY_CELL:.3g} mm"
         )
     return scaled.astype(np.int64)
-
-
-@contextmanager
-def atomic_open(path, mode: str = "wb", **kwargs):
-    """Open a temporary file beside ``path`` and rename it over ``path`` on success.
-
-    If the ``with`` body raises, the temporary file is removed, so a failed
-    write leaves neither a partial ``path`` nor a stray ``*.tmp`` file.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _closest(points: np.ndarray, target: np.ndarray) -> tuple[float, int]:

@@ -408,6 +408,20 @@ def test_normalize_refuses_non_finite_cells(capsys, tmp_path):
     assert out == ""
 
 
+def test_out_errors_name_the_given_path(capsys, tmp_path):
+    # not the temporary file beside it, whose random name changes from run to run
+    missing = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "fk", "--config", "0,0,0,0,0", "--out", str(missing))
+    assert (code, out) == (3, "")
+    assert err == f"i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+    directory = tmp_path / "taken"
+    directory.mkdir()
+    code, out, err = run(capsys, "plan", "--start", "0,0,0,0,0", "--goal", "0,1,0,0,0", "--out", str(directory))
+    assert (code, out) == (3, "")
+    assert err.startswith("i/o error: ") and err.endswith(f": '{directory}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_normalize_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "normalize", "--designs", str(tmp_path / "nope.csv"))
     assert code == 3
@@ -444,17 +458,30 @@ def test_ik_rejects_a_negative_seed(capsys, tmp_path):
 
 
 def test_targets_too_far_to_measure_exit_2(capsys, tmp_path):
-    # finite, but the squared distance overflows: refused, not a traceback or "inf"
+    # finite, but the squared distance, the loosening threshold, the deflection
+    # at the top of the force grid or the twist angle overflows: refused, not a
+    # traceback or "inf"
     robot = robot_file(tmp_path)
     index_path = tmp_path / "ws.plcw"
     run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
     queries = tmp_path / "queries.csv"
     queries.write_text("x,y,z\n0,0,0\n1e200,0,0\n")
+    slack = tmp_path / "slack.yaml"
+    slack.write_text("tendon_stiffness: 1.0e-310\n")
+    index_args = ["--robot", robot, "--index", str(index_path)]
+    curve = ["stiffness", "curve", "--config", "0,0,0,0,0", "--direction", "1,0,0"]
     for argv in (
-        ["ik", "--target=1e200,0,0"],
-        ["workspace", "accuracy", "--queries", str(queries)],
+        ["ik", "--target=1e200,0,0", *index_args],
+        ["workspace", "accuracy", "--queries", str(queries), *index_args],
+        [*curve, "--tension", "1e308"],
+        [*curve, "--tension", "1.5e307"],  # 2 r T overflows before the division by the lever arm
+        [*curve, "--tension", "1e10", "--robot", str(slack)],
+        [*curve, "--tension", "0", "--robot", str(slack)],  # drawn to 10 N at zero threshold
+        ["stiffness", "twist", "--skin", "--torque", "1e308"],
+        ["stiffness", "twist", "--spine", "--torque", "1e308"],
+        ["stiffness", "twist", "--spine", "--torque=-1e308"],
     ):
-        code, out, err = run(capsys, *argv, "--robot", robot, "--index", str(index_path))
+        code, out, err = run(capsys, *argv)
         assert_domain_error(code, err)
         assert out == ""
 

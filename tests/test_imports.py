@@ -1,10 +1,14 @@
-"""Commands that build no k-d tree must not import scipy.
+"""Each command loads only the third-party modules it runs.
 
-A one-shot ``ik`` or ``workspace accuracy`` call scans the index exactly
-instead of building a tree (see ``plc.workspace.SCAN_BUDGET``).
+``import plc`` loads none of them.  numpy is loaded by the commands that
+compute with arrays, so ``plan`` and ``normalize`` never load it.  PyYAML is
+loaded only to read a ``--robot`` description file.  scipy is loaded only to
+build a k-d tree: a one-shot ``ik`` or ``workspace accuracy`` call scans the
+index exactly instead (see ``plc.workspace.SCAN_BUDGET``).
 
-Each case runs in a fresh interpreter, because the test process itself has
-scipy loaded already.
+Each case runs in its own fresh interpreter, because the test process has
+all of them loaded already, and one command must not hide what another
+loads.
 """
 import json
 import os
@@ -15,60 +19,74 @@ from pathlib import Path
 import numpy as np
 
 from conftest import desc_with
+from plc import RobotDescription, enumerate_workspace, serialize_robot_description
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PROBED = ("numpy", "yaml", "scipy", "scipy.spatial")
+ROBOT = "robot.yaml"  # the reference robot, written as a description file
+NUMPY = ["numpy"]
+NUMPY_YAML = ["numpy", "yaml"]
 
-NO_TREE_COMMANDS = [
-    ["fk", "--robot", "default", "--config", "0,1,2,3,4"],
-    ["plan", "--robot", "default", "--start", "0,0,0,0,0", "--goal", "0,9,0,2,0", "--verify"],
-    ["stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0", "--direction", "1,0,0"],
-    ["stiffness", "firm", "--robot", "default", "--config", "1,2,3,4,5", "--sphere", "20"],
-    ["stiffness", "curve", "--robot", "default", "--config", "0,0,0,0,0", "--tension", "50",
-     "--direction", "1,0,0"],
-    ["stiffness", "twist", "--robot", "default", "--skin", "--torque", "1000"],
-    ["stiffness", "twist", "--robot", "default", "--spine", "--torque", "1000"],
-    ["normalize", "--designs", "builtin"],
+# argv, and the PROBED modules it loads
+COMMANDS = [
+    (["fk", "--robot", "default", "--config", "0,1,2,3,4"], NUMPY),
+    (["fk", "--robot", ROBOT, "--config", "0,1,2,3,4"], NUMPY_YAML),
+    (["plan", "--robot", "default", "--start", "0,0,0,0,0", "--goal", "0,9,0,2,0", "--verify"], []),
+    (["plan", "--robot", ROBOT, "--start", "0,0,0,0,0", "--goal", "0,9,0,2,0", "--out", "plan.txt"],
+     ["yaml"]),
+    (["stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0", "--direction", "1,0,0"],
+     NUMPY),
+    (["stiffness", "firm", "--robot", ROBOT, "--config", "1,2,3,4,5", "--sphere", "20"], NUMPY_YAML),
+    (["stiffness", "curve", "--robot", "default", "--config", "0,0,0,0,0", "--tension", "50",
+      "--direction", "1,0,0"], NUMPY),
+    (["stiffness", "twist", "--robot", "default", "--skin", "--torque", "1000"], NUMPY),
+    (["stiffness", "twist", "--robot", ROBOT, "--spine", "--torque", "1000"], NUMPY_YAML),
+    (["normalize", "--designs", "builtin"], []),
+    (["normalize", "--designs", "builtin", "--out", "table.csv"], []),
     # building, saving and reading an index need no tree
-    ["workspace", "build", "--robot", "default", "--out", "ws.plcw"],
-    ["workspace", "export", "--robot", "default", "--index", "ws.plcw", "--format", "csv"],
-    ["workspace", "omnivariance", "--robot", "default", "--index", "ws.plcw"],
+    (["workspace", "build", "--robot", "default", "--out", "built.plcw"], NUMPY),
+    (["workspace", "export", "--robot", "default", "--index", "ws.plcw", "--format", "csv"], NUMPY),
+    (["workspace", "omnivariance", "--robot", ROBOT, "--index", "ws.plcw"], NUMPY_YAML),
     # a few queries scan the index within SCAN_BUDGET
-    ["ik", "--robot", "default", "--index", "ws.plcw", "--target", "60,20,35"],
-    ["workspace", "accuracy", "--robot", "default", "--index", "ws.plcw", "--queries", "queries.csv"],
+    (["ik", "--robot", "default", "--index", "ws.plcw", "--target", "60,20,35"], NUMPY),
+    (["workspace", "accuracy", "--robot", ROBOT, "--index", "ws.plcw", "--queries", "queries.csv"],
+     NUMPY_YAML),
 ]
 
 CHILD = """
 import contextlib, io, json, sys
+probed = json.loads(sys.argv[2])
 import plc
+package = [m for m in probed if m in sys.modules]
 import plc.cli
-codes = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(plc.cli.main(argv))
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = plc.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "package": package, "loaded": [m for m in probed if m in sys.modules]}))
 """
 
 
-def run_fresh(commands, tmp_path):
+def run_fresh(argv, tmp_path):
     env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", CHILD, json.dumps(argv), json.dumps(PROBED)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_commands_without_a_tree_never_import_scipy(tmp_path):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    desc = RobotDescription()
+    (tmp_path / ROBOT).write_text(serialize_robot_description(desc))
+    enumerate_workspace(desc).save(tmp_path / "ws.plcw")
     rows = np.random.default_rng(3).uniform(-150.0, 150.0, size=(20, 3))
     (tmp_path / "queries.csv").write_text(
         "x,y,z\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
     )
-    result = run_fresh(NO_TREE_COMMANDS, tmp_path)
-    assert result["codes"] == [0] * len(NO_TREE_COMMANDS)
-    assert result["scipy"] == []
+    seen = {" ".join(argv): run_fresh(argv, tmp_path) for argv, _ in COMMANDS}
+    want = {" ".join(argv): {"code": 0, "package": [], "loaded": loads} for argv, loads in COMMANDS}
+    assert seen == want
 
 
 def test_local_omnivariance_loads_scipy_spatial(tmp_path):
@@ -76,10 +94,8 @@ def test_local_omnivariance_loads_scipy_spatial(tmp_path):
     robot = tmp_path / "robot.yaml"
     robot.write_text("segment_count: 2\n")
     index = tmp_path / "ws.plcw"
-    from plc import enumerate_workspace
-
     enumerate_workspace(desc_with(segment_count=2)).save(index)
     argv = ["workspace", "omnivariance", "--robot", str(robot), "--index", str(index), "--local", "4"]
-    result = run_fresh([argv], tmp_path)
-    assert result["codes"] == [0]
-    assert "scipy.spatial" in result["scipy"]
+    result = run_fresh(argv, tmp_path)
+    assert result["code"] == 0
+    assert "scipy.spatial" in result["loaded"]

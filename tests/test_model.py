@@ -170,6 +170,11 @@ def test_configuration_validation():
         Configuration((0.5,), 10)
     with pytest.raises(InvariantError):
         Configuration((), 10)
+    for flag in (True, np.bool_(False)):
+        with pytest.raises(InvariantError, match="must be an integer"):
+            Configuration((flag,), 10)
+    config = Configuration((np.int64(3), np.uint8(7)), 10)  # numpy integers, stored as int
+    assert config.indices == (3, 7) and {type(k) for k in config.indices} == {int}
     desc = RobotDescription()
     with pytest.raises(InvariantError, match="joints"):
         desc.check_configuration(Configuration((0, 0), 10))

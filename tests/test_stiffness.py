@@ -179,6 +179,8 @@ def test_loosening_threshold_values(default_desc):
     assert loosening_threshold(default_desc, 0.0) == 0.0
     with pytest.raises(PlcError):
         loosening_threshold(default_desc, -1.0)
+    with pytest.raises(PlcError, match="too large"):  # 2 r T overflows
+        loosening_threshold(default_desc, 1.5e307)
 
 
 def test_loosening_threshold_is_homogeneous(default_desc):
@@ -210,6 +212,7 @@ def test_force_deflection_piecewise_evaluation(default_desc):
     beyond = curve.breakpoint_deflection + 1e-12 / curve.loose_slope
     assert below == curve.breakpoint_deflection
     assert curve.deflection(threshold + 1e-12) == pytest.approx(beyond, rel=1e-9)
+    assert curve.top_force == 2 * threshold
     forces = np.array([0.0, threshold / 2, threshold, threshold * 2])
     deflections = curve.deflection(forces)
     assert np.all(np.diff(deflections) > 0.0)
@@ -221,6 +224,7 @@ def test_force_deflection_zero_tension(default_desc):
     assert curve.threshold_force == 0.0
     assert curve.breakpoint_deflection == 0.0
     assert curve.deflection(5.0) == 5.0 / curve.loose_slope
+    assert curve.top_force == 10.0
 
 
 def test_force_deflection_requires_soft_tendon():
