@@ -17,15 +17,15 @@ tension opens the locking ring; past that threshold further deflection is
 dominated by tendon stretch, giving a shallower second slope.
 
 All lengths mm, forces N, moduli MPa, torques N*mm, angles rad.
+
+numpy and :mod:`plc.kinematics` are imported inside the functions that use
+them, so the twist formulas (``plc stiffness twist``) load neither.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .kinematics import chain_pose
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 
 #: Most directions ``stiffness_map`` samples: about 0.5 KB each, so 0.5 GB.
@@ -42,6 +42,8 @@ def _bending_inertia(desc: RobotDescription, literal_polar: bool) -> float:
 
 
 def _check_unit(vector, what: str) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(vector, dtype=float)
     # written so that a NaN norm fails the bound too
     if v.shape != (3,) or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
@@ -60,6 +62,8 @@ def segment_strain_energy(
         U_b = (|F|^2 - (v.F)^2) L^3 / (6 E I)
         U_n = (v.F)^2 L / (2 E A)
     """
+    import numpy as np
+
     v = _check_unit(axis, "segment axis")
     f = np.asarray(force, dtype=float)
     length = desc.curve_length
@@ -77,6 +81,8 @@ def total_strain_energy(
     desc: RobotDescription, config: Configuration, force, literal_polar: bool = False
 ) -> float:
     """Chain strain energy: the same tip force loads every segment."""
+    from .kinematics import chain_pose
+
     return sum(
         segment_strain_energy(desc, axis, force, literal_polar)
         for axis in chain_pose(desc, config)[1]
@@ -90,6 +96,8 @@ class ComplianceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.array(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InvariantError("compliance matrix must be 3x3")
@@ -102,6 +110,8 @@ class ComplianceMatrix:
 
     def displacement(self, force) -> np.ndarray:
         """Tip displacement (mm) under a tip force (N)."""
+        import numpy as np
+
         return self.matrix @ np.asarray(force, dtype=float)
 
 
@@ -109,6 +119,8 @@ def compliance_from_axes(
     desc: RobotDescription, axes, literal_polar: bool = False
 ) -> ComplianceMatrix:
     """Compliance of a chain whose segments have the given axial unit vectors."""
+    import numpy as np
+
     length = desc.curve_length
     e = desc.youngs_modulus
     axial_term = length / (e * desc.spine_cross_section_area)
@@ -124,6 +136,8 @@ def firmed_compliance(
     desc: RobotDescription, config: Configuration, literal_polar: bool = False
 ) -> ComplianceMatrix:
     """Maximum-stiffness-state compliance of the chain at ``config``."""
+    from .kinematics import chain_pose
+
     return compliance_from_axes(desc, chain_pose(desc, config)[1], literal_polar)
 
 
@@ -131,6 +145,8 @@ def directional_stiffness(
     desc: RobotDescription, config: Configuration, direction, literal_polar: bool = False
 ) -> float:
     """|F| / |delta| for a unit force along ``direction``, N/mm."""
+    import numpy as np
+
     u = _check_unit(direction, "direction")
     compliance = firmed_compliance(desc, config, literal_polar)
     return 1.0 / float(np.linalg.norm(compliance.displacement(u)))
@@ -151,6 +167,8 @@ class StiffnessSample:
 
 def fibonacci_sphere(samples: int) -> np.ndarray:
     """Near-uniform unit directions, shape (samples, 3)."""
+    import numpy as np
+
     i = np.arange(samples, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / samples
     r = np.sqrt(np.maximum(0.0, 1.0 - z**2))
@@ -165,6 +183,8 @@ def stiffness_map(
     literal_polar: bool = False,
 ) -> list[StiffnessSample]:
     """Directional stiffness sampled over the sphere for plotting/export."""
+    import numpy as np
+
     if sphere_samples < 6:
         raise PlcError(f"need at least 6 sphere samples, got {sphere_samples}")
     if sphere_samples > MAX_SPHERE_SAMPLES:
@@ -240,6 +260,8 @@ class ForceDeflectionCurve:
 
     def deflection(self, force):
         """Deflection (mm) at external force(s) (N)."""
+        import numpy as np
+
         force = np.asarray(force, dtype=float)
         firm = force / self.firm_slope
         loose = self.breakpoint_deflection + (force - self.threshold_force) / self.loose_slope

@@ -111,12 +111,16 @@ def test_build_refuses_a_tip_past_the_key_range(capsys, tmp_path):
 
 
 def test_build_is_refused_past_the_cgroup_limit(capsys, tmp_path, monkeypatch):
-    # the limit leaves half of what six segments need
-    left = 10**6 * BYTES_PER_CONFIGURATION // 2
+    # the limit leaves half of what six segments need, once the group's
+    # inactive page cache counts as free
+    left, inactive = 10**6 * BYTES_PER_CONFIGURATION // 2, 50000000
     limit, usage = tmp_path / "memory.max", tmp_path / "memory.current"
+    stat = tmp_path / "memory.stat"
     limit.write_text("300000000\n")
-    usage.write_text(f"{300000000 - left}\n")
-    monkeypatch.setattr(workspace, "CGROUP_MEMORY_FILES", ((str(limit), str(usage)),))
+    usage.write_text(f"{300000000 - left + inactive}\n")
+    stat.write_text(f"active_file 7\ninactive_file {inactive}\n")
+    files = ((str(limit), str(usage), str(stat), "inactive_file"),)
+    monkeypatch.setattr(workspace, "CGROUP_MEMORY_FILES", files)
     out = tmp_path / "ws.plcw"
     robot = robot_file(tmp_path, "segment_count: 6\n")
     code, _, err = run(capsys, "workspace", "build", "--robot", robot, "--out", str(out))

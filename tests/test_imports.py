@@ -1,10 +1,11 @@
 """Each command loads only the third-party modules it runs.
 
 ``import plc`` loads none of them.  numpy is loaded by the commands that
-compute with arrays, so ``plan`` and ``normalize`` never load it.  PyYAML is
-loaded only to read a ``--robot`` description file.  scipy is loaded only to
-build a k-d tree: a one-shot ``ik`` or ``workspace accuracy`` call scans the
-index exactly instead (see ``plc.workspace.SCAN_BUDGET``).
+compute with arrays, so ``plan``, ``normalize`` and ``stiffness twist`` never
+load it.  PyYAML is loaded only to read a ``--robot`` description file.  scipy
+is loaded only to build a k-d tree: a one-shot ``ik`` or ``workspace
+accuracy`` call scans the index exactly instead (see
+``plc.workspace.SCAN_BUDGET``).
 
 Each case runs in its own fresh interpreter, because the test process has
 all of them loaded already, and one command must not hide what another
@@ -39,8 +40,9 @@ COMMANDS = [
     (["stiffness", "firm", "--robot", ROBOT, "--config", "1,2,3,4,5", "--sphere", "20"], NUMPY_YAML),
     (["stiffness", "curve", "--robot", "default", "--config", "0,0,0,0,0", "--tension", "50",
       "--direction", "1,0,0"], NUMPY),
-    (["stiffness", "twist", "--robot", "default", "--skin", "--torque", "1000"], NUMPY),
-    (["stiffness", "twist", "--robot", ROBOT, "--spine", "--torque", "1000"], NUMPY_YAML),
+    # the twist formulas are scalar: no numpy
+    (["stiffness", "twist", "--robot", "default", "--skin", "--torque", "1000"], []),
+    (["stiffness", "twist", "--robot", ROBOT, "--spine", "--torque", "1000"], ["yaml"]),
     (["normalize", "--designs", "builtin"], []),
     (["normalize", "--designs", "builtin", "--out", "table.csv"], []),
     # building, saving and reading an index need no tree

@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from plc import Configuration, RobotDescription, chain_pose, tool_position
-from plc.kinematics import _prefix_table, unit_table
+from plc.kinematics import (
+    _BLOCK_POSES,
+    _positions,
+    _prefix_table,
+    _step,
+    tip_positions,
+    unit_table,
+)
 from plc.model import InvariantError, RigidTransform, index_angle
 
 from _oracles import fk_matrix, fk_position
@@ -178,6 +186,87 @@ def test_prefix_table_depth_is_the_deepest_that_fits(teeth, segments, levels):
     assert _prefix_table(desc)[0] == levels
     if levels == 1:
         assert _prefix_table(desc)[1] is unit_table(desc)[0]
+
+
+def step_positions(rotation, position, translation):
+    """p + R t of every pose and table row by ``_step``'s einsum, broadcast as
+    the batched FK did before ``_positions``."""
+    unit_rotation = np.broadcast_to(np.eye(3), (translation.shape[0], 3, 3))
+    return _step(rotation[:, None], position[:, None], unit_rotation, translation)[1].reshape(-1, 3)
+
+
+def tips_by_step(desc):
+    """``tip_positions`` with every level's positions formed by ``_step``."""
+    rot, tra = unit_table(desc)
+    tip = tra + rot @ np.asarray(desc.tool_offset)
+    rotation, position = rot, tra
+    if desc.segment_count == 1:
+        return tip
+    for _ in range(desc.segment_count - 2):
+        rotation, position = _step(rotation[:, None], position[:, None], rot, tra)
+        rotation, position = rotation.reshape(-1, 3, 3), position.reshape(-1, 3)
+    return step_positions(rotation, position, tip)
+
+
+@pytest.mark.parametrize(
+    "poses", [1, 2, _BLOCK_POSES - 1, _BLOCK_POSES, _BLOCK_POSES + 1, 2 * _BLOCK_POSES + 3]
+)
+@pytest.mark.parametrize("teeth", [1, 4, 7])
+def test_positions_match_step_bitwise_on_random_stacks(poses, teeth):
+    rng = np.random.default_rng(poses * 10 + teeth)
+    rotation = rng.normal(size=(poses, 3, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(poses, 3, 3))
+    position = rng.normal(size=(poses, 3)) * 100.0
+    translation = rng.normal(size=(teeth, 3)) * 30.0
+    expected = step_positions(rotation, position, translation)
+    assert _positions(rotation, position, translation).tobytes() == expected.tobytes()
+
+
+def test_positions_turn_an_all_negative_zero_sum_into_positive_zero():
+    # each row's three products are -0.0 and so is the base: einsum's sum
+    # starts from +0.0, so p + R t is +0.0 where a plain sum would give -0.0
+    rotation = np.array([[[-1.0, -2.0, 3.0], [1.0, 2.0, -3.0], [-0.0, 0.0, -0.0]]] * 3)
+    position = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0], [5.0, -0.0, -0.0]])
+    translation = np.array([[0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, 2.0, 0.0]])
+    got = _positions(rotation, position, translation)
+    assert got.tobytes() == step_positions(rotation, position, translation).tobytes()
+    assert not np.signbit(got[0]).any()  # -0.0 + (-0.0) would keep the sign
+    # einsum on one pose, as chain_pose and tool_position use it
+    for r, p in zip(rotation, position):
+        for t in translation:
+            single = _step(r, p, np.eye(3), t)[1]
+            assert single.tobytes() == _positions(r[None], p[None], t[None]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(tooth_count=2, segment_count=6),  # a description has N >= 2; N=1 is a stack above
+        dict(tooth_count=997, segment_count=2),
+        dict(tooth_count=7, segment_count=4, tool_offset=(3.0, -2.0, 15.0)),
+        dict(tooth_count=4, segment_count=8, bend_angle=math.radians(45.0)),
+        dict(segment_count=1, tool_offset=(0.5, 0.0, -4.0)),
+    ],
+)
+def test_tip_positions_match_the_step_walk_bitwise(overrides):
+    desc = desc_with(**overrides)
+    assert tip_positions(desc).tobytes() == tips_by_step(desc).tobytes()
+
+
+def test_tip_positions_peak_memory_is_bounded():
+    # 24 B of tips and 24 B of the last prefix level per configuration, plus
+    # the blocks; unblocked, the kernel's 16 working rows of 8 B per pose
+    # would add 32 B
+    desc = desc_with(tooth_count=4, segment_count=9, bend_angle=math.radians(45.0))
+    unit_table(desc)  # cached, and not counted
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tip_positions(desc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * 4**9
 
 
 @pytest.mark.parametrize("fk", [chain_pose, tool_position])

@@ -67,10 +67,13 @@ def test_all_lists_every_public_name_of_the_package():
 
 
 def test_modules_define_one_way_to_do_each_job():
-    # one unit transform (the cached table) and one tool-tip expression
+    # one unit transform (the cached table) and one tool-tip expression;
+    # p + R t is spelled twice, batched (_positions) and single-pose (_step),
+    # and test_kinematics ties the two bit for bit
     assert functions_of(kinematics, private=True) == {
         "unit_table",
         "_step",
+        "_positions",
         "chain_pose",
         "_prefix_poses",
         "tip_positions",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -128,7 +129,7 @@ def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
 def test_available_memory_is_capped_by_the_address_space_limit(monkeypatch):
     resource = workspace.resource
     unlimited = workspace._available_memory()
-    in_use = workspace._proc_bytes("/proc/self/status", "VmSize")
+    in_use = workspace._field_bytes("/proc/self/status", "VmSize")
     assert in_use > 0
     monkeypatch.setattr(resource, "getrlimit", lambda _: (resource.RLIM_INFINITY,) * 2)
     assert workspace._available_memory() == pytest.approx(unlimited, rel=0.05)
@@ -143,17 +144,18 @@ def test_available_memory_is_capped_by_the_cgroup_limit(monkeypatch, tmp_path):
     resource = workspace.resource
     monkeypatch.setattr(resource, "getrlimit", lambda _: (resource.RLIM_INFINITY,) * 2)
 
-    def available(*pairs):
-        """_available_memory() with cgroup (limit, usage) files holding ``pairs``
-        (None: no such file)."""
+    def available(*groups):
+        """_available_memory() with cgroup (limit, usage[, stat]) files holding
+        ``groups`` (None: no such file; no stat: none), the stat's inactive
+        page cache read from its ``inactive_file`` line."""
         files = []
-        for i, pair in enumerate(pairs):
-            paths = (tmp_path / f"limit{i}", tmp_path / f"usage{i}")
-            for path, text in zip(paths, pair):
+        for i, group in enumerate(groups):
+            paths = (tmp_path / f"limit{i}", tmp_path / f"usage{i}", tmp_path / f"stat{i}")
+            for path, text in itertools.zip_longest(paths, group):
                 path.unlink(missing_ok=True)
                 if text is not None:
                     path.write_text(text + "\n")
-            files.append(tuple(map(str, paths)))
+            files.append((*map(str, paths), "inactive_file"))
         monkeypatch.setattr(workspace, "CGROUP_MEMORY_FILES", tuple(files))
         return workspace._available_memory()
 
@@ -167,6 +169,14 @@ def test_available_memory_is_capped_by_the_cgroup_limit(monkeypatch, tmp_path):
     assert available(("300000000", None)) == 3 * 10**8  # unread usage counts as 0
     assert available(("max", "1"), ("500000000", "100000000")) == 4 * 10**8
     assert available(("300000000", "0"), ("500000000", "0")) == 3 * 10**8
+    # inactive page cache counts as free: not past the usage, and an unread or
+    # garbled stat as none
+    stat = "active_file 5\ninactive_file 150000000\nfile 9"
+    assert available(("300000000", "250000000", stat)) == 2 * 10**8
+    assert available(("300000000", "100000000", stat)) == 3 * 10**8
+    assert available(("300000000", "250000000", "inactive_file x")) == 5 * 10**7
+    assert available(("300000000", "250000000", "inactive_file")) == 5 * 10**7
+    assert available(("300000000", "250000000", "\ntotal_inactive_file 1")) == 5 * 10**7
 
 
 def test_budget_refuses_a_vast_chain_without_printing_its_count():
