@@ -74,7 +74,11 @@ def solve_ik(
     g = index.nearest_point_index(target)
     ranks = index.bucket_ranks(g)
     digits = configuration_from_rank(ranks, desc)
-    if seed is not None:
+    if len(ranks) == 1:
+        # the one candidate is both the reference choice and the seeded pick
+        # (default_rng(seed).integers(1) is always 0), so nothing is scored
+        best = 0
+    elif seed is not None:
         best = int(np.random.default_rng(seed).integers(len(ranks)))
     else:
         scores = configuration_distance(digits, reference.indices, desc.tooth_count, metric)

@@ -17,18 +17,24 @@ joint, ``(R, p) <- (R R_k, p + R t_k)``.  :func:`chain_pose` and
 :func:`tool_position` walk that step one pose at a time with :func:`_step`;
 :func:`_prefix_poses` applies it to every prefix of the canonical enumeration
 at once, level by level, for :func:`tip_positions` and for the cached prefix
-table that :func:`tool_position` starts its walk from.  The batched levels
-form rotations as ``R[:, None] @ R_k``, the matmul of :func:`_step` (it
-rounds with FMA, which ufuncs cannot repeat), and positions with
-:func:`_positions`, a blocked kernel that writes einsum's arithmetic out in
-ufuncs: for a length-3 contraction ``np.einsum("...ij,...j->...i")`` sums
-``((R[i,0] t0 + R[i,2] t2) + R[i,1] t1)`` (two SIMD lanes, then a
-horizontal add) onto a sum started from +0.0, so a row whose three products
-are all -0.0 gives +0.0, and the kernel adds that 0.0 too.  So every path
-shares one arithmetic: at zero tool offset the end translation of
-:func:`chain_pose` equals the stored workspace point bit for bit, and
-:func:`tool_position` equals the tool offset carried through the end pose of
-:func:`chain_pose` (``RigidTransform.transform_point``) bit for bit.
+table that :func:`tool_position` starts its walk from.
+
+Positions are written out in one stated order, in IEEE float operations that
+no library can reorder: each component of p + R t is
+``p[i] + (((R[i,0] t0 + R[i,2] t2) + R[i,1] t1) + 0.0)``, in Python floats
+by :func:`_step` and in blocked ufuncs by :func:`_positions`.  It is the
+order of numpy's x86-64 einsum, ``np.einsum("...ij,...j->...i")``, which
+once formed these positions, so index files written then keep their bytes;
+the added +0.0 (einsum's start of the sum) turns a row whose three products
+are all -0.0 into +0.0.  Rotations are the one BLAS
+dependency left: both paths form them as the matmul ``R @ R_k``
+(``R[:, None] @ R_k`` batched), which rounds as the host's BLAS kernel
+does (with FMA or without), and so may differ between hosts.  So every
+path shares one arithmetic on a host: at zero tool offset the end
+translation of :func:`chain_pose` equals the stored workspace point bit for
+bit, and :func:`tool_position` equals the tool offset carried through the
+end pose of :func:`chain_pose` (``RigidTransform.transform_point``) bit for
+bit.
 """
 from __future__ import annotations
 
@@ -79,24 +85,34 @@ def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step(rotation, position, unit_rotation, unit_translation):
-    """One joint: (R, p) <- (R R_k, p + R t_k), on one pose (``rotation``
-    (3, 3), ``position`` (3,)) or on stacks that broadcast.
+    """One joint on one pose: (R, p) <- (R R_k, p + R t_k), with ``rotation``
+    and ``unit_rotation`` (3, 3) arrays and ``position`` and
+    ``unit_translation`` three floats each; the new position is three floats.
 
-    The single-pose walks use it; :func:`_positions` forms the same
-    positions, bit for bit, for every prefix pose and tooth at once.
+    Each position component is ``p + (((r0 t0 + r2 t2) + r1 t1) + 0.0)`` in
+    Python floats, the kernel order and signed zero of :func:`_positions`,
+    so the single-pose walks and the batched levels agree bit for bit.  The
+    rotation is the matmul the batched levels use, the one BLAS dependency
+    left.
     """
-    position = position + np.einsum("...ij,...j->...i", rotation, unit_translation)
-    return rotation @ unit_rotation, position
+    (r0, r1, r2), (r3, r4, r5), (r6, r7, r8) = rotation.tolist()
+    t0, t1, t2 = unit_translation
+    x, y, z = position
+    return rotation @ unit_rotation, (
+        x + (((r0 * t0 + r2 * t2) + r1 * t1) + 0.0),
+        y + (((r3 * t0 + r5 * t2) + r4 * t1) + 0.0),
+        z + (((r6 * t0 + r8 * t2) + r7 * t1) + 0.0),
+    )
 
 
 def _positions(rotation, position, translation) -> np.ndarray:
     """Positions p + R t_k (P * N, 3) of every pose (``rotation`` (P, 3, 3),
     ``position`` (P, 3)) and table row (``translation`` (N, 3)), pose-major.
 
-    The bits of ``_step(rotation[:, None], position[:, None], ...)[1]``:
-    per block of ``_BLOCK_POSES`` poses, the rotations and positions are
-    transposed to one contiguous row per component, and each tooth's
-    components are summed in einsum's order, plus 0.0, by in-place ufuncs.
+    The bits of :func:`_step` on each pose and row: per block of
+    ``_BLOCK_POSES`` poses, the rotations and positions are transposed to
+    one contiguous row per component, and each tooth's components are summed
+    in :func:`_step`'s order, plus 0.0, by in-place ufuncs.
     """
     count = rotation.shape[0]
     out = np.empty((count, translation.shape[0], 3))
@@ -116,7 +132,7 @@ def _positions(rotation, position, translation) -> np.ndarray:
                 s[i] += t
                 np.multiply(r[3 * i + 1], t1, out=t)
                 s[i] += t
-                s[i] += 0.0  # einsum's +0.0 start: an all -0.0 sum becomes +0.0
+                s[i] += 0.0  # an all -0.0 sum becomes +0.0, as in _step
                 s[i] += p[i]
             out[lo : lo + size, k] = s.T
     return out.reshape(-1, 3)
@@ -131,13 +147,13 @@ def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTran
     desc.check_configuration(config)
     rot, tra = unit_table(desc)
     first, *rest = config.indices
-    rotation, position = rot[first], tra[first]
+    rotation, position = rot[first], tra[first].tolist()
     axes = np.empty((desc.segment_count, 3))
     axes[0] = (0.0, 0.0, 1.0)
     for i, k in enumerate(rest, start=1):
         axes[i] = rotation[:, 2]
-        rotation, position = _step(rotation, position, rot[k], tra[k])
-    return RigidTransform(rotation, position), axes
+        rotation, position = _step(rotation, position, rot[k], tra[k].tolist())
+    return RigidTransform(rotation, np.array(position)), axes
 
 
 def _prefix_poses(desc: RobotDescription, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +216,8 @@ def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
     rank = 0
     for k in indices[:levels]:
         rank = rank * desc.tooth_count + k
-    rotation, position = prefix_rotation[rank], prefix_position[rank]
+    rotation, position = prefix_rotation[rank], prefix_position[rank].tolist()
     rot, tra = unit_table(desc)
     for k in indices[levels:]:
-        rotation, position = _step(rotation, position, rot[k], tra[k])
-    return rotation @ np.asarray(desc.tool_offset, dtype=float) + position
+        rotation, position = _step(rotation, position, rot[k], tra[k].tolist())
+    return rotation @ np.asarray(desc.tool_offset, dtype=float) + np.array(position)

@@ -108,6 +108,14 @@ def position_key(position) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
+def _check_bytes(point_count: int) -> int:
+    """Memory the index constructor's checks hold beyond the arrays, bytes:
+    the offsets' differences and their comparison, or one block of the key
+    check (scaled floats and int64 keys), whichever is larger.  Rounded up
+    from ``tracemalloc`` peaks of 9.0 B per point and 48.0 B per block row."""
+    return max(10 * (point_count + 1), 50 * (_SCAN_ROWS + 1))
+
+
 def _closest(points: np.ndarray, target: np.ndarray) -> tuple[float, int]:
     """Smallest exact squared distance from ``target`` to a row of ``points``,
     and the first row at exactly that distance."""
@@ -292,6 +300,12 @@ class WorkspaceIndex:
 
     @classmethod
     def load(cls, path, desc: RobotDescription) -> "WorkspaceIndex":
+        """Read an index that :meth:`save` wrote for ``desc``.
+
+        The header must match ``desc`` and the file size the header, and a
+        file whose arrays, with the constructor's checks, would need more than
+        the available memory is refused before anything is read.
+        """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size < _HEADER.size:
@@ -315,6 +329,8 @@ class WorkspaceIndex:
             expected = _HEADER.size + points_n * 24 + (points_n + 1) * 8 + configs_n * 8
             if size != expected:
                 raise PlcError(f"index file {path} is truncated or padded")
+            needed = size - _HEADER.size + _check_bytes(points_n)
+            _require_memory(needed, f"index file {path}", "load")
             arrays = []
             for dtype, count in (("<f8", points_n * 3), ("<i8", points_n + 1), ("<i8", configs_n)):
                 arrays.append(np.fromfile(fh, dtype=dtype, count=count))
@@ -371,6 +387,17 @@ def _available_memory() -> int:
     return available
 
 
+def _require_memory(needed: int, subject: str, task: str) -> None:
+    """Refuse, before any work, a ``task`` on ``subject`` that needs more
+    than ``_available_memory()``, with ``needed`` its estimated peak in bytes."""
+    available = _available_memory()
+    if needed > available:
+        raise InvariantError(
+            f"{subject} needs about {needed / 1e9:.3g} GB to {task}, "
+            f"more than the {available / 1e9:.3g} GB available"
+        )
+
+
 def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:
     """Sweep every discrete configuration and build the workspace index.
 
@@ -385,12 +412,8 @@ def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:
     if n * (teeth.bit_length() - 1) >= 64:
         raise InvariantError(f"raw configuration count {teeth}**{n} is at least 2**64")
     count = desc.raw_configuration_count
-    needed, available = count * BYTES_PER_CONFIGURATION, _available_memory()
-    if needed > available:
-        raise InvariantError(
-            f"raw configuration count {count} needs about {needed / 1e9:.3g} GB "
-            f"to enumerate, more than the {available / 1e9:.3g} GB available"
-        )
+    needed = count * BYTES_PER_CONFIGURATION
+    _require_memory(needed, f"raw configuration count {count}", "enumerate")
     if count >= 2**32:  # past _sort_and_group's 32-bit run ids and ranks
         raise InvariantError(f"raw configuration count {count} is at least 2**32")
     positions = tip_positions(desc)

@@ -109,3 +109,27 @@ class IkOracle:
             (*self.digits.T[::-1], wrapped, *self.keys.T[::-1], sq)
         )
         return tuple(int(v) for v in self.digits[order[0]])
+
+
+def ik_choice(ranks, reference, tooth_count, segment_count, metric="wrapped", seed=None):
+    """Joint indices IK picks from a bucket's enumeration ``ranks`` (in bucket
+    order): with ``seed``, the seeded uniform pick; otherwise the candidate
+    nearest ``reference`` by the wrapped or euclidean metric, scored on ints,
+    with ties to the lexicographically smallest candidate."""
+    candidates = []
+    for rank in ranks:
+        rank, digits = int(rank), []
+        for _ in range(segment_count):
+            rank, digit = divmod(rank, tooth_count)
+            digits.append(digit)
+        candidates.append(tuple(digits[::-1]))
+    if seed is not None:
+        return candidates[int(np.random.default_rng(seed).integers(len(candidates)))]
+
+    def score(candidate):
+        deltas = [abs(a - b) for a, b in zip(candidate, reference)]
+        if metric == "wrapped":
+            return sum(min(d, tooth_count - d) for d in deltas)
+        return sum(d * d for d in deltas)
+
+    return min(candidates, key=lambda candidate: (score(candidate), candidate))

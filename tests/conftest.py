@@ -4,10 +4,32 @@ import functools
 import pytest
 
 from plc import RobotDescription, WorkspaceIndex, enumerate_workspace
+from plc.files import INDEX_FORMAT_VERSION
+from plc.model import description_digest
+from plc.workspace import _HEADER
 
 
 def desc_with(**overrides) -> RobotDescription:
     return dataclasses.replace(RobotDescription(), **overrides)
+
+
+def write_sparse_index(path, desc: RobotDescription, point_count: int) -> None:
+    """An index file for ``desc`` whose header is valid for ``point_count``
+    points and every configuration, and whose arrays are a hole: the file
+    takes no disk blocks, however large its size."""
+    count = desc.raw_configuration_count
+    header = _HEADER.pack(
+        b"PLCW",
+        INDEX_FORMAT_VERSION,
+        description_digest(desc),
+        desc.segment_count,
+        desc.tooth_count,
+        point_count,
+        count,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(_HEADER.size + point_count * 24 + (point_count + 1) * 8 + count * 8)
 
 
 @functools.cache

@@ -11,6 +11,8 @@ from plc import WorkspaceIndex, parse_robot_description, workspace
 from plc.cli import main
 from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION
 
+from conftest import write_sparse_index
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ROBOT = "segment_count: 2\n"
 
@@ -97,6 +99,28 @@ def test_build_is_refused_past_the_address_space_limit(tmp_path):
     assert_domain_error(proc.returncode, proc.stderr)
     assert f"count 10000000 needs about {needed / 1e9:.3g} GB" in proc.stderr
 
+
+
+@pytest.mark.parametrize(
+    "command", [["ik", "--target", "1,2,3"], ["workspace", "export", "--format", "csv"]]
+)
+def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
+    # a sparse n=8 index (5 GB to load, no disk blocks) under an RLIMIT_AS
+    # of 1.5 GB: numpy ran out of address space reading it (exit 1, traceback)
+    path = robot_file(tmp_path, "segment_count: 8\n")
+    index = tmp_path / "n8.plcw"
+    write_sparse_index(index, parse_robot_description("segment_count: 8\n"), 10**8)
+    env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"), OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    limit = 1_500_000_000
+    proc = subprocess.run(
+        [sys.executable, "-m", "plc.cli", *command, "--robot", path, "--index", str(index)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert_domain_error(proc.returncode, proc.stderr)
+    assert "n8.plcw needs about 5 GB to load, more than the" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_build_refuses_a_tip_past_the_key_range(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from plc.ik import configuration_distance
 from plc.model import InvariantError
 from plc.workspace import WorkspaceIndex, configuration_from_rank, reach_accuracy
 
-from _oracles import IkOracle, all_configurations, tip_position
+from _oracles import (
+    IkOracle,
+    all_configurations,
+    ik_choice,
+    nearest_by_scan,
+    quantize,
+    tip_position,
+)
 from conftest import desc_with
 
 
@@ -186,3 +195,52 @@ def test_tool_offset_targets_reach_their_own_tip():
             assert_achieved_is_the_tool_tip(solution, desc, target)
             if "seed" not in options:
                 assert solution.config == config
+
+
+@pytest.fixture(scope="module")
+def index_n4_45deg():
+    # the redundant N=4, n=10, 45 deg robot: 573,339 points, largest bucket 100
+    return enumerate_workspace(
+        desc_with(tooth_count=4, segment_count=10, bend_angle=math.radians(45.0))
+    )
+
+
+def choice_targets(index, rng):
+    """Stored points of the largest bucket and of random one-member and
+    multi-member buckets (n=3 has only one-member buckets), and the midpoint
+    of the closest pair of points: a near-tie that takes the tree's exact
+    tie-break."""
+    sizes = np.diff(index.bucket_offsets)
+    chosen = [int(np.argmax(sizes))]
+    for group in (np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)):
+        if group.size:
+            chosen += rng.choice(group, 6).tolist()
+    targets = [index.points[g] for g in chosen]
+    dist, pair = index.tree.query(index.points, k=2)
+    first = int(np.argmin(dist[:, 1]))
+    a, b = index.points[first], index.points[pair[first, 1]]
+    midpoint = (a + b) / 2.0
+    assert abs(np.linalg.norm(midpoint - a) - np.linalg.norm(midpoint - b)) <= 1e-9
+    return targets + [midpoint]
+
+
+@pytest.mark.parametrize("fixture", ["index_n3", "index_n4", "index_n4_45deg"])
+def test_choice_matches_the_choice_oracle(fixture, request):
+    index = request.getfixturevalue(fixture)
+    desc = index.desc
+    teeth, n = desc.tooth_count, desc.segment_count
+    rng = np.random.default_rng(59)
+    keys = quantize(index.points)
+    for target in choice_targets(index, rng):
+        g = nearest_by_scan(index.points, keys, target)
+        ranks = index.bucket_ranks(g).tolist()
+        for _ in range(3):
+            reference = tuple(int(v) for v in rng.integers(0, teeth, n))
+            for metric in ("wrapped", "euclidean"):
+                for seed in (None, 0, 7):
+                    solution = solve_ik(
+                        index, desc, target, Configuration(reference, teeth), metric, seed
+                    )
+                    expected = ik_choice(ranks, reference, teeth, n, metric, seed)
+                    assert solution.config.indices == expected
+                    assert solution.candidate_count == len(ranks)

@@ -14,6 +14,7 @@ from plc.kinematics import (
     unit_table,
 )
 from plc.model import InvariantError, RigidTransform, index_angle
+from plc.workspace import configuration_from_rank
 
 from _oracles import fk_matrix, fk_position
 from conftest import desc_with
@@ -189,23 +190,26 @@ def test_prefix_table_depth_is_the_deepest_that_fits(teeth, segments, levels):
 
 
 def step_positions(rotation, position, translation):
-    """p + R t of every pose and table row by ``_step``'s einsum, broadcast as
-    the batched FK did before ``_positions``."""
-    unit_rotation = np.broadcast_to(np.eye(3), (translation.shape[0], 3, 3))
-    return _step(rotation[:, None], position[:, None], unit_rotation, translation)[1].reshape(-1, 3)
+    """p + R t of every pose and table row, one ``_step`` per pair, pose-major
+    as ``_positions`` returns them."""
+    eye, teeth = np.eye(3), translation.tolist()
+    rows = [_step(r, p, eye, t)[1] for r, p in zip(rotation, position.tolist()) for t in teeth]
+    return np.array(rows).reshape(-1, 3)
 
 
-def tips_by_step(desc):
-    """``tip_positions`` with every level's positions formed by ``_step``."""
+def tip_by_step(desc, digits):
+    """Tool tip of one configuration walked one pose at a time with ``_step``,
+    in ``tip_positions``' order: the prefix joints, then the last joint's tip
+    vector t_k + R_k tool_offset."""
     rot, tra = unit_table(desc)
     tip = tra + rot @ np.asarray(desc.tool_offset)
-    rotation, position = rot, tra
-    if desc.segment_count == 1:
-        return tip
-    for _ in range(desc.segment_count - 2):
-        rotation, position = _step(rotation[:, None], position[:, None], rot, tra)
-        rotation, position = rotation.reshape(-1, 3, 3), position.reshape(-1, 3)
-    return step_positions(rotation, position, tip)
+    *head, last = digits
+    if not head:
+        return tip[last]
+    rotation, position = rot[head[0]], tra[head[0]].tolist()
+    for k in head[1:]:
+        rotation, position = _step(rotation, position, rot[k], tra[k].tolist())
+    return np.array(_step(rotation, position, np.eye(3), tip[last].tolist())[1])
 
 
 @pytest.mark.parametrize(
@@ -222,19 +226,15 @@ def test_positions_match_step_bitwise_on_random_stacks(poses, teeth):
 
 
 def test_positions_turn_an_all_negative_zero_sum_into_positive_zero():
-    # each row's three products are -0.0 and so is the base: einsum's sum
-    # starts from +0.0, so p + R t is +0.0 where a plain sum would give -0.0
+    # each row's three products are -0.0 and so is the base: both spellings
+    # add +0.0 to the products' sum before the base (einsum's +0.0 start), so
+    # p + R t is +0.0 where a plain sum would give -0.0
     rotation = np.array([[[-1.0, -2.0, 3.0], [1.0, 2.0, -3.0], [-0.0, 0.0, -0.0]]] * 3)
     position = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0], [5.0, -0.0, -0.0]])
     translation = np.array([[0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, 2.0, 0.0]])
     got = _positions(rotation, position, translation)
     assert got.tobytes() == step_positions(rotation, position, translation).tobytes()
     assert not np.signbit(got[0]).any()  # -0.0 + (-0.0) would keep the sign
-    # einsum on one pose, as chain_pose and tool_position use it
-    for r, p in zip(rotation, position):
-        for t in translation:
-            single = _step(r, p, np.eye(3), t)[1]
-            assert single.tobytes() == _positions(r[None], p[None], t[None]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -248,8 +248,16 @@ def test_positions_turn_an_all_negative_zero_sum_into_positive_zero():
     ],
 )
 def test_tip_positions_match_the_step_walk_bitwise(overrides):
+    # every configuration up to 10**5 of them, else the first, the last and
+    # a seeded sample of 2,000
     desc = desc_with(**overrides)
-    assert tip_positions(desc).tobytes() == tips_by_step(desc).tobytes()
+    count = desc.raw_configuration_count
+    ranks = np.arange(count)
+    if count > 10**5:
+        sample = np.random.default_rng(count).choice(count - 2, 2000, replace=False) + 1
+        ranks = np.concatenate(([0], np.sort(sample), [count - 1]))
+    walked = [tip_by_step(desc, digits) for digits in configuration_from_rank(ranks, desc).tolist()]
+    assert tip_positions(desc)[ranks].tobytes() == np.array(walked).tobytes()
 
 
 def test_tip_positions_peak_memory_is_bounded():

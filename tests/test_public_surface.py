@@ -68,8 +68,9 @@ def test_all_lists_every_public_name_of_the_package():
 
 def test_modules_define_one_way_to_do_each_job():
     # one unit transform (the cached table) and one tool-tip expression;
-    # p + R t is spelled twice, batched (_positions) and single-pose (_step),
-    # and test_kinematics ties the two bit for bit
+    # p + R t is spelled twice in one stated order, batched (_positions) and
+    # single-pose in Python floats (_step), and test_kinematics ties the two
+    # bit for bit
     assert functions_of(kinematics, private=True) == {
         "unit_table",
         "_step",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +29,14 @@ from plc.workspace import (
     KEY_CELL,
     SCAN_BUDGET,
     WorkspaceIndex,
+    _check_bytes,
     _sort_and_group,
     configuration_from_rank,
 )
 from plc.kinematics import tip_positions
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
-from conftest import desc_with
+from conftest import desc_with, write_sparse_index
 
 
 def synthetic_index(points):
@@ -124,6 +126,60 @@ def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
         enumerate_workspace(desc)
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed)
     assert enumerate_workspace(desc).configuration_count == 1000
+
+
+def refuse_to_read(*args, **kwargs):
+    raise AssertionError("np.fromfile was called")
+
+
+def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypatch):
+    # a sparse n=8 file: 4.0 GB of arrays that take no disk blocks, refused
+    # before any read
+    desc = desc_with(segment_count=8)
+    path = tmp_path / "n8.plcw"
+    write_sparse_index(path, desc, 10**8)
+    needed = path.stat().st_size - _HEADER.size + _check_bytes(10**8)
+    assert needed == 5_000_000_018
+    monkeypatch.setattr(np, "fromfile", refuse_to_read)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: 1_500_000_000)
+    message = r"index file .*n8\.plcw needs about 5 GB to load, more than the 1\.5 GB available"
+    with pytest.raises(InvariantError, match=message):
+        WorkspaceIndex.load(path, desc)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
+    with pytest.raises(InvariantError, match="to load"):
+        WorkspaceIndex.load(path, desc)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: needed)
+    with pytest.raises(AssertionError, match="fromfile"):  # past the check, at the first read
+        WorkspaceIndex.load(path, desc)
+    monkeypatch.undo()
+    # a real file loads with exactly its estimate available, and not with less
+    path = tmp_path / "n3.plcw"
+    index_n3.save(path)
+    needed = path.stat().st_size - _HEADER.size + _check_bytes(index_n3.point_count)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
+    with pytest.raises(InvariantError, match="needs about .* GB to load"):
+        WorkspaceIndex.load(path, index_n3.desc)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: needed)
+    assert WorkspaceIndex.load(path, index_n3.desc).points.tobytes() == index_n3.points.tobytes()
+
+
+@pytest.mark.parametrize("point_count", [_SCAN_ROWS + 2, 10**6])
+def test_index_checks_stay_within_the_load_estimate(point_count):
+    # below about 330,000 points one key-check block sets the peak, above it
+    # the offsets' differences
+    points = np.zeros((point_count, 3))
+    points[:, 0] = np.arange(point_count)
+    ranks = np.arange(point_count, dtype=np.int64)
+    arrays = (points, np.arange(point_count + 1, dtype=np.int64), ranks)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        WorkspaceIndex(desc_with(), *arrays)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * _check_bytes(point_count) <= peak <= _check_bytes(point_count)
 
 
 def test_available_memory_is_capped_by_the_address_space_limit(monkeypatch):
