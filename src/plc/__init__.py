@@ -38,7 +38,6 @@ _PUBLIC = {
         "firmed_compliance",
         "force_deflection",
         "loosening_threshold",
-        "segment_strain_energy",
         "skin_twist",
         "spine_twist",
         "stiffness_map",

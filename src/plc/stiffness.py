@@ -2,15 +2,20 @@
 post-detachment force-deflection law, and torsion of spine and bellows skin.
 
 Firmed state: with every locking ring engaged the chain behaves as one
-elastic body.  Each segment stores bending + axial strain energy under the
-tip force (the force transmits unchanged along the unloaded chain), and the
-energy method (Castigliano) turns the total energy into a linear
-force -> displacement map
+elastic body.  The tip force transmits unchanged along the unloaded chain,
+so each segment adds its axial and cantilever bending compliance about its
+own axis, and the tip force -> tip displacement map is
 
-    delta = C F,   C = sum_i [ L/(EA) (v_i v_i^T) + L^3/(3EI) (I - v_i v_i^T) ]
+    delta = C F,   C = sum_i [ a v_i v_i^T + b (I - v_i v_i^T) ]
+                     = a A^T A + b (n I - A^T A)
 
-with v_i the world-frame axial unit vector of segment i.  C maps N -> mm, so
-it is a compliance; directional stiffness is reported as |F| / |delta|.
+with v_i the world-frame axial unit vector of segment i, A the (n, 3) stack
+of them, a = L/(EA) and b = L^3/(3EI).  This closed form is the only
+statement of the model here; its derivation by the energy method
+(Castigliano: C is the Hessian of the chain's strain energy in F) lives in
+``tests/_oracles.py``, which the tests differentiate to check C.  C maps
+N -> mm, so it is a compliance; directional stiffness is reported as
+|F| / |delta|.
 
 Loosening state: an external force large enough to out-lever the tendon
 tension opens the locking ring; past that threshold further deflection is
@@ -31,8 +36,11 @@ from .model import Configuration, InvariantError, PlcError, RobotDescription
 #: Most directions ``stiffness_map`` samples: about 0.5 KB each, so 0.5 GB.
 MAX_SPHERE_SAMPLES = 10**6
 
-#: Magnitude of the tip force ``stiffness_map`` applies along each direction, N.
-SAMPLE_FORCE = 50.0
+#: Range, mm/N, that a chain's n*min(a, b) and n*max(a, b) must lie in: |C u|
+#: of a unit u lies between those two, so its square (``np.linalg.norm``)
+#: stays a normal float and its reciprocal, the stiffness, is finite, with
+#: four decades to spare for rounding.
+COMPLIANCE_RANGE = (1e-150, 1e150)
 
 
 def _bending_inertia(desc: RobotDescription, literal_polar: bool) -> float:
@@ -49,44 +57,6 @@ def _check_unit(vector, what: str) -> np.ndarray:
     if v.shape != (3,) or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
         raise InvariantError(f"{what} must be a unit 3-vector")
     return v
-
-
-def segment_strain_energy(
-    desc: RobotDescription, axis, force, literal_polar: bool = False
-) -> float:
-    """Bending + axial strain energy of one segment under a tip force, N*mm.
-
-    Bending moment grows linearly from the tip, axial load is constant, so
-    the length integrals collapse to
-
-        U_b = (|F|^2 - (v.F)^2) L^3 / (6 E I)
-        U_n = (v.F)^2 L / (2 E A)
-    """
-    import numpy as np
-
-    v = _check_unit(axis, "segment axis")
-    f = np.asarray(force, dtype=float)
-    length = desc.curve_length
-    e = desc.youngs_modulus
-    inertia = _bending_inertia(desc, literal_polar)
-    area = desc.spine_cross_section_area
-    axial = float(v @ f)
-    bending_sq = float(f @ f) - axial**2
-    return bending_sq * length**3 / (6.0 * e * inertia) + axial**2 * length / (
-        2.0 * e * area
-    )
-
-
-def total_strain_energy(
-    desc: RobotDescription, config: Configuration, force, literal_polar: bool = False
-) -> float:
-    """Chain strain energy: the same tip force loads every segment."""
-    from .kinematics import chain_pose
-
-    return sum(
-        segment_strain_energy(desc, axis, force, literal_polar)
-        for axis in chain_pose(desc, config)[1]
-    )
 
 
 @dataclass(frozen=True)
@@ -118,18 +88,33 @@ class ComplianceMatrix:
 def compliance_from_axes(
     desc: RobotDescription, axes, literal_polar: bool = False
 ) -> ComplianceMatrix:
-    """Compliance of a chain whose segments have the given axial unit vectors."""
+    """Compliance of a chain whose segments have the given axial unit vectors:
+    ``a A^T A + b (n I - A^T A)`` (see the module docstring).
+
+    Refused unless ``n a`` and ``n b`` lie in :data:`COMPLIANCE_RANGE`.
+    """
     import numpy as np
 
+    stack = np.atleast_2d(np.asarray(axes, dtype=float))
+    count = stack.shape[0]
     length = desc.curve_length
     e = desc.youngs_modulus
-    axial_term = length / (e * desc.spine_cross_section_area)
-    bending_term = length**3 / (3.0 * e * _bending_inertia(desc, literal_polar))
-    total = np.zeros((3, 3))
-    for axis in np.atleast_2d(np.asarray(axes, dtype=float)):
-        outer = np.outer(axis, axis)
-        total += axial_term * outer + bending_term * (np.eye(3) - outer)
-    return ComplianceMatrix(total)
+    try:
+        axial = length / (e * desc.spine_cross_section_area)
+        bending = length**3 / (3.0 * e * _bending_inertia(desc, literal_polar))
+    except (OverflowError, ZeroDivisionError):  # a power overflows or a product underflows to 0
+        raise PlcError("a section term, L/(EA) or L^3/(3EI), leaves the float range") from None
+    low, high = COMPLIANCE_RANGE
+    if not (low <= count * min(axial, bending) and count * max(axial, bending) <= high):
+        raise PlcError(
+            f"the firmed compliance of {count} segments of L/(EA) = {axial:.3g} and "
+            f"L^3/(3EI) = {bending:.3g} mm/N lies outside the float range {low:g} to "
+            f"{high:g} mm/N the model computes in"
+        )
+    # a v v^T + b (I - v v^T) summed over the rows v; a straight segment's
+    # axial entry is a itself, as b (1 - 1) is exactly 0
+    gram = stack.T @ stack
+    return ComplianceMatrix(axial * gram + bending * (count * np.eye(3) - gram))
 
 
 def firmed_compliance(
@@ -192,8 +177,7 @@ def stiffness_map(
     compliance = firmed_compliance(desc, config, literal_polar)
     samples = []
     for direction in fibonacci_sphere(sphere_samples):
-        displacement = compliance.displacement(SAMPLE_FORCE * direction)
-        per_newton = float(np.linalg.norm(displacement)) / SAMPLE_FORCE
+        per_newton = float(np.linalg.norm(compliance.displacement(direction)))
         samples.append(
             StiffnessSample(direction=direction, stiffness=1.0 / per_newton, compliance=per_newton)
         )
@@ -299,9 +283,13 @@ def spine_twist(desc: RobotDescription, torque: float) -> float:
     """
     if not math.isfinite(torque):
         raise PlcError(f"torque must be finite, got {torque}")
-    return _finite_twist(
-        torque * desc.curve_length / (desc.spine_polar_inertia * desc.shear_modulus), torque
-    )
+    try:
+        stiffness = desc.spine_polar_inertia * desc.shear_modulus
+    except OverflowError:  # the fourth power of the diameter
+        stiffness = math.inf
+    if not 0.0 < stiffness < math.inf:
+        raise PlcError("the spine's torsional stiffness J G lies outside the float range")
+    return _finite_twist(torque * desc.curve_length / stiffness, torque)
 
 
 def _finite_twist(angle: float, torque: float) -> float:
@@ -352,14 +340,19 @@ def bellows_twist(
     u_in = inner_diameter / 2.0 - a
     u_out = outer_diameter / 2.0 - a
     rise = (outer_diameter - inner_diameter) / 2.0
-    if rise == 0.0:  # tube: constant J along the segment
-        polar = 2.0 * math.pi * thickness * u_in * (u_in**2 + a**2)
-        return _finite_twist(torque * segment_length / (polar * shear_modulus), torque)
-    ratio = a**2 * rise * (u_out + u_in) / (u_in**2 * (u_out**2 + a**2))
-    return _finite_twist(
-        torque * segment_length * math.log1p(ratio) / (math.pi * thickness**3 * rise * shear_modulus),
-        torque,
-    )
+    try:
+        if rise == 0.0:  # tube: constant J along the segment
+            polar = 2.0 * math.pi * thickness * u_in * (u_in**2 + a**2)
+            angle = torque * segment_length / (polar * shear_modulus)
+        else:
+            ratio = a**2 * rise * (u_out + u_in) / (u_in**2 * (u_out**2 + a**2))
+            angle = (
+                torque * segment_length * math.log1p(ratio)
+                / (math.pi * thickness**3 * rise * shear_modulus)
+            )
+    except (OverflowError, ZeroDivisionError):  # a power overflows or a product underflows to 0
+        raise PlcError("the bellows' torsional compliance lies outside the float range") from None
+    return _finite_twist(angle, torque)
 
 
 def skin_twist(desc: RobotDescription, torque: float) -> float:

@@ -82,6 +82,10 @@ KEY_CELL = 1e-6
 SCAN_BUDGET = 4_000_000
 _SCAN_ROWS = 1 << 16  # rows per scan block, neighbors per local block: bounds transient memory
 _UNMEASURABLE = "a target is non-finite or too far away to measure"
+#: Memory the index constructor's checks hold beyond the arrays, bytes, at
+#: any point count: they run one block of rows at a time, and the key check's
+#: scaled floats and int64 keys set the peak (``tracemalloc``: 48.0 B per row).
+_CHECK_BYTES = 50 * (_SCAN_ROWS + 1)
 
 #: Most neighbors (K x point count) ``local_omnivariance`` gathers: run time
 #: grows with it, 6.7 s at 10**7 and 45 s at 10**8 (the default robot at K=100
@@ -106,14 +110,6 @@ def position_key(position) -> np.ndarray:
             f"a position lies outside the key range of +-{2.0**63 * KEY_CELL:.3g} mm"
         )
     return scaled.astype(np.int64)
-
-
-def _check_bytes(point_count: int) -> int:
-    """Memory the index constructor's checks hold beyond the arrays, bytes:
-    the offsets' differences and their comparison, or one block of the key
-    check (scaled floats and int64 keys), whichever is larger.  Rounded up
-    from ``tracemalloc`` peaks of 9.0 B per point and 48.0 B per block row."""
-    return max(10 * (point_count + 1), 50 * (_SCAN_ROWS + 1))
 
 
 def _closest(points: np.ndarray, target: np.ndarray) -> tuple[float, int]:
@@ -172,13 +168,16 @@ class WorkspaceIndex:
             raise InvariantError("bucket_offsets must have G + 1 entries")
         if bucket_offsets[0] != 0 or bucket_offsets[-1] != bucket_members.shape[0]:
             raise InvariantError("bucket_offsets must span bucket_members exactly")
-        if np.any(np.diff(bucket_offsets) < 1):
-            raise InvariantError("every reachable point needs >= 1 configuration")
-        if not np.isfinite(points).all():
-            raise InvariantError("points must be finite")
-        # in blocks that overlap by one row, so every neighbouring pair is compared
+        # in blocks that overlap by one row, so every neighbouring pair is
+        # compared and no check holds more than one block
         for lo in range(0, points.shape[0], _SCAN_ROWS):
-            if not _strictly_ascending(position_key(points[lo : lo + _SCAN_ROWS + 1])):
+            offsets = bucket_offsets[lo : lo + _SCAN_ROWS + 1]
+            if np.any(offsets[1:] <= offsets[:-1]):
+                raise InvariantError("every reachable point needs >= 1 configuration")
+            block = points[lo : lo + _SCAN_ROWS + 1]
+            if not np.isfinite(block).all():
+                raise InvariantError("points must be finite")
+            if not _strictly_ascending(position_key(block)):
                 raise InvariantError("points must be in strictly ascending key order")
         for arr in (points, bucket_offsets, bucket_members):
             arr.setflags(write=False)
@@ -329,7 +328,7 @@ class WorkspaceIndex:
             expected = _HEADER.size + points_n * 24 + (points_n + 1) * 8 + configs_n * 8
             if size != expected:
                 raise PlcError(f"index file {path} is truncated or padded")
-            needed = size - _HEADER.size + _check_bytes(points_n)
+            needed = size - _HEADER.size + _CHECK_BYTES
             _require_memory(needed, f"index file {path}", "load")
             arrays = []
             for dtype, count in (("<f8", points_n * 3), ("<i8", points_n + 1), ("<i8", configs_n)):

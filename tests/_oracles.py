@@ -133,3 +133,34 @@ def ik_choice(ranks, reference, tooth_count, segment_count, metric="wrapped", se
         return sum(d * d for d in deltas)
 
     return min(candidates, key=lambda candidate: (score(candidate), candidate))
+
+
+def segment_strain_energy(desc, axis, force, literal_polar=False):
+    """Bending + axial strain energy of one segment under a tip force, N*mm.
+
+    The bending moment grows linearly from the tip and the axial load is
+    constant, so the length integrals collapse to
+
+        U_b = (|F|^2 - (v.F)^2) L^3 / (6 E I)
+        U_n = (v.F)^2 L / (2 E A)
+
+    with the annular section's A and I from the spine diameters (I the polar
+    moment, twice the bending one, under ``literal_polar``).
+    """
+    outer, inner = desc.spine_outer_diameter, desc.spine_inner_diameter
+    area = math.pi * (outer**2 - inner**2) / 4.0
+    inertia = math.pi * (outer**4 - inner**4) / (32.0 if literal_polar else 64.0)
+    v, f = np.asarray(axis, dtype=float), np.asarray(force, dtype=float)
+    axial = float(v @ f)
+    bending_sq = float(f @ f) - axial**2
+    length, e = desc.curve_length, desc.youngs_modulus
+    return bending_sq * length**3 / (6.0 * e * inertia) + axial**2 * length / (2.0 * e * area)
+
+
+def total_strain_energy(desc, indices, force, literal_polar=False):
+    """Chain strain energy: the same tip force loads every segment, and
+    segment i's axis is the z-column of the frame the first i joints reach."""
+    return sum(
+        segment_strain_energy(desc, fk_matrix(desc, indices[:i])[:3, 2], force, literal_polar)
+        for i in range(len(indices))
+    )

@@ -105,7 +105,7 @@ def test_build_is_refused_past_the_address_space_limit(tmp_path):
     "command", [["ik", "--target", "1,2,3"], ["workspace", "export", "--format", "csv"]]
 )
 def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
-    # a sparse n=8 index (5 GB to load, no disk blocks) under an RLIMIT_AS
+    # a sparse n=8 index (4 GB to load, no disk blocks) under an RLIMIT_AS
     # of 1.5 GB: numpy ran out of address space reading it (exit 1, traceback)
     path = robot_file(tmp_path, "segment_count: 8\n")
     index = tmp_path / "n8.plcw"
@@ -119,7 +119,7 @@ def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert_domain_error(proc.returncode, proc.stderr)
-    assert "n8.plcw needs about 5 GB to load, more than the" in proc.stderr
+    assert "n8.plcw needs about 4 GB to load, more than the" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -487,27 +487,48 @@ def test_ik_rejects_a_negative_seed(capsys, tmp_path):
 
 def test_targets_too_far_to_measure_exit_2(capsys, tmp_path):
     # finite, but the squared distance, the loosening threshold, the deflection
-    # at the top of the force grid or the twist angle overflows: refused, not a
-    # traceback or "inf"
+    # at the top of the force grid, the twist angle, or a section term or the
+    # compliance of a valid description leaves the float range: refused, not a
+    # traceback, a numpy warning or "inf"
     robot = robot_file(tmp_path)
     index_path = tmp_path / "ws.plcw"
     run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
     queries = tmp_path / "queries.csv"
     queries.write_text("x,y,z\n0,0,0\n1e200,0,0\n")
-    slack = tmp_path / "slack.yaml"
-    slack.write_text("tendon_stiffness: 1.0e-310\n")
+    descriptions = {
+        "slack": "tendon_stiffness: 1.0e-310\n",
+        "subnormal": "youngs_modulus: 1.0e-310\n",  # a = L/(EA) overflows
+        "soft": "youngs_modulus: 1.0e-300\n",  # |C u| squared overflows
+        "long": "curve_length: 1.0e+120\n",  # L**3 overflows
+        "thick": "spine_outer_diameter: 1.0e+100\n",  # D**4 overflows
+        "wide": "skin_outer_diameter: 1.0e+200\nskin_inner_diameter: 1.0e+100\n",
+    }
+    for name, text in descriptions.items():
+        (tmp_path / f"{name}.yaml").write_text(text)
+    slack, subnormal, soft, long, thick, wide = (str(tmp_path / f"{name}.yaml") for name in descriptions)
     index_args = ["--robot", robot, "--index", str(index_path)]
     curve = ["stiffness", "curve", "--config", "0,0,0,0,0", "--direction", "1,0,0"]
+    firm = ["stiffness", "firm", "--config", "0,0,0,0,0"]
     for argv in (
         ["ik", "--target=1e200,0,0", *index_args],
         ["workspace", "accuracy", "--queries", str(queries), *index_args],
         [*curve, "--tension", "1e308"],
         [*curve, "--tension", "1.5e307"],  # 2 r T overflows before the division by the lever arm
-        [*curve, "--tension", "1e10", "--robot", str(slack)],
-        [*curve, "--tension", "0", "--robot", str(slack)],  # drawn to 10 N at zero threshold
+        [*curve, "--tension", "1e10", "--robot", slack],
+        [*curve, "--tension", "0", "--robot", slack],  # drawn to 10 N at zero threshold
         ["stiffness", "twist", "--skin", "--torque", "1e308"],
         ["stiffness", "twist", "--spine", "--torque", "1e308"],
         ["stiffness", "twist", "--spine", "--torque=-1e308"],
+        [*firm, "--direction", "1,0,0", "--robot", subnormal],
+        [*firm, "--sphere", "6", "--robot", subnormal],
+        [*curve, "--tension", "20", "--robot", subnormal],
+        [*firm, "--direction", "1,0,0", "--robot", soft],
+        [*firm, "--sphere", "6", "--robot", soft],
+        [*firm, "--robot", long],
+        [*firm, "--robot", thick],
+        [*curve, "--tension", "20", "--robot", thick],
+        ["stiffness", "twist", "--spine", "--torque", "1000", "--robot", thick],
+        ["stiffness", "twist", "--skin", "--torque", "1000", "--robot", wide],
     ):
         code, out, err = run(capsys, *argv)
         assert_domain_error(code, err)

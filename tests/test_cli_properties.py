@@ -7,6 +7,7 @@ import contextlib
 import io
 import math
 import os
+import re
 from unittest import mock
 
 import pytest
@@ -36,18 +37,22 @@ vectors = st.one_of(
     lists,
 )
 
+# sizes and moduli far from the reference robot's, whose section terms,
+# compliance or torsion leave the float range; the small robots take them too,
+# so valid descriptions with such values reach the stiffness commands
+magnitudes = st.sampled_from([1e-310, 1e-300, 1e-150, 1e100, 1e120, 1e200, 1e300])
 # description fields, each with well-formed and ill-formed values
 field_values = {
     "segment_count": st.one_of(st.integers(-1, 6), st.just(True), st.floats()),
     "tooth_count": st.one_of(st.integers(-1, 24), st.just("ten"), st.floats()),
     "bend_angle": st.one_of(st.floats(-10.0, 100.0), st.floats(), st.just(None)),
-    "curve_length": st.one_of(st.floats(0.0, 1e3), st.floats(), st.integers()),
-    "youngs_modulus": st.one_of(st.floats(0.0, 1e6), st.floats()),
+    "curve_length": st.one_of(st.floats(0.0, 1e3), st.floats(), st.integers(), magnitudes),
+    "youngs_modulus": st.one_of(st.floats(0.0, 1e6), st.floats(), magnitudes),
     "poisson_ratio": st.floats(),
-    "spine_outer_diameter": st.floats(0.0, 50.0),
-    "spine_inner_diameter": st.floats(0.0, 50.0),
-    "skin_outer_diameter": st.floats(0.0, 50.0),
-    "skin_inner_diameter": st.floats(0.0, 50.0),
+    "spine_outer_diameter": st.one_of(st.floats(0.0, 50.0), magnitudes),
+    "spine_inner_diameter": st.one_of(st.floats(0.0, 50.0), magnitudes),
+    "skin_outer_diameter": st.one_of(st.floats(0.0, 50.0), magnitudes),
+    "skin_inner_diameter": st.one_of(st.floats(0.0, 50.0), magnitudes),
     "skin_thickness": st.one_of(st.floats(0.0, 10.0), st.floats()),
     "skin_convolutions": st.one_of(st.integers(-1, 10), st.text(max_size=3)),
     "tendon_anchor_radius": st.floats(),
@@ -64,6 +69,11 @@ small_robots = st.fixed_dictionaries(
     optional={
         "bend_angle": st.floats(1.0, 89.0),
         "tool_offset": st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+        **dict.fromkeys(
+            ("curve_length", "youngs_modulus", "spine_outer_diameter", "skin_outer_diameter",
+             "skin_inner_diameter"),
+            magnitudes,
+        ),
     },
 )
 documents = st.one_of(
@@ -143,6 +153,8 @@ def workdir(tmp_path_factory):
 
 
 def assert_contract(argv):
+    """Run ``argv``: it ends in an exit code, and prints no inf or NaN (the
+    suite's warning filter already turns a numpy overflow into a failure)."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -150,6 +162,7 @@ def assert_contract(argv):
     assert "Traceback" not in stderr.getvalue()
     if code:
         assert stderr.getvalue(), argv  # every failure says why
+    assert not re.search(r"\b(inf|nan)\b", stdout.getvalue()), argv
     return code, stdout.getvalue()
 
 

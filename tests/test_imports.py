@@ -11,6 +11,7 @@ Each case runs in its own fresh interpreter, because the test process has
 all of them loaded already, and one command must not hide what another
 loads.
 """
+import ast
 import json
 import os
 import subprocess
@@ -101,3 +102,15 @@ def test_local_omnivariance_loads_scipy_spatial(tmp_path):
     result = run_fresh(argv, tmp_path)
     assert result["code"] == 0
     assert "scipy.spatial" in result["loaded"]
+
+
+def test_oracles_import_nothing_from_plc():
+    # the oracles check the library, so no part of them may come from it
+    tree = ast.parse((Path(__file__).parent / "_oracles.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules and not {m for m in modules if m.split(".")[0] in ("plc", "")}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -14,14 +15,15 @@ from plc import (
     firmed_compliance,
     force_deflection,
     loosening_threshold,
-    segment_strain_energy,
     skin_twist,
     spine_twist,
     stiffness_map,
 )
+from plc.cli import main
 from plc.model import InvariantError
-from plc.stiffness import bellows_twist, compliance_from_axes, fibonacci_sphere, total_strain_energy
+from plc.stiffness import COMPLIANCE_RANGE, bellows_twist, compliance_from_axes, fibonacci_sphere
 
+from _oracles import segment_strain_energy, total_strain_energy
 from conftest import desc_with
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -92,8 +94,8 @@ def test_compliance_matches_finite_differences():
                 bump = np.zeros(3)
                 bump[axis] = step
                 gradient[axis] = (
-                    total_strain_energy(desc, config, force + bump)
-                    - total_strain_energy(desc, config, force - bump)
+                    total_strain_energy(desc, config.indices, force + bump)
+                    - total_strain_energy(desc, config.indices, force - bump)
                 ) / (2.0 * step)
             assert np.linalg.norm(gradient - predicted) / np.linalg.norm(predicted) < 1e-6
 
@@ -133,8 +135,8 @@ def test_in_plane_directional_stiffness_matches_energy_gradient(default_desc):
             bump = np.zeros(3)
             bump[axis] = step
             gradient[axis] = (
-                total_strain_energy(default_desc, config, direction + bump)
-                - total_strain_energy(default_desc, config, direction - bump)
+                total_strain_energy(default_desc, config.indices, direction + bump)
+                - total_strain_energy(default_desc, config.indices, direction - bump)
             ) / (2.0 * step)
         from_energy = 1.0 / float(np.linalg.norm(gradient))
         direct = directional_stiffness(default_desc, config, direction)
@@ -162,6 +164,26 @@ def test_stiffness_map_properties(default_desc):
         stiffness_map(default_desc, config, 10**6 + 1)
 
 
+@pytest.mark.parametrize("edge, inside", [(0, 2.0), (1, 0.5)])
+def test_firmed_model_is_refused_past_its_float_range(edge, inside):
+    # a factor of 2 inside COMPLIANCE_RANGE the map is finite and raises no
+    # numpy warning (the suite makes warnings errors); a factor of 2 outside,
+    # it is refused
+    base = desc_with(segment_count=1)
+    config = Configuration((0,), 10)
+    terms = np.diag(firmed_compliance(base, config).matrix)  # b, b, a
+    term = terms.max() if edge else terms.min()
+    for factor in (inside, 1.0 / inside):
+        scale = term / (COMPLIANCE_RANGE[edge] * factor)  # the terms go as 1 / E
+        desc = dataclasses.replace(base, youngs_modulus=base.youngs_modulus * scale)
+        if factor == inside:
+            products = [s.stiffness * s.compliance for s in stiffness_map(desc, config, 50)]
+            assert products == pytest.approx([1.0] * 50, rel=1e-15)
+        else:
+            with pytest.raises(PlcError, match="outside the float range"):
+                stiffness_map(desc, config, 50)
+
+
 def test_unit_vectors_refuse_nan(default_desc):
     config = Configuration((0, 3, 6, 1, 8), 10)
     nan = [math.nan, 0.0, 0.0]
@@ -169,8 +191,6 @@ def test_unit_vectors_refuse_nan(default_desc):
         directional_stiffness(default_desc, config, nan)
     with pytest.raises(InvariantError, match="direction must be a unit 3-vector"):
         force_deflection(default_desc, config, 20.0, nan)
-    with pytest.raises(InvariantError, match="segment axis must be a unit 3-vector"):
-        segment_strain_energy(default_desc, nan, 10.0 * Z)
 
 
 def test_loosening_threshold_values(default_desc):
@@ -343,3 +363,30 @@ def test_literal_polar_flag_halves_transverse_compliance():
     literal = firmed_compliance(desc, config, literal_polar=True).matrix
     assert literal[0, 0] == pytest.approx(standard[0, 0] / 2.0, rel=1e-15)
     assert literal[2, 2] == standard[2, 2]
+
+
+# stdout SHA-256 of stiffness commands on the reference robot and on a
+# 7-segment, 12-tooth, 45-degree one, as the per-segment sum printed them
+# before the closed form replaced it; the same under FMA and non-FMA BLAS
+STIFFNESS_DIGESTS = {
+    ("default", "firm --sphere 500"): "ab31dacfcc5c577da61a19f30910d83b204699a8200f4ca0e416d002419ada71",
+    ("default", "firm --sphere 500 --literal-polar"): "3aedc1659b77da52b1bf4afed36e93e36ce661cf078f6a68acde26f3539d7769",
+    ("default", "firm --direction 1,2,3"): "62baee226cf29b5e89bb98c2d12b3fd23240cb3d43f7d5c5f9999966804ca4f8",
+    ("default", "curve --tension 20 --direction 0,1,1"): "71b53a78cae1738c0356a9749c7e1b8173c2b351f0cdfbe708b2f6b9fd229093",
+    ("seven", "firm --sphere 500"): "abc02f5ee97107ec9cf5d49020b01346b75adf068b599ab5bac2dac6165933be",
+    ("seven", "firm --sphere 500 --literal-polar"): "2cbdb70d7b8dabc241cae17f27abc56e39622d5d70359d5b9a34c61e989de8bf",
+    ("seven", "firm --direction 1,2,3"): "a35372d8ab10aa45899d25c36ec866d497552585c157e2d34bebddba54cc5702",
+    ("seven", "curve --tension 20 --direction 0,1,1"): "5ca9a8d650a35207177f472590cd108d4ce1b316235389f813c31e23aa38f00c",
+}
+
+
+def test_stiffness_outputs_keep_their_digests(capsys, tmp_path):
+    seven = tmp_path / "seven.yaml"
+    seven.write_text("segment_count: 7\ntooth_count: 12\nbend_angle: 45\n")
+    robots = {"default": ("default", "1,7,3,0,5"), "seven": (str(seven), "0,3,6,9,11,2,5")}
+    digests = {}
+    for robot, command in STIFFNESS_DIGESTS:
+        path, config = robots[robot]
+        assert main(["stiffness", *command.split(), "--robot", path, "--config", config]) == 0
+        digests[robot, command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == STIFFNESS_DIGESTS

@@ -29,7 +29,7 @@ from plc.workspace import (
     KEY_CELL,
     SCAN_BUDGET,
     WorkspaceIndex,
-    _check_bytes,
+    _CHECK_BYTES,
     _sort_and_group,
     configuration_from_rank,
 )
@@ -138,11 +138,11 @@ def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypat
     desc = desc_with(segment_count=8)
     path = tmp_path / "n8.plcw"
     write_sparse_index(path, desc, 10**8)
-    needed = path.stat().st_size - _HEADER.size + _check_bytes(10**8)
-    assert needed == 5_000_000_018
+    needed = path.stat().st_size - _HEADER.size + _CHECK_BYTES
+    assert needed == 4_003_276_858
     monkeypatch.setattr(np, "fromfile", refuse_to_read)
     monkeypatch.setattr(workspace, "_available_memory", lambda: 1_500_000_000)
-    message = r"index file .*n8\.plcw needs about 5 GB to load, more than the 1\.5 GB available"
+    message = r"index file .*n8\.plcw needs about 4 GB to load, more than the 1\.5 GB available"
     with pytest.raises(InvariantError, match=message):
         WorkspaceIndex.load(path, desc)
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
@@ -155,7 +155,7 @@ def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypat
     # a real file loads with exactly its estimate available, and not with less
     path = tmp_path / "n3.plcw"
     index_n3.save(path)
-    needed = path.stat().st_size - _HEADER.size + _check_bytes(index_n3.point_count)
+    needed = path.stat().st_size - _HEADER.size + _CHECK_BYTES
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
     with pytest.raises(InvariantError, match="needs about .* GB to load"):
         WorkspaceIndex.load(path, index_n3.desc)
@@ -163,10 +163,11 @@ def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypat
     assert WorkspaceIndex.load(path, index_n3.desc).points.tobytes() == index_n3.points.tobytes()
 
 
-@pytest.mark.parametrize("point_count", [_SCAN_ROWS + 2, 10**6])
+@pytest.mark.parametrize("point_count", [_SCAN_ROWS + 2, 10**6, 2 * 10**6])
 def test_index_checks_stay_within_the_load_estimate(point_count):
-    # below about 330,000 points one key-check block sets the peak, above it
-    # the offsets' differences
+    # the checks run a block at a time, so one key-check block sets the peak
+    # at every point count; over the whole index, the offsets' comparison
+    # (1 B per point) or the finiteness mask (3 B) would pass it by 2 * 10**6
     points = np.zeros((point_count, 3))
     points[:, 0] = np.arange(point_count)
     ranks = np.arange(point_count, dtype=np.int64)
@@ -179,7 +180,7 @@ def test_index_checks_stay_within_the_load_estimate(point_count):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert 0.8 * _check_bytes(point_count) <= peak <= _check_bytes(point_count)
+    assert 0.8 * _CHECK_BYTES <= peak <= _CHECK_BYTES
 
 
 def test_available_memory_is_capped_by_the_address_space_limit(monkeypatch):
@@ -291,20 +292,31 @@ def test_points_out_of_key_order_are_refused(index_n3, index_n5):
                 WorkspaceIndex(index.desc, points, index.bucket_offsets, index.bucket_members)
 
 
-@pytest.mark.parametrize("row, bad", [(0, np.nan), (1000, np.inf)])
-def test_non_finite_points_are_refused(tmp_path, index_n4, row, bad):
-    points = index_n4.points.copy()
+# the last row of a key-check block is the first of the next: its own check
+# must see it before the key check of the block before
+@pytest.mark.parametrize("row, bad", [(0, np.nan), (1000, np.inf), (_SCAN_ROWS, np.nan)])
+def test_non_finite_points_are_refused(tmp_path, index_n5, row, bad):
+    points = index_n5.points.copy()
     points[row, 1] = bad
     with pytest.raises(InvariantError, match="points must be finite"):
-        WorkspaceIndex(index_n4.desc, points, index_n4.bucket_offsets, index_n4.bucket_members)
-    path = tmp_path / "n4.plcw"
-    index_n4.save(path)
+        WorkspaceIndex(index_n5.desc, points, index_n5.bucket_offsets, index_n5.bucket_members)
+    path = tmp_path / "n5.plcw"
+    index_n5.save(path)
     data = bytearray(path.read_bytes())
     at = _HEADER.size + (row * 3 + 1) * 8  # the y coordinate of point ``row``
     data[at : at + 8] = np.array([bad], dtype="<f8").tobytes()
     path.write_bytes(bytes(data))
     with pytest.raises(InvariantError, match="points must be finite"):
-        WorkspaceIndex.load(path, index_n4.desc)
+        WorkspaceIndex.load(path, index_n5.desc)
+
+
+@pytest.mark.parametrize("row", [0, _SCAN_ROWS - 1, _SCAN_ROWS])
+def test_points_without_configurations_are_refused(index_n5, row):
+    # point ``row`` gets an empty bucket, on either side of a block edge
+    offsets = index_n5.bucket_offsets.copy()
+    offsets[row + 1] = offsets[row]
+    with pytest.raises(InvariantError, match="every reachable point needs >= 1 configuration"):
+        WorkspaceIndex(index_n5.desc, index_n5.points, offsets, index_n5.bucket_members)
 
 
 @pytest.mark.parametrize(
