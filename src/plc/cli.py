@@ -84,6 +84,10 @@ def _parse_direction(text: str) -> np.ndarray:
     import numpy as np
 
     v = _parse_vector(text)
+    # scaled by the power of two that brings the largest |component| into
+    # [0.5, 1): exact, so v / |v| keeps its bits and the norm neither
+    # underflows (1e-200,0,0) nor overflows (1e200,1e200,0)
+    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise PlcError("direction must be nonzero")

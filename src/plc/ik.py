@@ -7,6 +7,14 @@ configuration; by default the distance between configurations is the sum of
 wrapped per-joint rotations, which reflects what the hardware would actually
 turn (a joint may rotate freely through a full revolution, so 324 deg and
 0 deg are one tooth apart, not nine).
+
+The achieved position is the tool tip of the chosen configuration, bit for
+bit what :func:`~plc.kinematics.tool_position` walks.  When the choice is
+the bucket's first configuration and the index passes
+``WorkspaceIndex.stores_walked_tips`` (zero tool offset, and a sample of its
+points equal to their walks), it is read from the stored point, which is
+that tip; any other choice, a tool offset, or an index built under another
+BLAS kernel class or by hand walks the chain.
 """
 from __future__ import annotations
 
@@ -60,6 +68,10 @@ def solve_ik(
     minimizing the configuration distance to ``reference`` (ties go to the
     lexicographically smallest joint-index tuple).  ``seed`` replaces the
     reference-based choice with a seeded uniform pick over the candidates.
+
+    ``achieved_position`` is the chosen configuration's ``tool_position``:
+    the stored point when it is the bucket's first configuration on an index
+    whose ``stores_walked_tips`` holds, else a walk of the chain.
     """
     if desc != index.desc:
         raise InvariantError("index was built from a different robot description")
@@ -87,7 +99,10 @@ def solve_ik(
         best = int(np.argmin(scores))
 
     config = Configuration(tuple(digits[best].tolist()), desc.tooth_count)
-    achieved = tool_position(desc, config)
+    if best == 0 and index.stores_walked_tips:
+        achieved = index.points[g].copy()  # the first configuration's tip
+    else:
+        achieved = tool_position(desc, config)
     error = float(np.linalg.norm(achieved - np.asarray(target, dtype=float)))
     return IkSolution(
         config=config,

@@ -53,8 +53,14 @@ def _check_unit(vector, what: str) -> np.ndarray:
     import numpy as np
 
     v = np.asarray(vector, dtype=float)
-    # written so that a NaN norm fails the bound too
-    if v.shape != (3,) or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
+    # a unit vector's largest |component| lies in [3**-0.5, 1 + 1e-9], so
+    # its math.frexp exponent is 0 or 1; any other vector is refused before
+    # its norm could underflow or overflow.  Written so that a NaN fails too
+    if (
+        v.shape != (3,)
+        or math.frexp(float(np.abs(v).max()))[1] not in (0, 1)
+        or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9
+    ):
         raise InvariantError(f"{what} must be a unit 3-vector")
     return v
 

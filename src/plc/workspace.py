@@ -22,10 +22,18 @@ is the smallest key because the constructor checks the key order.  So scan
 and tree agree bit for bit, ``reach_accuracy`` included.  Building and saving
 an index need neither.
 
-The index is immutable apart from that count and the cached tree, and is
-safe for concurrent queries: racing queries may both build the tree, or
-lose an update to the count, and either way only extra work is done, never
-a different answer.
+At zero tool offset each stored point is, bit for bit, the
+:func:`~plc.kinematics.tool_position` of its bucket's first configuration on
+the host that built the index, and ``solve_ik`` answers that configuration
+with it on an index that passes ``stores_walked_tips``, a check of a fixed
+sample of points run once on first use.  A file written under a BLAS kernel
+that rounds the rotations differently, or a hand-built index, fails it, and
+its queries walk the chain.
+
+The index is immutable apart from that count and the cached tree and tip
+check, and is safe for concurrent queries: racing queries may both build the
+tree or run the check, or lose an update to the count, and either way only
+extra work is done, never a different answer.
 """
 from __future__ import annotations
 
@@ -37,8 +45,9 @@ import struct
 import numpy as np
 
 from .files import INDEX_FORMAT_VERSION, atomic_open
-from .kinematics import tip_positions
+from .kinematics import tip_positions, tool_position
 from .model import (
+    Configuration,
     InvariantError,
     PlcError,
     RobotDescription,
@@ -80,6 +89,9 @@ KEY_CELL = 1e-6
 #: 2-core Xeon, well under the scipy import and tree build it spares a
 #: one-shot query.
 SCAN_BUDGET = 4_000_000
+#: Stored points, evenly spaced with the first and last among them, that
+#: ``stores_walked_tips`` compares with the walk: 32 walks take about 1 ms.
+TIP_SAMPLE = 32
 _SCAN_ROWS = 1 << 16  # rows per scan block, neighbors per local block: bounds transient memory
 _UNMEASURABLE = "a target is non-finite or too far away to measure"
 #: Memory the index constructor's checks hold beyond the arrays, bytes, at
@@ -194,6 +206,30 @@ class WorkspaceIndex:
 
         # unbalanced, uncompacted nodes build faster and answer the same queries
         return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+
+    @functools.cached_property
+    def stores_walked_tips(self) -> bool:
+        """Whether each stored point is taken to be, bit for bit, the
+        :func:`~plc.kinematics.tool_position` of its bucket's first
+        configuration; checked on first use.
+
+        False at a nonzero tool offset: offset tips are stored as
+        p + R (t_k + R_k o), which rounds differently from the walk.  Else
+        True if every point of a fixed sample (``TIP_SAMPLE`` evenly spaced
+        rows, the first and last among them) equals its walk, as every point
+        of an index built on this host does.  An index written under a BLAS
+        kernel that rounds the rotations differently, or a hand-built one,
+        fails the sample.
+        """
+        if any(self.desc.tool_offset):
+            return False
+        count = min(TIP_SAMPLE, self.point_count)
+        for g in np.linspace(0, self.point_count - 1, count, dtype=np.int64).tolist():
+            first = configuration_from_rank(self.bucket_ranks(g)[0], self.desc)
+            config = Configuration(tuple(first.tolist()), self.desc.tooth_count)
+            if tool_position(self.desc, config).tobytes() != self.points[g].tobytes():
+                return False
+        return True
 
     def _scans(self, queries: int) -> bool:
         """Whether the next ``queries`` queries scan every point, not the tree.

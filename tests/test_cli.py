@@ -535,6 +535,20 @@ def test_targets_too_far_to_measure_exit_2(capsys, tmp_path):
         assert out == ""
 
 
+@pytest.mark.parametrize("scaled, plain", [("1e-200,0,0", "1,0,0"), ("1e200,1e200,0", "1,1,0")])
+@pytest.mark.parametrize("command", [["firm"], ["curve", "--tension", "20"]])
+def test_direction_norm_neither_underflows_nor_overflows(capsys, command, scaled, plain):
+    # the square of 1e-200 underflows to 0 and that of 1e200 overflows, but
+    # the norm is taken of the vector scaled by a power of two
+    base = ["stiffness", *command, "--robot", "default", "--config", "0,0,0,0,0"]
+    code, out, err = run(capsys, *base, f"--direction={scaled}")
+    assert (code, out, err) == run(capsys, *base, f"--direction={plain}")
+    assert (code, err) == (0, "")
+    if command == ["firm"]:  # the row starts with the unit direction
+        unit = {"1,0,0": "1,0,0,", "1,1,0": "0.707106781,0.707106781,0,"}[plain]
+        assert out.splitlines()[1].startswith(unit)
+
+
 def test_stiffness_rejects_non_finite_direction(capsys):
     code, _, err = run(
         capsys, "stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0",

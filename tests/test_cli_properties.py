@@ -12,8 +12,9 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from plc import stiffness
 from plc.cli import main
 from plc.ik import METRICS
 
@@ -26,13 +27,22 @@ number_texts = st.one_of(
     st.sampled_from(["", " ", "nan", "-inf", "1e400", "-0", "0x10", "1_0", "x", "1" + "0" * 400]),
 )
 lists = st.lists(number_texts, max_size=6).map(",".join)
+
+
+def mostly(common, rare):
+    """Values of ``common`` about nine times in ten, else of ``rare``.  (A
+    flatmap over ``st.integers(0, 9)`` would draw ``rare`` about half the
+    time: hypothesis favours the ends of a range.)"""
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda usual: common if usual else rare)
+
+
 texts = st.one_of(lists, st.text(max_size=12))
 # mostly well-formed configurations and directions, so the commands run
 configs = st.one_of(
     st.lists(st.integers(0, 11), min_size=1, max_size=6).map(lambda v: ",".join(map(str, v))),
     lists,
 )
-vectors = st.one_of(
+vectors = mostly(
     st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(lambda v: ",".join(map(repr, v))),
     lists,
 )
@@ -110,7 +120,7 @@ def commands(configs):
             st.one_of(
                 st.just([]),
                 vectors.map(lambda v: [f"--direction={v}"]),
-                st.one_of(st.integers(-2, 300).map(str), texts).map(lambda n: [f"--sphere={n}"]),
+                mostly(st.integers(-2, 300).map(str), texts).map(lambda n: [f"--sphere={n}"]),
             ),
             st.sampled_from([[], ["--literal-polar"]]),
         ),
@@ -120,7 +130,7 @@ def commands(configs):
                 f"--direction={direction}",
             ],
             configs,
-            number_texts,
+            mostly(st.floats(0.0, 1e3).map(repr), number_texts),
             vectors,
         ),
         st.builds(
@@ -133,8 +143,9 @@ def commands(configs):
 
 @st.composite
 def invocations(draw):
-    """(robot source, description document, argument list); a small robot's
-    configurations mostly fit it, so most of its commands run to the end."""
+    """(robot source, description document, argument list); the
+    configurations mostly fit the robot's segment and tooth counts (the
+    reference robot's for a document), so most commands reach their model."""
     source = draw(st.sampled_from(["robot", "document", "default", "missing"]))
     document, segments, teeth = "", 5, 10
     if source == "robot":
@@ -144,7 +155,7 @@ def invocations(draw):
         document = draw(documents)
     fitting = st.lists(st.integers(0, teeth - 1), min_size=segments, max_size=segments)
     fitting = fitting.map(lambda v: ",".join(map(str, v)))
-    return source, document, draw(commands(st.one_of(fitting, configs)))
+    return source, document, draw(commands(mostly(fitting, configs)))
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +177,12 @@ def assert_contract(argv):
     return code, stdout.getvalue()
 
 
+# the stiffness formulas: the firmed compliance and the two twists
+MODELS = ("compliance_from_axes", "spine_twist", "bellows_twist")
+
+
 @checked
-@given(invocations(), st.booleans(), st.lists(texts, max_size=2))
+@given(invocations(), st.booleans(), mostly(st.just([]), st.lists(texts, min_size=1, max_size=2)))
 def test_commands_end_in_an_exit_code(workdir, invocation, out, extra):
     source, document, command = invocation
     robot = {"default": "default", "missing": str(workdir / "none")}.get(source)
@@ -175,7 +190,13 @@ def test_commands_end_in_an_exit_code(workdir, invocation, out, extra):
         robot = workdir / "robot.yaml"
         robot.write_text(document, encoding="utf-8")
     out = ["--out", str(workdir / "out.csv")] if out else []
-    assert_contract([*command, "--robot", str(robot), *out, *extra])
+    with contextlib.ExitStack() as stack:
+        models = [
+            stack.enter_context(mock.patch.object(stiffness, name, wraps=getattr(stiffness, name)))
+            for name in MODELS
+        ]
+        assert_contract([*command, "--robot", str(robot), *out, *extra])
+    event("reaches a stiffness model" if any(m.called for m in models) else "stops before a model")
 
 
 @checked

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plc
 from plc import (
     Configuration,
     PlcError,
@@ -11,10 +16,11 @@ from plc import (
     ik,
     kinematics,
     solve_ik,
+    workspace,
 )
 from plc.ik import configuration_distance
 from plc.model import InvariantError
-from plc.workspace import WorkspaceIndex, configuration_from_rank, reach_accuracy
+from plc.workspace import TIP_SAMPLE, WorkspaceIndex, configuration_from_rank, reach_accuracy
 
 from _oracles import (
     IkOracle,
@@ -43,6 +49,17 @@ def redundant_index(members_per_bucket):
     return WorkspaceIndex(desc, points, offsets, np.array(members, dtype=np.int64))
 
 
+def member(index, g, k=0):
+    """The k-th configuration of point g's bucket (the first by default)."""
+    digits = configuration_from_rank(index.bucket_ranks(g)[k], index.desc)
+    return Configuration(tuple(digits.tolist()), index.desc.tooth_count)
+
+
+def assert_walked(solution, desc):
+    walked = kinematics.tool_position(desc, solution.config)
+    assert solution.achieved_position.tobytes() == walked.tobytes()
+
+
 def test_exact_target_with_unique_preimage(index_n3):
     desc = index_n3.desc
     g = bucket_of_size(index_n3, 1)
@@ -64,6 +81,7 @@ def test_reference_member_selects_itself(index_n5):
         solution = solve_ik(index_n5, desc, index_n5.points[g], reference)
         assert solution.config == reference
         assert solution.candidate_count == len(configs)
+        assert_walked(solution, desc)  # the stored point is the first member's tip only
 
 
 def test_matches_exhaustive_oracle(index_n3):
@@ -132,6 +150,96 @@ def test_solve_ik_does_not_walk_chain_pose(index_n3, monkeypatch):
     assert solution.position_error < 1e-9
 
 
+def test_first_member_answers_from_the_stored_point(index_n4, monkeypatch):
+    desc = index_n4.desc
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kinematics.tool_position(*args)
+
+    for module in (ik, workspace):
+        monkeypatch.setattr(module, "tool_position", counted)
+    sizes = np.diff(index_n4.bucket_offsets)
+    singles = np.flatnonzero(sizes == 1)
+    reference = Configuration((0, 0, 0, 0), 10)
+    solve_ik(index_n4, desc, index_n4.points[singles[0]], reference)
+    assert index_n4.stores_walked_tips
+    assert len(calls) == TIP_SAMPLE  # the sample check, once, and no walk
+    calls.clear()
+    for g in singles[:50].tolist():
+        solution = solve_ik(index_n4, desc, index_n4.points[g], reference)
+        assert solution.achieved_position.tobytes() == index_n4.points[g].tobytes()
+        assert solution.achieved_position.flags.writeable  # a copy, not a view
+    assert calls == []
+    # any other member of a bucket is walked
+    g = int(np.flatnonzero(sizes > 1)[0])
+    second = member(index_n4, g, 1)
+    solution = solve_ik(index_n4, desc, index_n4.points[g], second)
+    assert solution.config == second
+    assert len(calls) == 1
+    assert_walked(solution, desc)
+
+
+def test_hand_built_index_walks_the_chain():
+    # hand-chosen points that are no configuration's tip
+    index = redundant_index([[3], [1, 7], [0, 4, 9]])
+    assert not index.stores_walked_tips
+    for point in index.points:
+        for options in OPTIONS:
+            solution = solve_ik(index, index.desc, point, Configuration((5,), 10), **options)
+            assert_walked(solution, index.desc)
+
+
+@pytest.mark.parametrize("nudged", [slice(None), slice(-1, None)])
+def test_nudged_index_walks_the_chain(index_n4, nudged):
+    # every point, or only the last, one ulp off its tip: the sample takes
+    # the first and last rows
+    points = index_n4.points.copy()
+    points[nudged] = np.nextafter(points[nudged], np.inf)
+    index = WorkspaceIndex(index_n4.desc, points, index_n4.bucket_offsets, index_n4.bucket_members)
+    assert not index.stores_walked_tips
+    rng = np.random.default_rng(61)
+    for g in [index.point_count - 1, *rng.choice(index.point_count, 200, replace=False).tolist()]:
+        for options in OPTIONS:
+            solution = solve_ik(index, index.desc, points[g], Configuration((0, 0, 0, 0), 10), **options)
+            assert_walked(solution, index.desc)
+
+
+def test_index_from_another_blas_kernel_walks_the_chain(tmp_path):
+    # the rotations' matmuls round as the BLAS CPU kernel does: under a kernel
+    # with FMA, a third of the n=3 points differ from a build without it
+    desc = desc_with(segment_count=3)
+    path = tmp_path / "nehalem.plcw"
+    build = (
+        "import sys; from plc import RobotDescription, enumerate_workspace; "
+        "enumerate_workspace(RobotDescription(segment_count=3)).save(sys.argv[1])"
+    )
+    source = str(Path(plc.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": source}
+    subprocess.run([sys.executable, "-c", build, str(path)], env=env, check=True, timeout=120)
+    index = WorkspaceIndex.load(path, desc)
+    same_kernel = index.points.tobytes() == enumerate_workspace(desc).points.tobytes()
+    assert index.stores_walked_tips == same_kernel
+    for point in index.points:
+        assert_walked(solve_ik(index, desc, point, Configuration((0, 0, 0), 10)), desc)
+
+
+@pytest.mark.parametrize(
+    "fixture, sample", [("index_n3", None), ("index_n4", None), ("index_n4_45deg", 2000)]
+)
+def test_every_stored_point_is_its_first_members_walk(fixture, sample, request):
+    # what solve_ik answers from the stored point, and the sample check relies on
+    index = request.getfixturevalue(fixture)
+    rows = range(index.point_count)
+    if sample is not None:
+        rows = np.random.default_rng(67).choice(index.point_count, sample, replace=False).tolist()
+    for g in rows:
+        walked = kinematics.tool_position(index.desc, member(index, g))
+        assert walked.tobytes() == index.points[g].tobytes()
+    assert index.stores_walked_tips
+
+
 def test_wrapped_metric_measures_actual_rotation():
     # tooth indices 9 and 0 are one step apart on a freely rotating joint
     assert configuration_distance([9], [0], 10, "wrapped") == 1
@@ -186,6 +294,11 @@ def test_description_mismatch_is_rejected(index_n3):
 def test_tool_offset_targets_reach_their_own_tip():
     desc = desc_with(segment_count=3, tool_offset=(0.0, 0.0, 15.0))
     index = enumerate_workspace(desc)
+    assert not index.stores_walked_tips  # offset tips round differently from the walk
+    # a one-joint robot's offset tips equal their walks, and still no offset
+    # index answers from its points
+    one_joint = enumerate_workspace(desc_with(segment_count=1, tool_offset=(0.0, 0.0, 15.0)))
+    assert not one_joint.stores_walked_tips
     for indices in all_configurations(desc):
         config = Configuration(indices, desc.tooth_count)
         target = tip_position(desc, indices)

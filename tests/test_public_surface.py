@@ -166,6 +166,7 @@ def test_value_types_carry_only_what_the_library_reads():
     }
     assert members_of(WorkspaceIndex) == {
         "__init__",
+        "stores_walked_tips",
         "tree",
         "_scans",
         "_scan_nearest",

@@ -193,6 +193,23 @@ def test_unit_vectors_refuse_nan(default_desc):
         force_deflection(default_desc, config, 20.0, nan)
 
 
+@pytest.mark.parametrize(
+    "direction",
+    [
+        [1e200, 1e200, 0.0],  # its square overflows: refused without a warning
+        [1e-200, 0.0, 0.0],  # its square underflows
+        [1.0 + 2e-9, 0.0, 0.0],
+        [0.5, 0.5, 0.5],
+    ],
+)
+def test_unit_vectors_refuse_non_units(default_desc, direction):
+    config = Configuration((0, 3, 6, 1, 8), 10)
+    with pytest.raises(InvariantError, match="direction must be a unit 3-vector"):
+        directional_stiffness(default_desc, config, direction)
+    with pytest.raises(InvariantError, match="direction must be a unit 3-vector"):
+        force_deflection(default_desc, config, 20.0, direction)
+
+
 def test_loosening_threshold_values(default_desc):
     assert loosening_threshold(default_desc, 50.0) == pytest.approx(30.0, rel=1e-15)
     assert loosening_threshold(default_desc, 30.0) == pytest.approx(18.0, rel=1e-15)
