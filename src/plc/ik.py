@@ -8,23 +8,31 @@ wrapped per-joint rotations, which reflects what the hardware would actually
 turn (a joint may rotate freely through a full revolution, so 324 deg and
 0 deg are one tooth apart, not nine).
 
-The achieved position is the tool tip of the chosen configuration, bit for
-bit what :func:`~plc.kinematics.tool_position` walks.  When the choice is
-the bucket's first configuration and the index passes
+The chosen configuration's indices are the digits of its enumeration rank,
+taken with Python ``divmod``; only an unseeded choice among several
+candidates forms the candidates' digits as an array to score them.  The
+achieved position is the tool tip of the chosen configuration, bit for bit
+what :func:`~plc.kinematics.tool_position` walks.  When the choice is the
+bucket's first configuration and the index passes
 ``WorkspaceIndex.stores_walked_tips`` (zero tool offset, and a sample of its
 points equal to their walks), it is read from the stored point, which is
 that tip; any other choice, a tool offset, or an index built under another
-BLAS kernel class or by hand walks the chain.
+BLAS kernel class or by hand walks the chain.  The index runs that check on
+the first-configuration answer after ``TIP_SAMPLE`` walked ones, so the
+first answers walk.  The error is ``sqrt(d.dot(d))`` of the offset ``d``
+from the target, the same dot product and correctly rounded square root
+that ``np.linalg.norm`` takes of a float vector, so its bits are the same.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import tool_position
 from .model import METRICS, Configuration, InvariantError, PlcError, RobotDescription
-from .workspace import WorkspaceIndex, configuration_from_rank
+from .workspace import WorkspaceIndex, _rank_indices, configuration_from_rank
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,13 @@ def solve_ik(
 
     ``achieved_position`` is the chosen configuration's ``tool_position``:
     the stored point when it is the bucket's first configuration on an index
-    whose ``stores_walked_tips`` holds, else a walk of the chain.
+    whose ``stores_walked_tips`` holds (checked once, after the index's first
+    ``TIP_SAMPLE`` such answers have walked), else a walk of the chain.  The
+    chosen indices come from its rank in Python ints, and ``position_error``
+    is ``math.sqrt`` of the offset's dot product with itself: the bits
+    ``np.linalg.norm`` gives.
     """
-    if desc != index.desc:
+    if desc is not index.desc and desc != index.desc:
         raise InvariantError("index was built from a different robot description")
     desc.check_configuration(reference)
     if metric not in METRICS:
@@ -83,9 +95,9 @@ def solve_ik(
     ):
         raise PlcError(f"seed must be a non-negative integer, got {seed!r}")
 
+    target = np.asarray(target, dtype=float)
     g = index.nearest_point_index(target)
     ranks = index.bucket_ranks(g)
-    digits = configuration_from_rank(ranks, desc)
     if len(ranks) == 1:
         # the one candidate is both the reference choice and the seeded pick
         # (default_rng(seed).integers(1) is always 0), so nothing is scored
@@ -93,17 +105,19 @@ def solve_ik(
     elif seed is not None:
         best = int(np.random.default_rng(seed).integers(len(ranks)))
     else:
+        digits = configuration_from_rank(ranks, desc)
         scores = configuration_distance(digits, reference.indices, desc.tooth_count, metric)
         # buckets are in canonical order, so argmin's first hit is the
         # lexicographically smallest tied candidate
         best = int(np.argmin(scores))
 
-    config = Configuration(tuple(digits[best].tolist()), desc.tooth_count)
-    if best == 0 and index.stores_walked_tips:
+    config = Configuration(_rank_indices(int(ranks[best]), desc), desc.tooth_count)
+    if best == 0 and index._answers_from_points():
         achieved = index.points[g].copy()  # the first configuration's tip
     else:
         achieved = tool_position(desc, config)
-    error = float(np.linalg.norm(achieved - np.asarray(target, dtype=float)))
+    offset = achieved - target
+    error = math.sqrt(offset.dot(offset))
     return IkSolution(
         config=config,
         achieved_position=achieved,

@@ -200,6 +200,19 @@ class Configuration:
     tooth_count: int
 
     def __post_init__(self):
+        indices, teeth = self.indices, self.tooth_count
+        # the common case, a tuple of plain ints in range, in one pass; any
+        # other input takes the checks below, which refuse or convert it
+        if (
+            type(teeth) is int
+            and teeth >= 2
+            and type(indices) is tuple
+            and indices
+            and all(type(k) is int for k in indices)
+            and 0 <= min(indices)
+            and max(indices) < teeth
+        ):
+            return
         object.__setattr__(self, "indices", tuple(self.indices))
         if isinstance(self.tooth_count, bool) or not isinstance(self.tooth_count, int):
             raise InvariantError(f"tooth_count must be an integer, got {self.tooth_count!r}")

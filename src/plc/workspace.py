@@ -26,13 +26,15 @@ At zero tool offset each stored point is, bit for bit, the
 :func:`~plc.kinematics.tool_position` of its bucket's first configuration on
 the host that built the index, and ``solve_ik`` answers that configuration
 with it on an index that passes ``stores_walked_tips``, a check of a fixed
-sample of points run once on first use.  A file written under a BLAS kernel
-that rounds the rotations differently, or a hand-built index, fails it, and
-its queries walk the chain.
+sample of ``TIP_SAMPLE`` points.  The check costs as many walks as it
+samples, so it runs once per index, on the first-configuration answer that
+follows ``TIP_SAMPLE`` walked ones: a one-shot query walks and never pays for
+it.  A file written under a BLAS kernel that rounds the rotations
+differently, or a hand-built index, fails it, and its queries walk the chain.
 
-The index is immutable apart from that count and the cached tree and tip
-check, and is safe for concurrent queries: racing queries may both build the
-tree or run the check, or lose an update to the count, and either way only
+The index is immutable apart from those two counts and the cached tree and
+tip check, and is safe for concurrent queries: racing queries may both build
+the tree or run the check, or lose an update to a count, and either way only
 extra work is done, never a different answer.
 """
 from __future__ import annotations
@@ -91,6 +93,7 @@ KEY_CELL = 1e-6
 SCAN_BUDGET = 4_000_000
 #: Stored points, evenly spaced with the first and last among them, that
 #: ``stores_walked_tips`` compares with the walk: 32 walks take about 1 ms.
+#: It is also how many first-configuration answers walk before the check runs.
 TIP_SAMPLE = 32
 _SCAN_ROWS = 1 << 16  # rows per scan block, neighbors per local block: bounds transient memory
 _UNMEASURABLE = "a target is non-finite or too far away to measure"
@@ -150,6 +153,15 @@ def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
     return (rank[..., None] // powers) % teeth
 
 
+def _rank_indices(rank: int, desc: RobotDescription) -> tuple[int, ...]:
+    """Joint indices of one enumeration rank as a tuple of Python ints: the
+    digits ``configuration_from_rank`` gives, by ``divmod`` from the last joint."""
+    indices = [0] * desc.segment_count
+    for joint in range(desc.segment_count - 1, -1, -1):
+        rank, indices[joint] = divmod(rank, desc.tooth_count)
+    return tuple(indices)
+
+
 class WorkspaceIndex:
     """Reachable-point set with nearest-point queries and, per point, the
     enumeration ranks of the configurations that reach it.
@@ -198,6 +210,7 @@ class WorkspaceIndex:
         self.bucket_offsets = bucket_offsets
         self.bucket_members = bucket_members
         self._scanned = 0  # point distances scanned so far, up to SCAN_BUDGET
+        self._first_walks = 0  # first configurations walked so far, up to TIP_SAMPLE
 
     @functools.cached_property
     def tree(self):
@@ -225,11 +238,24 @@ class WorkspaceIndex:
             return False
         count = min(TIP_SAMPLE, self.point_count)
         for g in np.linspace(0, self.point_count - 1, count, dtype=np.int64).tolist():
-            first = configuration_from_rank(self.bucket_ranks(g)[0], self.desc)
-            config = Configuration(tuple(first.tolist()), self.desc.tooth_count)
+            first = _rank_indices(int(self.bucket_ranks(g)[0]), self.desc)
+            config = Configuration(first, self.desc.tooth_count)
             if tool_position(self.desc, config).tobytes() != self.points[g].tobytes():
                 return False
         return True
+
+    def _answers_from_points(self) -> bool:
+        """Whether ``solve_ik``'s next answer of a bucket's first
+        configuration is read from the stored point, not walked.
+
+        The check ``stores_walked_tips`` costs ``TIP_SAMPLE`` walks, so the
+        first ``TIP_SAMPLE`` such answers walk, counted here, and the next
+        one runs the check: a one-shot query never pays for it.
+        """
+        if self._first_walks < TIP_SAMPLE:
+            self._first_walks += 1
+            return False
+        return self.stores_walked_tips
 
     def _scans(self, queries: int) -> bool:
         """Whether the next ``queries`` queries scan every point, not the tree.

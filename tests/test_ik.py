@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -119,16 +120,16 @@ def test_resolving_again_with_answer_is_idempotent(index_n5):
 def assert_achieved_is_the_tool_tip(solution, desc, target):
     expected = chain_pose(desc, solution.config)[0].transform_point(desc.tool_offset)
     assert solution.achieved_position.tobytes() == expected.tobytes()
-    assert solution.position_error == pytest.approx(
-        float(np.linalg.norm(solution.achieved_position - target)), abs=0.0
-    )
+    # bit for bit the norm, which solve_ik takes as sqrt(d.dot(d))
+    error = float(np.linalg.norm(solution.achieved_position - np.asarray(target, dtype=float)))
+    assert solution.position_error.hex() == error.hex()
 
 
 # the reference choice, a seeded pick and the other metric
 OPTIONS = [{}, {"seed": 5}, {"metric": "euclidean"}]
 
 
-def test_achieved_position_matches_error():
+def test_achieved_position_matches_error(index_n4_45deg):
     rng = np.random.default_rng(53)
     for tool_offset in [(0.0, 0.0, 0.0), (3.0, -2.0, 15.0)]:
         desc = desc_with(segment_count=3, tool_offset=tool_offset)
@@ -137,6 +138,51 @@ def test_achieved_position_matches_error():
             for options in OPTIONS:
                 solution = solve_ik(index, desc, target, Configuration((0, 0, 0), 10), **options)
                 assert_achieved_is_the_tool_tip(solution, desc, target)
+    # the redundant robot, with targets as the ik benchmark draws them:
+    # stored points jittered by 1 mm, and points 400 mm beyond the reach
+    index, desc = index_n4_45deg, index_n4_45deg.desc
+    points = index.points[rng.choice(index.point_count, 60, replace=False)]
+    directions = rng.normal(size=(20, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    reach = float(np.linalg.norm(index.points, axis=1).max())
+    targets = [*(points + rng.normal(0.0, 1.0, points.shape)), *(directions * (reach + 400.0))]
+    for target in targets:
+        ranks = index.bucket_ranks(index.nearest_point_index(target))
+        candidates = configuration_from_rank(ranks, desc).tolist()
+        reference = Configuration(tuple(rng.integers(0, 4, 10).tolist()), 4)
+        for options in OPTIONS:
+            solution = solve_ik(index, desc, target, reference, **options)
+            assert_achieved_is_the_tool_tip(solution, desc, target)
+            # the Python-int digits of the chosen rank are the array digits
+            assert list(solution.config.indices) in candidates
+            assert solution.config.indices == ik_choice(ranks, reference.indices, 4, 10, **options)
+            assert solution.candidate_count == len(ranks)
+
+
+def test_only_an_unseeded_multi_member_choice_forms_digit_arrays(index_n4, monkeypatch):
+    desc = index_n4.desc
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return configuration_from_rank(*args)
+
+    monkeypatch.setattr(ik, "configuration_from_rank", counted)
+    sizes = np.diff(index_n4.bucket_offsets)
+    single = int(np.flatnonzero(sizes == 1)[0])
+    multi = int(np.flatnonzero(sizes > 1)[0])
+    reference = Configuration((0, 0, 0, 0), 10)
+    for g, options, expected in [
+        (single, {}, 0),
+        (single, {"seed": 7}, 0),
+        (multi, {"seed": 7}, 0),
+        (multi, {}, 1),
+        (multi, {"metric": "euclidean"}, 1),
+    ]:
+        calls.clear()
+        solution = solve_ik(index_n4, desc, index_n4.points[g], reference, **options)
+        assert len(calls) == expected
+        assert_walked(solution, desc)
 
 
 def test_solve_ik_does_not_walk_chain_pose(index_n3, monkeypatch):
@@ -161,13 +207,23 @@ def test_first_member_answers_from_the_stored_point(index_n4, monkeypatch):
     for module in (ik, workspace):
         monkeypatch.setattr(module, "tool_position", counted)
     sizes = np.diff(index_n4.bucket_offsets)
-    singles = np.flatnonzero(sizes == 1)
+    singles = np.flatnonzero(sizes == 1).tolist()
     reference = Configuration((0, 0, 0, 0), 10)
-    solve_ik(index_n4, desc, index_n4.points[singles[0]], reference)
-    assert index_n4.stores_walked_tips
-    assert len(calls) == TIP_SAMPLE  # the sample check, once, and no walk
+    # the first TIP_SAMPLE answers walk, one call each, without the check
+    for count, g in enumerate(singles[:TIP_SAMPLE], start=1):
+        solution = solve_ik(index_n4, desc, index_n4.points[g], reference)
+        assert len(calls) == count
+        assert_walked(solution, desc)
+    assert "stores_walked_tips" not in vars(index_n4)
     calls.clear()
-    for g in singles[:50].tolist():
+    # the next runs the sample check, TIP_SAMPLE walks, and reads the point
+    g = singles[TIP_SAMPLE]
+    solution = solve_ik(index_n4, desc, index_n4.points[g], reference)
+    assert len(calls) == TIP_SAMPLE
+    assert solution.achieved_position.tobytes() == index_n4.points[g].tobytes()
+    assert index_n4.stores_walked_tips
+    calls.clear()
+    for g in singles[TIP_SAMPLE + 1 : TIP_SAMPLE + 50]:
         solution = solve_ik(index_n4, desc, index_n4.points[g], reference)
         assert solution.achieved_position.tobytes() == index_n4.points[g].tobytes()
         assert solution.achieved_position.flags.writeable  # a copy, not a view
@@ -289,6 +345,11 @@ def test_description_mismatch_is_rejected(index_n3):
     other = desc_with(segment_count=3, curve_length=29.0)
     with pytest.raises(InvariantError, match="different robot"):
         solve_ik(index_n3, other, [0.0, 0.0, 0.0], Configuration((0, 0, 0), 10))
+    # an equal description that is another object matches
+    copy = dataclasses.replace(index_n3.desc)
+    assert copy is not index_n3.desc
+    solution = solve_ik(index_n3, copy, index_n3.points[0], Configuration((0, 0, 0), 10))
+    assert solution.position_error == 0.0
 
 
 def test_tool_offset_targets_reach_their_own_tip():

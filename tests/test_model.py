@@ -175,6 +175,21 @@ def test_configuration_validation():
             Configuration((flag,), 10)
     config = Configuration((np.int64(3), np.uint8(7)), 10)  # numpy integers, stored as int
     assert config.indices == (3, 7) and {type(k) for k in config.indices} == {int}
+
+    class Tooth(int):
+        pass
+
+    # int subclasses and mixes with numpy ints take the slow path, stored as int
+    for indices in ((Tooth(3), 4), (1, np.int64(2), 3)):
+        config = Configuration(indices, 10)
+        assert config.indices == tuple(int(k) for k in indices)
+        assert {type(k) for k in config.indices} == {int}
+    with pytest.raises(InvariantError, match=r"tooth index 10 outside \[0, 10\)"):
+        Configuration((0, 10, True), 10)  # the first offending element is named
+    for teeth in (np.int64(10), True):
+        with pytest.raises(InvariantError, match="tooth_count must be an integer"):
+            Configuration((0,), teeth)
+    assert Configuration((0, 9), Tooth(10)).indices == (0, 9)
     desc = RobotDescription()
     with pytest.raises(InvariantError, match="joints"):
         desc.check_configuration(Configuration((0, 0), 10))

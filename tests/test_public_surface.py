@@ -168,6 +168,7 @@ def test_value_types_carry_only_what_the_library_reads():
         "__init__",
         "stores_walked_tips",
         "tree",
+        "_answers_from_points",
         "_scans",
         "_scan_nearest",
         "point_count",
