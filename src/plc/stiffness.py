@@ -15,7 +15,9 @@ statement of the model here; its derivation by the energy method
 (Castigliano: C is the Hessian of the chain's strain energy in F) lives in
 ``tests/_oracles.py``, which the tests differentiate to check C.  C maps
 N -> mm, so it is a compliance; directional stiffness is reported as
-|F| / |delta|.
+|F| / |delta|.  One batched helper computes |C u| for a stack of unit
+directions, so a single direction and a whole sphere map take the same
+arithmetic.
 
 Loosening state: an external force large enough to out-lever the tendon
 tension opens the locking ring; past that threshold further deflection is
@@ -33,13 +35,16 @@ from dataclasses import dataclass
 
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 
-#: Most directions ``stiffness_map`` samples: about 0.5 KB each, so 0.5 GB.
+#: Most directions ``stiffness_map`` samples: under 350 B of traced memory
+#: each (``tracemalloc``: 296 B, the sample, its direction view and two
+#: floats, numpy 2.4 and Python 3.11), so under 0.35 GB.
 MAX_SPHERE_SAMPLES = 10**6
 
 #: Range, mm/N, that a chain's n*min(a, b) and n*max(a, b) must lie in: |C u|
-#: of a unit u lies between those two, so its square (``np.linalg.norm``)
-#: stays a normal float and its reciprocal, the stiffness, is finite, with
-#: four decades to spare for rounding.
+#: of a unit u lies between those two, so its square (the dot product whose
+#: root ``_displacement_norms`` takes) stays a normal float and its
+#: reciprocal, the stiffness, is finite, with four decades to spare for
+#: rounding.
 COMPLIANCE_RANGE = (1e-150, 1e150)
 
 
@@ -132,15 +137,30 @@ def firmed_compliance(
     return compliance_from_axes(desc, chain_pose(desc, config)[1], literal_polar)
 
 
+def _displacement_norms(matrix: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """|C u| (mm/N) for each row u of ``directions`` (k, 3), C = ``matrix``.
+
+    Two stacked matmuls, the per-row displacement and then its dot product
+    with itself, round as ``np.linalg.norm(C @ u)`` row by row does.  Each
+    displacement starts 32 bytes after the one before, so every row has the
+    16-byte alignment of a new 3-vector: an SSE2 dot kernel (OpenBLAS's
+    Prescott) sums by alignment, and rows 24 bytes apart would round
+    alternately, differing between a map row and the same single direction.
+    """
+    import numpy as np
+
+    d = np.empty((directions.shape[0], 4, 1))[:, :3]
+    np.matmul(matrix, directions[:, :, None], out=d)
+    return np.sqrt((d.transpose(0, 2, 1) @ d)[:, 0, 0])
+
+
 def directional_stiffness(
     desc: RobotDescription, config: Configuration, direction, literal_polar: bool = False
 ) -> float:
     """|F| / |delta| for a unit force along ``direction``, N/mm."""
-    import numpy as np
-
     u = _check_unit(direction, "direction")
     compliance = firmed_compliance(desc, config, literal_polar)
-    return 1.0 / float(np.linalg.norm(compliance.displacement(u)))
+    return 1.0 / float(_displacement_norms(compliance.matrix, u[None])[0])
 
 
 @dataclass(frozen=True)
@@ -173,21 +193,19 @@ def stiffness_map(
     sphere_samples: int,
     literal_polar: bool = False,
 ) -> list[StiffnessSample]:
-    """Directional stiffness sampled over the sphere for plotting/export."""
-    import numpy as np
-
+    """Directional stiffness sampled over the sphere for plotting/export:
+    one sample per row of ``fibonacci_sphere(sphere_samples)``."""
     if sphere_samples < 6:
         raise PlcError(f"need at least 6 sphere samples, got {sphere_samples}")
     if sphere_samples > MAX_SPHERE_SAMPLES:
         raise PlcError(f"need at most {MAX_SPHERE_SAMPLES} sphere samples, got {sphere_samples}")
     compliance = firmed_compliance(desc, config, literal_polar)
-    samples = []
-    for direction in fibonacci_sphere(sphere_samples):
-        per_newton = float(np.linalg.norm(compliance.displacement(direction)))
-        samples.append(
-            StiffnessSample(direction=direction, stiffness=1.0 / per_newton, compliance=per_newton)
-        )
-    return samples
+    directions = fibonacci_sphere(sphere_samples)
+    per_newton = _displacement_norms(compliance.matrix, directions).tolist()
+    return [
+        StiffnessSample(direction=direction, stiffness=1.0 / c, compliance=c)
+        for direction, c in zip(directions, per_newton)
+    ]
 
 
 def loosening_threshold(desc: RobotDescription, tension: float) -> float:
@@ -276,7 +294,7 @@ def force_deflection(
     if not firm > loose:
         raise PlcError(
             f"tendon stiffness {loose} N/mm is not below the firmed slope "
-            f"{firm} N/mm along this direction"
+            f"{firm:.9g} N/mm along this direction"
         )
     threshold = loosening_threshold(desc, tension)
     return ForceDeflectionCurve(threshold_force=threshold, firm_slope=firm, loose_slope=loose)

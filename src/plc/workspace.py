@@ -100,6 +100,8 @@ _UNMEASURABLE = "a target is non-finite or too far away to measure"
 #: Memory the index constructor's checks hold beyond the arrays, bytes, at
 #: any point count: they run one block of rows at a time, and the key check's
 #: scaled floats and int64 keys set the peak (``tracemalloc``: 48.0 B per row).
+#: ``load``'s member check holds one bool per rank beside it, charged apart,
+#: and its blocks of members stay within it (9 B per member).
 _CHECK_BYTES = 50 * (_SCAN_ROWS + 1)
 
 #: Most neighbors (K x point count) ``local_omnivariance`` gathers: run time
@@ -151,6 +153,31 @@ def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
     n, teeth = desc.segment_count, desc.tooth_count
     powers = teeth ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return (rank[..., None] // powers) % teeth
+
+
+def _members_are_ranks(offsets: np.ndarray, members: np.ndarray) -> bool:
+    """Whether ``members`` (M,) holds each rank of ``[0, M)`` once and
+    ascends strictly within each bucket that ``offsets`` bounds.
+
+    A bool array of M bytes marks the ranks seen; the rest runs one block of
+    ``_SCAN_ROWS`` members at a time, within ``_CHECK_BYTES``.
+    """
+    count = members.shape[0]
+    seen = np.zeros(count, dtype=bool)
+    # in blocks that overlap by one member, so every neighbouring pair is compared
+    for lo in range(0, count, _SCAN_ROWS):
+        block = members[lo : lo + _SCAN_ROWS + 1]
+        if not (block.min() >= 0 and block.max() < count):
+            return False
+        seen[block] = True
+        # a rank not above the one before it must start a bucket
+        rises = block[1:] > block[:-1]
+        first, last = np.searchsorted(offsets, [lo + 1, lo + block.shape[0]]).tolist()
+        starts = offsets[first:last]
+        rises[starts - (lo + 1)] = True
+        if not rises.all():
+            return False
+    return bool(seen.all())  # M ranks in range, none missing: each once
 
 
 def _rank_indices(rank: int, desc: RobotDescription) -> tuple[int, ...]:
@@ -364,8 +391,12 @@ class WorkspaceIndex:
         """Read an index that :meth:`save` wrote for ``desc``.
 
         The header must match ``desc`` and the file size the header, and a
-        file whose arrays, with the constructor's checks, would need more than
-        the available memory is refused before anything is read.
+        file whose arrays, with the constructor's checks and the member check's
+        M bytes, would need more than the available memory is refused before
+        anything is read.  The constructor's checks hold, and the bucket
+        members must be each enumeration rank once, ascending within each
+        bucket: ``solve_ik`` takes joint indices from any int64 rank, so a
+        wrong one would answer a configuration that does not reach its point.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -390,7 +421,7 @@ class WorkspaceIndex:
             expected = _HEADER.size + points_n * 24 + (points_n + 1) * 8 + configs_n * 8
             if size != expected:
                 raise PlcError(f"index file {path} is truncated or padded")
-            needed = size - _HEADER.size + _CHECK_BYTES
+            needed = size - _HEADER.size + configs_n + _CHECK_BYTES
             _require_memory(needed, f"index file {path}", "load")
             arrays = []
             for dtype, count in (("<f8", points_n * 3), ("<i8", points_n + 1), ("<i8", configs_n)):
@@ -398,7 +429,13 @@ class WorkspaceIndex:
                 if arrays[-1].shape[0] != count:  # the file shrank after fstat
                     raise PlcError(f"index file {path} is truncated or padded")
         points, offsets, members = arrays
-        return cls(desc, points.reshape(points_n, 3), offsets, members)
+        index = cls(desc, points.reshape(points_n, 3), offsets, members)
+        if not _members_are_ranks(index.bucket_offsets, index.bucket_members):
+            raise PlcError(
+                f"index file {path} has bucket members that are not each rank 0 to "
+                f"{configs_n - 1} once, ascending within each bucket"
+            )
+        return index
 
 
 def _field_bytes(path: str, field: str) -> int | None:

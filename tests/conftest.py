@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,18 @@ from plc.workspace import _HEADER
 
 def desc_with(**overrides) -> RobotDescription:
     return dataclasses.replace(RobotDescription(), **overrides)
+
+
+def traced_peak(call):
+    """Peak traced memory of ``call()`` above what was traced before it, bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def write_sparse_index(path, desc: RobotDescription, point_count: int) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plc import WorkspaceIndex, parse_robot_description, workspace
+from plc import RobotDescription, WorkspaceIndex, parse_robot_description, workspace
 from plc.cli import main
 from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION
 
@@ -105,7 +105,7 @@ def test_build_is_refused_past_the_address_space_limit(tmp_path):
     "command", [["ik", "--target", "1,2,3"], ["workspace", "export", "--format", "csv"]]
 )
 def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
-    # a sparse n=8 index (4 GB to load, no disk blocks) under an RLIMIT_AS
+    # a sparse n=8 index (4.1 GB to load, no disk blocks) under an RLIMIT_AS
     # of 1.5 GB: numpy ran out of address space reading it (exit 1, traceback)
     path = robot_file(tmp_path, "segment_count: 8\n")
     index = tmp_path / "n8.plcw"
@@ -119,7 +119,7 @@ def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert_domain_error(proc.returncode, proc.stderr)
-    assert "n8.plcw needs about 4 GB to load, more than the" in proc.stderr
+    assert "n8.plcw needs about 4.1 GB to load, more than the" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -397,6 +397,21 @@ def test_stiffness_curve(capsys):
     assert all(b >= a for a, b in zip(deflections, deflections[1:]))
 
 
+def test_stiffness_curve_names_the_slope_in_printed_digits(capsys, tmp_path):
+    # the firmed slope is printed as stdout prints numbers (.9g), not with
+    # the 17 digits whose last ones move with the BLAS kernel's rounding
+    robot = robot_file(tmp_path, "tendon_stiffness: 2.0\n")
+    code, out, err = run(
+        capsys, "stiffness", "curve", "--robot", robot, "--config", "0,0,0,0,0",
+        "--tension", "20", "--direction", "0,1,0",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: tendon stiffness 2.0 N/mm is not below the firmed slope "
+        "0.511817803 N/mm along this direction\n"
+    )
+
+
 def test_stiffness_twist(capsys):
     code, spine_out, _ = run(
         capsys, "stiffness", "twist", "--robot", "default", "--spine", "--torque", "1000"
@@ -644,6 +659,29 @@ def test_index_with_a_non_finite_point_is_refused(capsys, tmp_path):
     )
     assert_domain_error(code, err)
     assert "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("rank", [-1, 10**5 + 12345, 2**62, 0])
+def test_index_with_a_wrong_member_rank_is_refused(capsys, tmp_path, rank):
+    # a one-member bucket's rank overwritten: out of range, or a repeat of
+    # rank 0; ik on its stored point answered a configuration 67 to 223 mm
+    # from it, with exit 0
+    index_path = tmp_path / "ws.plcw"
+    run(capsys, "workspace", "build", "--robot", "default", "--out", str(index_path))
+    index = WorkspaceIndex.load(index_path, RobotDescription())
+    g = int(np.flatnonzero(np.diff(index.bucket_offsets) == 1)[1])
+    target = ",".join(repr(v) for v in index.points[g].tolist())
+    ik = ["ik", "--robot", "default", "--index", str(index_path), f"--target={target}"]
+    code, out, _ = run(capsys, *ik)
+    assert code == 0 and out.splitlines()[1].split(",")[4] == "0"  # error_mm
+    data = bytearray(index_path.read_bytes())
+    at = _HEADER.size + index.point_count * 32 + 8 + int(index.bucket_offsets[g]) * 8
+    data[at : at + 8] = np.array([rank], dtype="<i8").tobytes()
+    index_path.write_bytes(bytes(data))
+    code, out, err = run(capsys, *ik)
+    assert_domain_error(code, err)
+    assert f"index file {index_path} has bucket members that are not each rank" in err
     assert out == ""
 
 

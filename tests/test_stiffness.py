@@ -24,7 +24,7 @@ from plc.model import InvariantError
 from plc.stiffness import COMPLIANCE_RANGE, bellows_twist, compliance_from_axes, fibonacci_sphere
 
 from _oracles import segment_strain_energy, total_strain_energy
-from conftest import desc_with
+from conftest import desc_with, traced_peak
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -162,6 +162,42 @@ def test_stiffness_map_properties(default_desc):
         stiffness_map(default_desc, config, 5)
     with pytest.raises(PlcError, match="at most 1000000 sphere samples"):
         stiffness_map(default_desc, config, 10**6 + 1)
+
+
+MAP_ROBOTS = {
+    "default": {},
+    "seven": {"segment_count": 7, "tooth_count": 12, "bend_angle": math.radians(45.0)},
+    "ik": {"segment_count": 10, "tooth_count": 4, "bend_angle": math.radians(45.0)},
+}
+
+
+@pytest.mark.parametrize("literal_polar", [False, True])
+@pytest.mark.parametrize("robot", sorted(MAP_ROBOTS))
+def test_map_rows_equal_single_directions_bitwise(robot, literal_polar):
+    # the map computes every row in one batch; each row must round as the
+    # single direction does, and as the per-direction C u and np.linalg.norm
+    # loop did, under every BLAS kernel the suite runs with
+    desc = desc_with(**MAP_ROBOTS[robot])
+    rng = np.random.default_rng(2101)
+    for count in (6, 7, 201):
+        config = random_config(rng, desc.segment_count, desc.tooth_count)
+        compliance = firmed_compliance(desc, config, literal_polar)
+        samples = stiffness_map(desc, config, count, literal_polar)
+        assert np.array_equal(np.array([s.direction for s in samples]), fibonacci_sphere(count))
+        for sample in samples:
+            single = directional_stiffness(desc, config, sample.direction, literal_polar)
+            looped = float(np.linalg.norm(compliance.displacement(sample.direction)))
+            assert sample.stiffness.hex() == single.hex() == (1.0 / looped).hex()
+            assert sample.compliance.hex() == looped.hex()
+
+
+def test_sphere_samples_stay_within_their_memory_bound(default_desc):
+    # MAX_SPHERE_SAMPLES' comment: under 350 B of traced memory per sample
+    # (296 B with numpy 2.4 and Python 3.11), so under 0.35 GB at the limit
+    count = 10**5
+    config = Configuration((1, 7, 3, 0, 5), 10)
+    stiffness_map(default_desc, config, 6)  # numpy's first-call allocations
+    assert traced_peak(lambda: stiffness_map(default_desc, config, count)) <= 350 * count
 
 
 @pytest.mark.parametrize("edge, inside", [(0, 2.0), (1, 0.5)])

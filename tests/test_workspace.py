@@ -1,7 +1,6 @@
 import itertools
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from plc.workspace import (
 from plc.kinematics import tip_positions
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
-from conftest import desc_with, write_sparse_index
+from conftest import desc_with, traced_peak, write_sparse_index
 
 
 def synthetic_index(points):
@@ -138,11 +137,11 @@ def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypat
     desc = desc_with(segment_count=8)
     path = tmp_path / "n8.plcw"
     write_sparse_index(path, desc, 10**8)
-    needed = path.stat().st_size - _HEADER.size + _CHECK_BYTES
-    assert needed == 4_003_276_858
+    needed = path.stat().st_size - _HEADER.size + 10**8 + _CHECK_BYTES  # a mark per rank
+    assert needed == 4_103_276_858
     monkeypatch.setattr(np, "fromfile", refuse_to_read)
     monkeypatch.setattr(workspace, "_available_memory", lambda: 1_500_000_000)
-    message = r"index file .*n8\.plcw needs about 4 GB to load, more than the 1\.5 GB available"
+    message = r"index file .*n8\.plcw needs about 4\.1 GB to load, more than the 1\.5 GB available"
     with pytest.raises(InvariantError, match=message):
         WorkspaceIndex.load(path, desc)
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
@@ -155,7 +154,7 @@ def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypat
     # a real file loads with exactly its estimate available, and not with less
     path = tmp_path / "n3.plcw"
     index_n3.save(path)
-    needed = path.stat().st_size - _HEADER.size + _CHECK_BYTES
+    needed = path.stat().st_size - _HEADER.size + index_n3.configuration_count + _CHECK_BYTES
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
     with pytest.raises(InvariantError, match="needs about .* GB to load"):
         WorkspaceIndex.load(path, index_n3.desc)
@@ -164,23 +163,51 @@ def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypat
 
 
 @pytest.mark.parametrize("point_count", [_SCAN_ROWS + 2, 10**6, 2 * 10**6])
-def test_index_checks_stay_within_the_load_estimate(point_count):
+def test_index_checks_stay_within_the_load_estimate(tmp_path, point_count):
     # the checks run a block at a time, so one key-check block sets the peak
     # at every point count; over the whole index, the offsets' comparison
-    # (1 B per point) or the finiteness mask (3 B) would pass it by 2 * 10**6
+    # (1 B per point) or the finiteness mask (3 B) would pass it by 2 * 10**6.
+    # A two-tooth chain has 2**n ranks: every point holds one, the last the rest
+    segment_count = (point_count - 1).bit_length()
+    desc = desc_with(tooth_count=2, segment_count=segment_count)
     points = np.zeros((point_count, 3))
     points[:, 0] = np.arange(point_count)
-    ranks = np.arange(point_count, dtype=np.int64)
-    arrays = (points, np.arange(point_count + 1, dtype=np.int64), ranks)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        WorkspaceIndex(desc_with(), *arrays)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    offsets = np.arange(point_count + 1, dtype=np.int64)
+    offsets[-1] = 2**segment_count
+    arrays = (points, offsets, np.arange(2**segment_count, dtype=np.int64))
+    peak = traced_peak(lambda: WorkspaceIndex(desc, *arrays))
     assert 0.8 * _CHECK_BYTES <= peak <= _CHECK_BYTES
+    # load adds the member check, whose bool mark per rank is charged beside
+    # the arrays: the arrays and the marks are held at once, and the block
+    # checks stay within _CHECK_BYTES
+    path = tmp_path / "index.plcw"
+    WorkspaceIndex(desc, *arrays).save(path)
+    held = path.stat().st_size - _HEADER.size + 2**segment_count
+    peak = traced_peak(lambda: WorkspaceIndex.load(path, desc))
+    assert held <= peak <= held + _CHECK_BYTES
+
+
+def test_member_ranks_out_of_order_in_a_bucket_are_refused_on_load(tmp_path, index_n5):
+    # the CLI tests cover ranks out of range and repeated; here the first two
+    # ranks of a bucket swap, which breaks solve_ik's lexicographic tie rule
+    g = int(np.flatnonzero(np.diff(index_n5.bucket_offsets) >= 2)[0])
+    path = tmp_path / "n5.plcw"
+    index_n5.save(path)
+    data = bytearray(path.read_bytes())
+    at = _HEADER.size + index_n5.point_count * 32 + 8 + int(index_n5.bucket_offsets[g]) * 8
+    data[at : at + 16] = index_n5.bucket_ranks(g)[1::-1].astype("<i8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(PlcError, match=r"n5\.plcw has bucket members .* ascending within each bucket"):
+        WorkspaceIndex.load(path, index_n5.desc)
+
+
+@pytest.mark.parametrize("edge", [1, _SCAN_ROWS - 1, _SCAN_ROWS, _SCAN_ROWS + 1])
+def test_member_order_is_checked_across_block_edges(edge):
+    # the ranks fall once, at ``edge``: refused inside one bucket, allowed
+    # where a bucket starts, on either side of a check block's edge
+    members = np.roll(np.arange(2 * _SCAN_ROWS, dtype=np.int64), edge)
+    assert not workspace._members_are_ranks(np.array([0, members.size]), members)
+    assert workspace._members_are_ranks(np.array([0, edge, members.size]), members)
 
 
 def test_available_memory_is_capped_by_the_address_space_limit(monkeypatch):
