@@ -132,19 +132,20 @@ def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
 def _read_queries(path) -> np.ndarray:
     import numpy as np
 
-    rows = []
+    rows, lines = [], 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            lines += 1
             parts = line.split(",")
             try:
                 row = [float(p) for p in parts[:3]]
             except ValueError:
-                if rows:
+                if lines > 1:
                     raise PlcError(f"bad query row: {line!r}") from None
-                continue  # header line
+                continue  # a header: the first line that is not blank or a comment
             if len(row) != 3:
                 raise PlcError(f"query rows must have 3 columns (x,y,z), got {line!r}")
             if not all(math.isfinite(v) for v in row):
@@ -159,12 +160,12 @@ def _read_queries(path) -> np.ndarray:
 
 
 def _cmd_fk(args) -> int:
-    from .kinematics import chain_pose
+    from .kinematics import chain_pose, tool_position
 
     desc = _load_description(args)
     config = _config_for(desc, args.config)
     end, _ = chain_pose(desc, config)
-    tip = end.transform_point(desc.tool_offset)
+    tip = tool_position(desc, config)
     header = (
         "x_mm,y_mm,z_mm,"
         "r11,r12,r13,r21,r22,r23,r31,r32,r33,"

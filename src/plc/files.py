@@ -12,7 +12,7 @@ from pathlib import Path
 
 #: Version of the ``.plcw`` workspace index layout written by
 #: ``WorkspaceIndex.save``; ``load`` refuses any other.
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 
 def _naming(exc: OSError, path: Path) -> OSError:

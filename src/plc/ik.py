@@ -13,15 +13,13 @@ taken with Python ``divmod``; only an unseeded choice among several
 candidates forms the candidates' digits as an array to score them.  The
 achieved position is the tool tip of the chosen configuration, bit for bit
 what :func:`~plc.kinematics.tool_position` walks.  When the choice is the
-bucket's first configuration and the index passes
-``WorkspaceIndex.stores_walked_tips`` (zero tool offset, and a sample of its
-points equal to their walks), it is read from the stored point, which is
-that tip; any other choice, a tool offset, or an index built under another
-BLAS kernel class or by hand walks the chain.  The index runs that check on
-the first-configuration answer after ``TIP_SAMPLE`` walked ones, so the
-first answers walk.  The error is ``sqrt(d.dot(d))`` of the offset ``d``
-from the target, the same dot product and correctly rounded square root
-that ``np.linalg.norm`` takes of a float vector, so its bits are the same.
+bucket's first configuration on an index that ``enumerate_workspace`` built
+or ``WorkspaceIndex.load`` read, it is read from the stored point, which is
+that tip on any host and at any tool offset; any other choice, or any choice
+on a hand-built index, walks the chain.  The error is ``sqrt(d.dot(d))`` of
+the offset ``d`` from the target, the same dot product and correctly rounded
+square root that ``np.linalg.norm`` takes of a float vector, so its bits are
+the same.
 """
 from __future__ import annotations
 
@@ -78,12 +76,11 @@ def solve_ik(
     reference-based choice with a seeded uniform pick over the candidates.
 
     ``achieved_position`` is the chosen configuration's ``tool_position``:
-    the stored point when it is the bucket's first configuration on an index
-    whose ``stores_walked_tips`` holds (checked once, after the index's first
-    ``TIP_SAMPLE`` such answers have walked), else a walk of the chain.  The
-    chosen indices come from its rank in Python ints, and ``position_error``
-    is ``math.sqrt`` of the offset's dot product with itself: the bits
-    ``np.linalg.norm`` gives.
+    a copy of the stored point when it is the bucket's first configuration
+    on an index that ``enumerate_workspace`` built or ``load`` read, at any
+    tool offset, else a walk of the chain.  The chosen indices come from its
+    rank in Python ints, and ``position_error`` is ``math.sqrt`` of the
+    offset's dot product with itself: the bits ``np.linalg.norm`` gives.
     """
     if desc is not index.desc and desc != index.desc:
         raise InvariantError("index was built from a different robot description")
@@ -112,7 +109,7 @@ def solve_ik(
         best = int(np.argmin(scores))
 
     config = Configuration(_rank_indices(int(ranks[best]), desc), desc.tooth_count)
-    if best == 0 and index._answers_from_points():
+    if best == 0 and index._points_are_tips:
         achieved = index.points[g].copy()  # the first configuration's tip
     else:
         achieved = tool_position(desc, config)

@@ -13,28 +13,28 @@ with frame rotation RotZ(q) * RotY(beta).
 This module holds the library's only FK.  :func:`unit_table` evaluates the
 unit transform above once per tooth index (rotations (N, 3, 3), translations
 (N, 3)) and caches it per description, and a chain is built by one step per
-joint, ``(R, p) <- (R R_k, p + R t_k)``.  :func:`chain_pose` and
-:func:`tool_position` walk that step one pose at a time with :func:`_step`;
-:func:`_prefix_poses` applies it to every prefix of the canonical enumeration
-at once, level by level, for :func:`tip_positions` and for the cached prefix
-table that :func:`tool_position` starts its walk from.
+joint, ``(R, p) <- (R R_k, p + R t_k)``.  The tool tip takes the last joint
+with the per-tooth tip vector t_k + R_k o of the tool offset o, so it is
+p + R (t_k + R_k o).  :func:`chain_pose` and :func:`tool_position` walk one
+pose at a time with :func:`_step`; :func:`_prefix_poses` applies the step to
+every prefix of the canonical enumeration at once, level by level, for
+:func:`tip_positions` and for the cached prefix table that
+:func:`tool_position` starts its walk from.
 
-Positions are written out in one stated order, in IEEE float operations that
-no library can reorder: each component of p + R t is
-``p[i] + (((R[i,0] t0 + R[i,2] t2) + R[i,1] t1) + 0.0)``, in Python floats
-by :func:`_step` and in blocked ufuncs by :func:`_positions`.  It is the
-order of numpy's x86-64 einsum, ``np.einsum("...ij,...j->...i")``, which
-once formed these positions, so index files written then keep their bytes;
-the added +0.0 (einsum's start of the sum) turns a row whose three products
-are all -0.0 into +0.0.  Rotations are the one BLAS
-dependency left: both paths form them as the matmul ``R @ R_k``
-(``R[:, None] @ R_k`` batched), which rounds as the host's BLAS kernel
-does (with FMA or without), and so may differ between hosts.  So every
-path shares one arithmetic on a host: at zero tool offset the end
-translation of :func:`chain_pose` equals the stored workspace point bit for
-bit, and :func:`tool_position` equals the tool offset carried through the
-end pose of :func:`chain_pose` (``RigidTransform.transform_point``) bit for
-bit.
+Every product is written out in one stated order of IEEE float operations,
+with no BLAS call, so its bits are the same on every host: entry (i, j) of
+R R_k is ``(a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j``, and component i of p + R t
+(t a unit translation, a tip vector, or o in t_k + R_k o) is
+``p_i + (((r_i0 t0 + r_i2 t2) + r_i1 t1) + 0.0)``.  :func:`_step` spells
+them in Python floats and :func:`_products` in blocked ufuncs.  The rotation
+order is that of an OpenBLAS kernel without FMA, and the position order that
+of numpy's x86-64 einsum, which once formed these products, so zero-offset
+index files written then under such a kernel keep their points; the added
++0.0 (einsum's start of the sum) turns a row whose three products are all
+-0.0 into +0.0.  So the single-pose walks and the batched levels agree bit
+for bit on any host and at any tool offset: :func:`tool_position` equals the
+workspace point stored for its configuration, and at zero tool offset so
+does the end translation of :func:`chain_pose`.
 """
 from __future__ import annotations
 
@@ -48,11 +48,13 @@ from .model import Configuration, RigidTransform, RobotDescription, index_angle
 # the cached prefix table holds at most this many poses (about 400 KB)
 PREFIX_TABLE_ROWS = 4096
 
-# poses per block of _positions: its 16 working rows of this many floats
-# take 512 KiB, within a 2 MiB L2.  Timing tip_positions of the N=4, n=10
-# and N=10, n=6 robots (2-core Xeon, numpy 2.4), 2048-8192 were alike, and
-# on the N=4 robot 512 took 2.5x and 65536 1.4x as long as 4096.
+# poses per block of _products: its at most 30 working rows of this many
+# floats take 960 KiB, within a 2 MiB L2.  Timing tip_positions of the N=4,
+# n=10 and N=10, n=6 robots (2-core Xeon, numpy 2.4), 2048-8192 were alike,
+# and on the N=4 robot 512 took 2.5x and 65536 1.4x as long as 4096.
 _BLOCK_POSES = 4096
+# the stated orders of the terms of R R_k and of R t (see the module docstring)
+_ROTATION_TERMS, _POSITION_TERMS = (0, 1, 2), (0, 2, 1)
 
 
 @functools.lru_cache
@@ -84,58 +86,82 @@ def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
     return rot, tra
 
 
-def _step(rotation, position, unit_rotation, unit_translation):
-    """One joint on one pose: (R, p) <- (R R_k, p + R t_k), with ``rotation``
-    and ``unit_rotation`` (3, 3) arrays and ``position`` and
-    ``unit_translation`` three floats each; the new position is three floats.
+@functools.lru_cache
+def _unit_rows(desc: RobotDescription) -> tuple[list, list, list]:
+    """The :func:`unit_table` rows as Python floats, for the single-pose
+    walks: per tooth index, the rotation as nine floats row-major, the
+    translation t_k, and the tip vector t_k + R_k o, three floats each.
+    Cached per description."""
+    rot, tra = unit_table(desc)
+    tips = _products(rot, np.reshape(desc.tool_offset, (1, 3, 1)), _POSITION_TERMS, tra)
+    return rot.reshape(-1, 9).tolist(), tra.tolist(), tips.tolist()
 
-    Each position component is ``p + (((r0 t0 + r2 t2) + r1 t1) + 0.0)`` in
-    Python floats, the kernel order and signed zero of :func:`_positions`,
-    so the single-pose walks and the batched levels agree bit for bit.  The
-    rotation is the matmul the batched levels use, the one BLAS dependency
-    left.
+
+def _step(rotation, position, unit_rotation, unit_translation):
+    """One joint on one pose in Python floats: (R, p) <- (R R_k, p + R t_k),
+    with rotations nine floats row-major and positions and translations three
+    floats each.
+
+    Each entry of R R_k is ``(a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j`` and each
+    component of p + R t_k is ``p_i + (((a_i0 t0 + a_i2 t2) + a_i1 t1) +
+    0.0)``, the orders of :func:`_products`, so the single-pose walks and the
+    batched levels agree bit for bit.
     """
-    (r0, r1, r2), (r3, r4, r5), (r6, r7, r8) = rotation.tolist()
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = rotation
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = unit_rotation
     t0, t1, t2 = unit_translation
     x, y, z = position
-    return rotation @ unit_rotation, (
-        x + (((r0 * t0 + r2 * t2) + r1 * t1) + 0.0),
-        y + (((r3 * t0 + r5 * t2) + r4 * t1) + 0.0),
-        z + (((r6 * t0 + r8 * t2) + r7 * t1) + 0.0),
+    return (
+        (a0 * b0 + a1 * b3) + a2 * b6,
+        (a0 * b1 + a1 * b4) + a2 * b7,
+        (a0 * b2 + a1 * b5) + a2 * b8,
+        (a3 * b0 + a4 * b3) + a5 * b6,
+        (a3 * b1 + a4 * b4) + a5 * b7,
+        (a3 * b2 + a4 * b5) + a5 * b8,
+        (a6 * b0 + a7 * b3) + a8 * b6,
+        (a6 * b1 + a7 * b4) + a8 * b7,
+        (a6 * b2 + a7 * b5) + a8 * b8,
+    ), (
+        x + (((a0 * t0 + a2 * t2) + a1 * t1) + 0.0),
+        y + (((a3 * t0 + a5 * t2) + a4 * t1) + 0.0),
+        z + (((a6 * t0 + a8 * t2) + a7 * t1) + 0.0),
     )
 
 
-def _positions(rotation, position, translation) -> np.ndarray:
-    """Positions p + R t_k (P * N, 3) of every pose (``rotation`` (P, 3, 3),
-    ``position`` (P, 3)) and table row (``translation`` (N, 3)), pose-major.
+def _products(rotation, table, order, position=None) -> np.ndarray:
+    """Products R B_k (P * N, 3c) of every pose's rotation R (``rotation``,
+    P rotations) and table entry B_k (``table`` (N, 3, c)), pose-major, each
+    a row of 3c floats: entry (i, j) adds the terms R[i, m] B_k[m, j] left to
+    right in the index ``order`` of m.  With the poses' ``position`` (P, 3)
+    each entry is p_i + (that sum + 0.0), so c = 1 gives positions p + R t_k.
 
-    The bits of :func:`_step` on each pose and row: per block of
-    ``_BLOCK_POSES`` poses, the rotations and positions are transposed to
-    one contiguous row per component, and each tooth's components are summed
-    in :func:`_step`'s order, plus 0.0, by in-place ufuncs.
+    The bits of :func:`_step` on each pose and entry, given its order: per
+    block of ``_BLOCK_POSES`` poses, the rotations are transposed to one
+    contiguous row per entry, and each table entry is summed by in-place
+    ufuncs, a column of R against a row of B_k at a time.
     """
-    count = rotation.shape[0]
-    out = np.empty((count, translation.shape[0], 3))
+    count, (teeth, _, width) = rotation.shape[0], table.shape
+    out = np.empty((count, teeth, 3 * width))
     rows = min(count, _BLOCK_POSES)
-    matrix, base = np.empty((9, rows)), np.empty((3, rows))
-    sums, term = np.empty((3, rows)), np.empty(rows)
-    teeth = translation.tolist()
+    matrix, base = np.empty((3, 3, rows)), np.empty((3, 1, rows))
+    sums, term = np.empty((3, width, rows)), np.empty((3, width, rows))
+    first, *rest = order
     for lo in range(0, count, rows):
         size = min(rows, count - lo)
-        r, p, s, t = matrix[:, :size], base[:, :size], sums[:, :size], term[:size]
-        r[...] = rotation[lo : lo + size].reshape(size, 9).T
-        p[...] = position[lo : lo + size].T
-        for k, (t0, t1, t2) in enumerate(teeth):
-            for i in range(3):
-                np.multiply(r[3 * i], t0, out=s[i])
-                np.multiply(r[3 * i + 2], t2, out=t)
-                s[i] += t
-                np.multiply(r[3 * i + 1], t1, out=t)
-                s[i] += t
-                s[i] += 0.0  # an all -0.0 sum becomes +0.0, as in _step
-                s[i] += p[i]
-            out[lo : lo + size, k] = s.T
-    return out.reshape(-1, 3)
+        a, p, s, t = matrix[..., :size], base[..., :size], sums[..., :size], term[..., :size]
+        a[...] = rotation[lo : lo + size].reshape(size, 3, 3).transpose(1, 2, 0)
+        if position is not None:
+            p[:, 0] = position[lo : lo + size].T
+        for k, b in enumerate(table):
+            np.multiply(a[:, first, None], b[first, :, None], out=s)
+            for m in rest:
+                np.multiply(a[:, m, None], b[m, :, None], out=t)
+                s += t
+            if position is not None:
+                s += 0.0  # an all -0.0 sum becomes +0.0, as in _step
+                s += p
+            out[lo : lo + size, k] = s.reshape(3 * width, size).T
+    return out.reshape(count * teeth, 3 * width)
 
 
 def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTransform, np.ndarray]:
@@ -145,56 +171,57 @@ def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTran
     attached to: the axial unit vector used by the stiffness model.
     """
     desc.check_configuration(config)
-    rot, tra = unit_table(desc)
+    rot, tra, _ = _unit_rows(desc)
     first, *rest = config.indices
-    rotation, position = rot[first], tra[first].tolist()
+    rotation, position = rot[first], tra[first]
     axes = np.empty((desc.segment_count, 3))
     axes[0] = (0.0, 0.0, 1.0)
     for i, k in enumerate(rest, start=1):
-        axes[i] = rotation[:, 2]
-        rotation, position = _step(rotation, position, rot[k], tra[k].tolist())
-    return RigidTransform(rotation, np.array(position)), axes
+        axes[i] = rotation[2::3]
+        rotation, position = _step(rotation, position, rot[k], tra[k])
+    return RigidTransform(np.array(rotation).reshape(3, 3), np.array(position)), axes
 
 
 def _prefix_poses(desc: RobotDescription, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (N**levels, 3, 3) and positions (N**levels, 3) of every
-    ``levels``-joint prefix, in canonical rank order.
+    """Rotations (N**levels, 9), as rows of nine floats row-major, and
+    positions (N**levels, 3) of every ``levels``-joint prefix, in canonical
+    rank order.
 
     Level by level, the N**k prefix poses are multiplied by the N table rows
     (prefix-major, so canonical rank order carries over).
     """
     rot, tra = unit_table(desc)
-    rotation, position = rot, tra
+    rotation, position = rot.reshape(-1, 9), tra
     for _ in range(levels - 1):
-        position = _positions(rotation, position, tra)
-        rotation = (rotation[:, None] @ rot).reshape(-1, 3, 3)
+        position = _products(rotation, tra[:, :, None], _POSITION_TERMS, position)
+        rotation = _products(rotation, rot, _ROTATION_TERMS)
     return rotation, position
 
 
 def tip_positions(desc: RobotDescription) -> np.ndarray:
     """Tool-tip positions of every configuration in canonical rank order, (N**n, 3).
 
-    The last joint uses the per-tooth tip vector t_k + R_k tool_offset on
-    every (n-1)-joint prefix pose, so it needs only mat-vecs.
+    The last joint takes the per-tooth tip vector t_k + R_k tool_offset on
+    every (n-1)-joint prefix pose, so it needs no rotation.
     """
-    rot, tra = unit_table(desc)
-    tip = tra + rot @ np.asarray(desc.tool_offset)
+    tip = np.array(_unit_rows(desc)[2])
     if desc.segment_count == 1:
         return tip
     rotation, position = _prefix_poses(desc, desc.segment_count - 1)
-    return _positions(rotation, position, tip)
+    return _products(rotation, tip[:, :, None], _POSITION_TERMS, position)
 
 
 @functools.lru_cache
 def _prefix_table(desc: RobotDescription) -> tuple[int, np.ndarray, np.ndarray]:
     """Depth m and the read-only :func:`_prefix_poses` of the first m joints.
 
-    m is the largest depth <= n whose N**m poses fit in
+    m is the largest depth below n whose N**m poses fit in
     ``PREFIX_TABLE_ROWS``, and at least 1 (then the table is
-    :func:`unit_table` itself).  Cached per description.
+    :func:`unit_table` itself), since the last joint takes the tip vector.
+    Cached per description.
     """
     teeth, levels = desc.tooth_count, 1
-    while levels < desc.segment_count and teeth ** (levels + 1) <= PREFIX_TABLE_ROWS:
+    while levels + 1 < desc.segment_count and teeth ** (levels + 1) <= PREFIX_TABLE_ROWS:
         levels += 1
     rotation, position = _prefix_poses(desc, levels)
     rotation.setflags(write=False)
@@ -206,18 +233,21 @@ def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
     """Base-frame tool tip of a full chain, without the axes or the checked
     end pose of :func:`chain_pose`.
 
-    The first m joints are one row of the cached prefix table; the rest are
-    walked with :func:`_step`.  Bit-identical to
-    ``chain_pose(desc, config)[0].transform_point(desc.tool_offset)``.
+    The first m joints are one row of the cached prefix table, the joints
+    after them are walked with :func:`_step`, and the last joint's step takes
+    its tip vector for t_k: the arithmetic of :func:`tip_positions`, so the
+    result is bit for bit its row.
     """
     desc.check_configuration(config)
-    indices = config.indices
+    rot, tra, tip = _unit_rows(desc)
+    *head, last = config.indices
+    if not head:
+        return np.array(tip[last])
     levels, prefix_rotation, prefix_position = _prefix_table(desc)
     rank = 0
-    for k in indices[:levels]:
+    for k in head[:levels]:
         rank = rank * desc.tooth_count + k
-    rotation, position = prefix_rotation[rank], prefix_position[rank].tolist()
-    rot, tra = unit_table(desc)
-    for k in indices[levels:]:
-        rotation, position = _step(rotation, position, rot[k], tra[k].tolist())
-    return rotation @ np.asarray(desc.tool_offset, dtype=float) + np.array(position)
+    rotation, position = prefix_rotation[rank].tolist(), prefix_position[rank].tolist()
+    for k in head[levels:]:
+        rotation, position = _step(rotation, position, rot[k], tra[k])
+    return np.array(_step(rotation, position, rot[last], tip[last])[1])

@@ -22,20 +22,17 @@ is the smallest key because the constructor checks the key order.  So scan
 and tree agree bit for bit, ``reach_accuracy`` included.  Building and saving
 an index need neither.
 
-At zero tool offset each stored point is, bit for bit, the
-:func:`~plc.kinematics.tool_position` of its bucket's first configuration on
-the host that built the index, and ``solve_ik`` answers that configuration
-with it on an index that passes ``stores_walked_tips``, a check of a fixed
-sample of ``TIP_SAMPLE`` points.  The check costs as many walks as it
-samples, so it runs once per index, on the first-configuration answer that
-follows ``TIP_SAMPLE`` walked ones: a one-shot query walks and never pays for
-it.  A file written under a BLAS kernel that rounds the rotations
-differently, or a hand-built index, fails it, and its queries walk the chain.
+Each stored point is, bit for bit, the :func:`~plc.kinematics.tool_position`
+of its bucket's first configuration, on any host and at any tool offset,
+because the FK is written in one order of plain float operations.  An index
+that :func:`enumerate_workspace` builds or :meth:`WorkspaceIndex.load` reads
+is marked so, and ``solve_ik`` answers that configuration with the stored
+point; a hand-built index holds the caller's points and is not marked.
 
-The index is immutable apart from those two counts and the cached tree and
-tip check, and is safe for concurrent queries: racing queries may both build
-the tree or run the check, or lose an update to a count, and either way only
-extra work is done, never a different answer.
+The index is immutable apart from the scan count and the cached tree, and
+is safe for concurrent queries: racing queries may both build the tree, or
+lose an update to the count, and either way only extra work is done, never
+a different answer.
 """
 from __future__ import annotations
 
@@ -47,14 +44,8 @@ import struct
 import numpy as np
 
 from .files import INDEX_FORMAT_VERSION, atomic_open
-from .kinematics import tip_positions, tool_position
-from .model import (
-    Configuration,
-    InvariantError,
-    PlcError,
-    RobotDescription,
-    description_digest,
-)
+from .kinematics import tip_positions
+from .model import InvariantError, PlcError, RobotDescription, description_digest
 
 #: Peak memory of an enumeration per raw configuration, bytes, rounded up from
 #: the peak RSS of ``plc workspace build`` above the interpreter's (a
@@ -91,10 +82,6 @@ KEY_CELL = 1e-6
 #: 2-core Xeon, well under the scipy import and tree build it spares a
 #: one-shot query.
 SCAN_BUDGET = 4_000_000
-#: Stored points, evenly spaced with the first and last among them, that
-#: ``stores_walked_tips`` compares with the walk: 32 walks take about 1 ms.
-#: It is also how many first-configuration answers walk before the check runs.
-TIP_SAMPLE = 32
 _SCAN_ROWS = 1 << 16  # rows per scan block, neighbors per local block: bounds transient memory
 _UNMEASURABLE = "a target is non-finite or too far away to measure"
 #: Memory the index constructor's checks hold beyond the arrays, bytes, at
@@ -237,7 +224,9 @@ class WorkspaceIndex:
         self.bucket_offsets = bucket_offsets
         self.bucket_members = bucket_members
         self._scanned = 0  # point distances scanned so far, up to SCAN_BUDGET
-        self._first_walks = 0  # first configurations walked so far, up to TIP_SAMPLE
+        # whether each point is its bucket's first tool tip: set by
+        # enumerate_workspace and load, not for points a caller hands in
+        self._points_are_tips = False
 
     @functools.cached_property
     def tree(self):
@@ -246,43 +235,6 @@ class WorkspaceIndex:
 
         # unbalanced, uncompacted nodes build faster and answer the same queries
         return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
-
-    @functools.cached_property
-    def stores_walked_tips(self) -> bool:
-        """Whether each stored point is taken to be, bit for bit, the
-        :func:`~plc.kinematics.tool_position` of its bucket's first
-        configuration; checked on first use.
-
-        False at a nonzero tool offset: offset tips are stored as
-        p + R (t_k + R_k o), which rounds differently from the walk.  Else
-        True if every point of a fixed sample (``TIP_SAMPLE`` evenly spaced
-        rows, the first and last among them) equals its walk, as every point
-        of an index built on this host does.  An index written under a BLAS
-        kernel that rounds the rotations differently, or a hand-built one,
-        fails the sample.
-        """
-        if any(self.desc.tool_offset):
-            return False
-        count = min(TIP_SAMPLE, self.point_count)
-        for g in np.linspace(0, self.point_count - 1, count, dtype=np.int64).tolist():
-            first = _rank_indices(int(self.bucket_ranks(g)[0]), self.desc)
-            config = Configuration(first, self.desc.tooth_count)
-            if tool_position(self.desc, config).tobytes() != self.points[g].tobytes():
-                return False
-        return True
-
-    def _answers_from_points(self) -> bool:
-        """Whether ``solve_ik``'s next answer of a bucket's first
-        configuration is read from the stored point, not walked.
-
-        The check ``stores_walked_tips`` costs ``TIP_SAMPLE`` walks, so the
-        first ``TIP_SAMPLE`` such answers walk, counted here, and the next
-        one runs the check: a one-shot query never pays for it.
-        """
-        if self._first_walks < TIP_SAMPLE:
-            self._first_walks += 1
-            return False
-        return self.stores_walked_tips
 
     def _scans(self, queries: int) -> bool:
         """Whether the next ``queries`` queries scan every point, not the tree.
@@ -435,6 +387,7 @@ class WorkspaceIndex:
                 f"index file {path} has bucket members that are not each rank 0 to "
                 f"{configs_n - 1} once, ascending within each bucket"
             )
+        index._points_are_tips = True
         return index
 
 
@@ -519,7 +472,9 @@ def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:
     points = np.take(positions, order[starts], axis=0)  # 3x faster than fancy indexing
     offsets = np.append(starts, count)
     del positions, starts  # freed before the index checks the points' keys
-    return WorkspaceIndex(desc, points, offsets, order)
+    index = WorkspaceIndex(desc, points, offsets, order)
+    index._points_are_tips = True
+    return index
 
 
 def _sort_and_group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

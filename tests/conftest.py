@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import tracemalloc
@@ -46,11 +47,11 @@ def write_sparse_index(path, desc: RobotDescription, point_count: int) -> None:
 
 
 @functools.cache
-def _enumerated(segment_count: int) -> tuple:
-    """Index arrays of the reference robot with ``segment_count`` segments,
-    enumerated once per session (they are read-only)."""
-    index = enumerate_workspace(desc_with(segment_count=segment_count))
-    return index.desc, index.points, index.bucket_offsets, index.bucket_members
+def _enumerated(segment_count: int) -> WorkspaceIndex:
+    """Index of the reference robot with ``segment_count`` segments,
+    enumerated once per session and never queried itself (its arrays are
+    read-only)."""
+    return enumerate_workspace(desc_with(segment_count=segment_count))
 
 
 @pytest.fixture(scope="session")
@@ -60,24 +61,25 @@ def default_desc():
 
 # Each test gets a new index over the session's arrays, with no tree and
 # nothing scanned, so the query path a test takes never depends on the
-# tests that ran before it.
+# tests that ran before it; as a copy of an enumerated index, it answers
+# first configurations from its stored points.
 
 
 @pytest.fixture
 def index_n2():
-    return WorkspaceIndex(*_enumerated(2))
+    return copy.copy(_enumerated(2))
 
 
 @pytest.fixture
 def index_n3():
-    return WorkspaceIndex(*_enumerated(3))
+    return copy.copy(_enumerated(3))
 
 
 @pytest.fixture
 def index_n4():
-    return WorkspaceIndex(*_enumerated(4))
+    return copy.copy(_enumerated(4))
 
 
 @pytest.fixture
 def index_n5():
-    return WorkspaceIndex(*_enumerated(5))
+    return copy.copy(_enumerated(5))

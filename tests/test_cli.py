@@ -7,11 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plc import RobotDescription, WorkspaceIndex, parse_robot_description, workspace
-from plc.cli import main
+from plc import (
+    Configuration,
+    RobotDescription,
+    WorkspaceIndex,
+    parse_robot_description,
+    tool_position,
+    workspace,
+)
+from plc.cli import _fmt, main
+from plc.files import INDEX_FORMAT_VERSION
 from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION
 
-from conftest import write_sparse_index
+from conftest import desc_with, write_sparse_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ROBOT = "segment_count: 2\n"
@@ -584,6 +592,25 @@ def test_workspace_accuracy_rejects_bad_query_rows(capsys, tmp_path, body):
     assert out == ""
 
 
+def test_query_file_takes_one_header_line(capsys, tmp_path):
+    robot = robot_file(tmp_path)
+    queries = tmp_path / "queries.csv"
+    accuracy = ["workspace", "accuracy", "--robot", robot, "--queries", str(queries)]
+    queries.write_text("60,20,35\n")
+    plain = run(capsys, *accuracy)
+    assert plain[0] == 0
+    # comments and blank lines may come before the header
+    queries.write_text("# targets\n\nx,y,z\n60,20,35\n")
+    assert run(capsys, *accuracy) == plain
+    # a second unparsable line is a bad row, not another header: it used to
+    # be skipped, and the accuracy came from the last row alone
+    queries.write_text("x,y,z\nfoo,bar,baz\nqux\n60,20,35\n")
+    code, out, err = run(capsys, *accuracy)
+    assert_domain_error(code, err)
+    assert "bad query row: 'foo,bar,baz'" in err
+    assert out == ""
+
+
 OFFSET_ROBOT = "segment_count: 3\ntool_offset: [0, 0, 15]\n"
 
 
@@ -610,24 +637,42 @@ def test_fk_tip_round_trips_through_ik(capsys, tmp_path):
     assert float(ik["error_mm"]) < 1e-6
 
 
-def _as_version_1(path):
-    # version 1 stored flange positions under the same digest
+def test_fk_tip_is_the_stored_tool_tip(capsys, tmp_path):
+    # an offset whose tip x cancels to rounding at config 3: the end pose
+    # applied to the offset prints -4.4408921e-16 there, and the tip that
+    # tool_position and the index store, p + R (t_k + R_k o), prints 0
+    offset = (-23.097981066342907, 5.5, -9.2)
+    robot = robot_file(tmp_path, f"segment_count: 1\ntool_offset: {list(offset)}\n")
+    code, out, _ = run(capsys, "fk", "--robot", robot, "--config", "3")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    fk = dict(zip(header.split(","), row.split(",")))
+    walked = tool_position(desc_with(segment_count=1, tool_offset=offset), Configuration((3,), 10))
+    tip = [fk["tip_x_mm"], fk["tip_y_mm"], fk["tip_z_mm"]]
+    assert tip == [_fmt(v) for v in walked]
+    assert tip[0] == "0"
+
+
+def _as_version(path, version):
+    # version 1 stored flange positions under the same digest, and version 2
+    # points whose bits could depend on the host's BLAS kernel
     data = path.read_bytes()
-    assert data[4:8] == (2).to_bytes(4, "little")
-    path.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
+    assert data[4:8] == INDEX_FORMAT_VERSION.to_bytes(4, "little")
+    path.write_bytes(data[:4] + version.to_bytes(4, "little") + data[8:])
 
 
 def test_version_1_index_is_refused(capsys, tmp_path):
     robot = robot_file(tmp_path)
     index_path = tmp_path / "ws.plcw"
-    run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
-    _as_version_1(index_path)
-    code, out, err = run(
-        capsys, "ik", "--robot", robot, "--index", str(index_path), "--target", "1,2,3"
-    )
-    assert_domain_error(code, err)
-    assert "version 1 unsupported" in err
-    assert out == ""
+    for version in (1, 2):
+        run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
+        _as_version(index_path, version)
+        code, out, err = run(
+            capsys, "ik", "--robot", robot, "--index", str(index_path), "--target", "1,2,3"
+        )
+        assert_domain_error(code, err)
+        assert f"version {version} unsupported (expected 3)" in err
+        assert out == ""
 
 
 def test_index_with_points_out_of_key_order_is_refused(capsys, tmp_path):
@@ -690,8 +735,9 @@ def test_version_1_cache_entry_is_rebuilt(capsys, tmp_path):
     run(capsys, "workspace", "build", "--robot", robot)
     (cache,) = (tmp_path / "cache").iterdir()
     fresh = cache.read_bytes()
-    _as_version_1(cache)
-    code, out, _ = run(capsys, "workspace", "omnivariance", "--robot", robot)
-    assert code == 0
-    assert float(out.strip()) > 0.0
-    assert cache.read_bytes() == fresh
+    for version in (1, 2):
+        _as_version(cache, version)
+        code, out, _ = run(capsys, "workspace", "omnivariance", "--robot", robot)
+        assert code == 0
+        assert float(out.strip()) > 0.0
+        assert cache.read_bytes() == fresh

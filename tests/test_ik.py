@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -12,16 +13,14 @@ import plc
 from plc import (
     Configuration,
     PlcError,
-    chain_pose,
     enumerate_workspace,
     ik,
     kinematics,
     solve_ik,
-    workspace,
 )
 from plc.ik import configuration_distance
 from plc.model import InvariantError
-from plc.workspace import TIP_SAMPLE, WorkspaceIndex, configuration_from_rank, reach_accuracy
+from plc.workspace import WorkspaceIndex, configuration_from_rank, reach_accuracy
 
 from _oracles import (
     IkOracle,
@@ -59,6 +58,19 @@ def member(index, g, k=0):
 def assert_walked(solution, desc):
     walked = kinematics.tool_position(desc, solution.config)
     assert solution.achieved_position.tobytes() == walked.tobytes()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The arguments of every ``tool_position`` call ``solve_ik`` makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kinematics.tool_position(*args)
+
+    monkeypatch.setattr(ik, "tool_position", counted)
+    return calls
 
 
 def test_exact_target_with_unique_preimage(index_n3):
@@ -118,8 +130,7 @@ def test_resolving_again_with_answer_is_idempotent(index_n5):
 
 
 def assert_achieved_is_the_tool_tip(solution, desc, target):
-    expected = chain_pose(desc, solution.config)[0].transform_point(desc.tool_offset)
-    assert solution.achieved_position.tobytes() == expected.tobytes()
+    assert_walked(solution, desc)
     # bit for bit the norm, which solve_ik takes as sqrt(d.dot(d))
     error = float(np.linalg.norm(solution.achieved_position - np.asarray(target, dtype=float)))
     assert solution.position_error.hex() == error.hex()
@@ -196,104 +207,136 @@ def test_solve_ik_does_not_walk_chain_pose(index_n3, monkeypatch):
     assert solution.position_error < 1e-9
 
 
-def test_first_member_answers_from_the_stored_point(index_n4, monkeypatch):
+def test_first_member_answers_from_the_stored_point(index_n4, walks):
     desc = index_n4.desc
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return kinematics.tool_position(*args)
-
-    for module in (ik, workspace):
-        monkeypatch.setattr(module, "tool_position", counted)
     sizes = np.diff(index_n4.bucket_offsets)
     singles = np.flatnonzero(sizes == 1).tolist()
     reference = Configuration((0, 0, 0, 0), 10)
-    # the first TIP_SAMPLE answers walk, one call each, without the check
-    for count, g in enumerate(singles[:TIP_SAMPLE], start=1):
-        solution = solve_ik(index_n4, desc, index_n4.points[g], reference)
-        assert len(calls) == count
-        assert_walked(solution, desc)
-    assert "stores_walked_tips" not in vars(index_n4)
-    calls.clear()
-    # the next runs the sample check, TIP_SAMPLE walks, and reads the point
-    g = singles[TIP_SAMPLE]
-    solution = solve_ik(index_n4, desc, index_n4.points[g], reference)
-    assert len(calls) == TIP_SAMPLE
-    assert solution.achieved_position.tobytes() == index_n4.points[g].tobytes()
-    assert index_n4.stores_walked_tips
-    calls.clear()
-    for g in singles[TIP_SAMPLE + 1 : TIP_SAMPLE + 50]:
+    # from the first query on, a bucket's first configuration is the stored point
+    for g in singles[:50]:
         solution = solve_ik(index_n4, desc, index_n4.points[g], reference)
         assert solution.achieved_position.tobytes() == index_n4.points[g].tobytes()
         assert solution.achieved_position.flags.writeable  # a copy, not a view
-    assert calls == []
+    assert walks == []
     # any other member of a bucket is walked
     g = int(np.flatnonzero(sizes > 1)[0])
     second = member(index_n4, g, 1)
     solution = solve_ik(index_n4, desc, index_n4.points[g], second)
     assert solution.config == second
-    assert len(calls) == 1
+    assert len(walks) == 1
     assert_walked(solution, desc)
 
 
-def test_hand_built_index_walks_the_chain():
+def test_hand_built_index_walks_the_chain(walks):
     # hand-chosen points that are no configuration's tip
     index = redundant_index([[3], [1, 7], [0, 4, 9]])
-    assert not index.stores_walked_tips
     for point in index.points:
         for options in OPTIONS:
             solution = solve_ik(index, index.desc, point, Configuration((5,), 10), **options)
             assert_walked(solution, index.desc)
+    assert len(walks) == len(index.points) * len(OPTIONS)
 
 
 @pytest.mark.parametrize("nudged", [slice(None), slice(-1, None)])
-def test_nudged_index_walks_the_chain(index_n4, nudged):
-    # every point, or only the last, one ulp off its tip: the sample takes
-    # the first and last rows
+def test_nudged_index_walks_the_chain(index_n4, nudged, walks):
+    # every point, or only the last, one ulp off its tip: an index built from
+    # arrays a caller hands in is not taken to store tips, even when they
+    # are an enumeration's arrays
     points = index_n4.points.copy()
     points[nudged] = np.nextafter(points[nudged], np.inf)
     index = WorkspaceIndex(index_n4.desc, points, index_n4.bucket_offsets, index_n4.bucket_members)
-    assert not index.stores_walked_tips
     rng = np.random.default_rng(61)
-    for g in [index.point_count - 1, *rng.choice(index.point_count, 200, replace=False).tolist()]:
+    rows = [index.point_count - 1, *rng.choice(index.point_count, 200, replace=False).tolist()]
+    for g in rows:
         for options in OPTIONS:
             solution = solve_ik(index, index.desc, points[g], Configuration((0, 0, 0, 0), 10), **options)
             assert_walked(solution, index.desc)
+    assert len(walks) == len(rows) * len(OPTIONS)
 
 
-def test_index_from_another_blas_kernel_walks_the_chain(tmp_path):
-    # the rotations' matmuls round as the BLAS CPU kernel does: under a kernel
-    # with FMA, a third of the n=3 points differ from a build without it
-    desc = desc_with(segment_count=3)
-    path = tmp_path / "nehalem.plcw"
+OFFSET_ROBOT = desc_with(segment_count=4, tool_offset=(3.0, -2.0, 15.0))
+
+
+def test_index_from_another_blas_kernel_has_this_hosts_bytes(tmp_path, walks):
+    # the FK makes no BLAS call, so an index built under any OpenBLAS CPU
+    # kernel, with FMA or without, holds this host's bytes; before format 3
+    # a third of the n=3 points differed between the two kinds of kernel,
+    # and an index loaded from such a file walked every answer
+    robots = {"n3": desc_with(segment_count=3), "offset": OFFSET_ROBOT}
     build = (
-        "import sys; from plc import RobotDescription, enumerate_workspace; "
-        "enumerate_workspace(RobotDescription(segment_count=3)).save(sys.argv[1])"
+        "import sys; from plc import RobotDescription, enumerate_workspace\n"
+        "for name, desc in [\n"
+        "    ('n3', RobotDescription(segment_count=3)),\n"
+        "    ('offset', RobotDescription(segment_count=4, tool_offset=(3.0, -2.0, 15.0))),\n"
+        "]:\n"
+        "    enumerate_workspace(desc).save(f'{sys.argv[1]}/{name}.plcw')"
     )
     source = str(Path(plc.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": source}
-    subprocess.run([sys.executable, "-c", build, str(path)], env=env, check=True, timeout=120)
-    index = WorkspaceIndex.load(path, desc)
-    same_kernel = index.points.tobytes() == enumerate_workspace(desc).points.tobytes()
-    assert index.stores_walked_tips == same_kernel
-    for point in index.points:
-        assert_walked(solve_ik(index, desc, point, Configuration((0, 0, 0), 10)), desc)
+    for name, desc in robots.items():
+        enumerate_workspace(desc).save(tmp_path / f"{name}.plcw")
+    for kernel in ["Haswell", "SkylakeX", "Nehalem", "Prescott"]:
+        out = tmp_path / kernel
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": source}
+        subprocess.run([sys.executable, "-c", build, str(out)], env=env, check=True, timeout=120)
+        for name in robots:
+            built = (out / f"{name}.plcw").read_bytes()
+            assert built == (tmp_path / f"{name}.plcw").read_bytes(), (kernel, name)
+    # a loaded index answers a bucket's first configuration with its point
+    for name, desc in robots.items():
+        index = WorkspaceIndex.load(tmp_path / "Nehalem" / f"{name}.plcw", desc)
+        for g in np.flatnonzero(np.diff(index.bucket_offsets) == 1)[::20].tolist():
+            reference = Configuration((0,) * desc.segment_count, 10)
+            solution = solve_ik(index, desc, index.points[g], reference)
+            assert solution.achieved_position.tobytes() == index.points[g].tobytes()
+    assert walks == []
+
+
+def test_index_files_keep_their_digests(index_n5, index_n4_45deg, index_offset, tmp_path):
+    # the same bytes on every host, whatever its BLAS kernel (CI runs this
+    # under three); a change that means to move them updates these digests
+    digests = {
+        "n5": "4cb1ca7cbfb8d3daef639a905eb1e9f461950f26d3bbb08fb83a812abda75486",
+        "ik": "51059f59080a8a99e28f019ca0a173b55f3510759a8387ba9e2c4eaf24364ad9",
+        "offset": "7cbed3aa9d5d711e47503efa9b525a65d62dacaeb0242f864de059121a31d129",
+    }
+    indexes = {"n5": index_n5, "ik": index_n4_45deg, "offset": index_offset}
+    for name, index in indexes.items():
+        path = tmp_path / f"{name}.plcw"
+        index.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[name], name
 
 
 @pytest.mark.parametrize(
-    "fixture, sample", [("index_n3", None), ("index_n4", None), ("index_n4_45deg", 2000)]
+    "fixture, sample",
+    [
+        ("index_n3", None),
+        ("index_n4", None),
+        ("index_n4_45deg", 2000),
+        ("index_offset", None),
+        ("index_one_joint_offset", None),
+    ],
 )
 def test_every_stored_point_is_its_first_members_walk(fixture, sample, request):
-    # what solve_ik answers from the stored point, and the sample check relies on
+    # what solve_ik answers from the stored point, at any tool offset
     index = request.getfixturevalue(fixture)
+    assert index._points_are_tips
     rows = range(index.point_count)
     if sample is not None:
         rows = np.random.default_rng(67).choice(index.point_count, sample, replace=False).tolist()
     for g in rows:
         walked = kinematics.tool_position(index.desc, member(index, g))
         assert walked.tobytes() == index.points[g].tobytes()
-    assert index.stores_walked_tips
+
+
+@pytest.fixture(scope="module")
+def index_offset():
+    return enumerate_workspace(OFFSET_ROBOT)
+
+
+@pytest.fixture(scope="module")
+def index_one_joint_offset():
+    return enumerate_workspace(desc_with(segment_count=1, tool_offset=(0.5, 0.0, -4.0)))
 
 
 def test_wrapped_metric_measures_actual_rotation():
@@ -352,23 +395,21 @@ def test_description_mismatch_is_rejected(index_n3):
     assert solution.position_error == 0.0
 
 
-def test_tool_offset_targets_reach_their_own_tip():
+def test_tool_offset_targets_reach_their_own_tip(walks):
     desc = desc_with(segment_count=3, tool_offset=(0.0, 0.0, 15.0))
     index = enumerate_workspace(desc)
-    assert not index.stores_walked_tips  # offset tips round differently from the walk
-    # a one-joint robot's offset tips equal their walks, and still no offset
-    # index answers from its points
-    one_joint = enumerate_workspace(desc_with(segment_count=1, tool_offset=(0.0, 0.0, 15.0)))
-    assert not one_joint.stores_walked_tips
     for indices in all_configurations(desc):
         config = Configuration(indices, desc.tooth_count)
         target = tip_position(desc, indices)
         for options in OPTIONS:
+            walks.clear()
             solution = solve_ik(index, desc, target, config, **options)
             assert solution.position_error <= 1e-9
             assert_achieved_is_the_tool_tip(solution, desc, target)
             if "seed" not in options:
                 assert solution.config == config
+            # n=3 buckets hold one member: every answer is the stored point
+            assert walks == []
 
 
 @pytest.fixture(scope="module")

