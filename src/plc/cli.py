@@ -52,7 +52,7 @@ def _fmt(value: float) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with atomic_open(args.out, "w", newline="\n") as fh:
             fh.write(text)
     else:
@@ -115,7 +115,7 @@ def _cache_path(desc: RobotDescription) -> Path:
 def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
     from .workspace import WorkspaceIndex, enumerate_workspace
 
-    if getattr(args, "index", None):
+    if getattr(args, "index", None) is not None:
         return WorkspaceIndex.load(args.index, desc)
     cache = _cache_path(desc)
     if cache.exists():
@@ -181,8 +181,8 @@ def _cmd_workspace_build(args) -> int:
 
     desc = _load_description(args)
     index = enumerate_workspace(desc)
-    path = Path(args.out) if args.out else _cache_path(desc)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _cache_path(desc) if args.out is None else args.out
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     index.save(path)
     print(
         f"wrote {path} ({index.point_count} points, "
@@ -223,7 +223,7 @@ def _cmd_workspace_omnivariance(args) -> int:
 
     desc = _load_description(args)
     index = _load_or_build_index(desc, args)
-    if args.local:
+    if args.local is not None:
         values = local_omnivariance(index.points, args.local)
         lines = ["x,y,z,local_omnivariance"]
         for point, value in zip(index.points, values):
@@ -251,7 +251,7 @@ def _cmd_ik(args) -> int:
     desc = _load_description(args)
     index = WorkspaceIndex.load(args.index, desc)
     target = _parse_vector(args.target)
-    if args.reference:
+    if args.reference is not None:
         reference = _config_for(desc, args.reference)
     else:
         reference = Configuration((0,) * desc.segment_count, desc.tooth_count)
@@ -276,22 +276,16 @@ def _cmd_stiffness_firm(args) -> int:
     config = _config_for(desc, args.config)
     header = "ux,uy,uz,stiffness_n_per_mm,compliance_mm_per_n"
     lines = [header]
-    if args.direction:
+    if args.direction is not None:
         direction = _parse_direction(args.direction)
         stiff = directional_stiffness(desc, config, direction, args.literal_polar)
         lines.append(
             ",".join(_fmt(v) for v in (*direction, stiff, 1.0 / stiff))
         )
     else:
-        for sample in stiffness_map(
-            desc, config, args.sphere, literal_polar=args.literal_polar
-        ):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (*sample.direction, sample.stiffness, sample.compliance)
-                )
-            )
+        samples = stiffness_map(desc, config, args.sphere, literal_polar=args.literal_polar)
+        for direction, stiff, compliance in samples.tolist():
+            lines.append(",".join(_fmt(v) for v in (*direction, stiff, compliance)))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

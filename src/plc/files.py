@@ -5,6 +5,7 @@ This module imports no numpy, so a command that only writes text (``plan
 """
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 from contextlib import contextmanager
@@ -27,8 +28,11 @@ def atomic_open(path, mode: str = "wb", **kwargs):
     If the ``with`` body raises, the temporary file is removed, so a failed
     write leaves neither a partial ``path`` nor a stray ``*.tmp`` file.  An
     error in creating or renaming the temporary file names ``path``, since
-    the temporary file's random name means nothing to the caller.
+    the temporary file's random name means nothing to the caller.  An empty
+    ``path`` names no file, as it does for ``open``.
     """
+    if os.fspath(path) == "":  # Path("") would be the current directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")

@@ -17,7 +17,8 @@ statement of the model here; its derivation by the energy method
 N -> mm, so it is a compliance; directional stiffness is reported as
 |F| / |delta|.  One batched helper computes |C u| for a stack of unit
 directions, so a single direction and a whole sphere map take the same
-arithmetic.
+arithmetic.  A sphere map is one structured array, a record of direction,
+stiffness and compliance per direction, filled by whole-column operations.
 
 Loosening state: an external force large enough to out-lever the tendon
 tension opens the locking ring; past that threshold further deflection is
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 
-#: Most directions ``stiffness_map`` samples: under 350 B of traced memory
-#: each (``tracemalloc``: 296 B, the sample, its direction view and two
-#: floats, numpy 2.4 and Python 3.11), so under 0.35 GB.
+#: Most directions ``stiffness_map`` samples: under 80 B of traced memory
+#: each (``tracemalloc``: 72 B, the 40-byte record beside the direction and
+#: norm it is filled from, numpy 2.4 and Python 3.11), so under 80 MB.
 MAX_SPHERE_SAMPLES = 10**6
 
 #: Range, mm/N, that a chain's n*min(a, b) and n*max(a, b) must lie in: |C u|
@@ -163,19 +164,6 @@ def directional_stiffness(
     return 1.0 / float(_displacement_norms(compliance.matrix, u[None])[0])
 
 
-@dataclass(frozen=True)
-class StiffnessSample:
-    """One sampled direction of a stiffness map.
-
-    stiffness is |F|/|delta| (N/mm); compliance is the reciprocal |delta|/|F|
-    (mm/N) that stiffness plots usually color by.
-    """
-
-    direction: np.ndarray
-    stiffness: float
-    compliance: float
-
-
 def fibonacci_sphere(samples: int) -> np.ndarray:
     """Near-uniform unit directions, shape (samples, 3)."""
     import numpy as np
@@ -192,20 +180,37 @@ def stiffness_map(
     config: Configuration,
     sphere_samples: int,
     literal_polar: bool = False,
-) -> list[StiffnessSample]:
-    """Directional stiffness sampled over the sphere for plotting/export:
-    one sample per row of ``fibonacci_sphere(sphere_samples)``."""
+) -> np.ndarray:
+    """Directional stiffness sampled over the sphere for plotting/export.
+
+    Returns one record per row of ``fibonacci_sphere(sphere_samples)``, an
+    array of shape ``(sphere_samples,)`` whose structured dtype has the
+    fields, in the CLI's column order:
+
+    - ``direction``: the unit push direction, 3 float64;
+    - ``stiffness``: |F|/|delta|, N/mm, float64;
+    - ``compliance``: the reciprocal |delta|/|F|, mm/N, float64, that
+      stiffness plots usually color by.
+    """
     if sphere_samples < 6:
         raise PlcError(f"need at least 6 sphere samples, got {sphere_samples}")
     if sphere_samples > MAX_SPHERE_SAMPLES:
         raise PlcError(f"need at most {MAX_SPHERE_SAMPLES} sphere samples, got {sphere_samples}")
+    import numpy as np
+
     compliance = firmed_compliance(desc, config, literal_polar)
     directions = fibonacci_sphere(sphere_samples)
-    per_newton = _displacement_norms(compliance.matrix, directions).tolist()
-    return [
-        StiffnessSample(direction=direction, stiffness=1.0 / c, compliance=c)
-        for direction, c in zip(directions, per_newton)
-    ]
+    # the norms are taken from the contiguous directions before the records
+    # exist, which keeps the peak at MAX_SPHERE_SAMPLES' 72 B per sample
+    per_newton = _displacement_norms(compliance.matrix, directions)
+    samples = np.empty(
+        sphere_samples,
+        dtype=[("direction", float, (3,)), ("stiffness", float), ("compliance", float)],
+    )
+    samples["direction"] = directions
+    samples["compliance"] = per_newton
+    np.divide(1.0, per_newton, out=samples["stiffness"])
+    return samples
 
 
 def loosening_threshold(desc: RobotDescription, tension: float) -> float:

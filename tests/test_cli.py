@@ -473,6 +473,38 @@ def test_out_errors_name_the_given_path(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["stiffness", "firm", "--config", "0,0", "--direction="], 2,
+         "error: expected comma-separated numbers, got ''"),
+        (["ik", "--index", "ws.plcw", "--target", "1,2,3", "--reference="], 2,
+         "error: expected comma-separated integers, got ''"),
+        (["workspace", "omnivariance", "--index", "ws.plcw", "--local", "0"], 2,
+         "error: neighborhood size 0 outside [2, "),
+        (["workspace", "export", "--index=", "--format", "csv"], 3,
+         "i/o error: [Errno 2] No such file or directory: ''"),
+        (["plan", "--start", "0,0", "--goal", "0,1", "--out="], 3,
+         "i/o error: [Errno 2] No such file or directory: ''"),
+        (["stiffness", "firm", "--config", "0,0", "--out="], 3,
+         "i/o error: [Errno 2] No such file or directory: ''"),
+        (["workspace", "build", "--out="], 3,
+         "i/o error: [Errno 2] No such file or directory: ''"),
+    ],
+    ids=["direction", "reference", "local", "index", "plan-out", "firm-out", "build-out"],
+)
+def test_empty_or_zero_options_are_not_taken_as_absent(capsys, tmp_path, monkeypatch, argv, code, message):
+    # an empty --direction, --reference, --index or --out, or --local 0, is
+    # refused like its sibling inputs, not run as if the option were absent
+    monkeypatch.chdir(tmp_path)
+    robot = robot_file(tmp_path)
+    run(capsys, "workspace", "build", "--robot", robot, "--out", "ws.plcw")
+    got, out, err = run(capsys, *argv, "--robot", robot)
+    assert (got, out) == (code, "")
+    assert err.startswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["robot.yaml", "ws.plcw"]
+
+
 def test_normalize_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "normalize", "--designs", str(tmp_path / "nope.csv"))
     assert code == 3

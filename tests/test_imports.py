@@ -68,15 +68,27 @@ print(json.dumps({"code": code, "package": package, "loaded": [m for m in probed
 """
 
 
-def run_fresh(argv, tmp_path):
+# the import perfbench's sweep workload times as its set-up
+SWEEP_IMPORT = """
+import json, sys
+import plc.stiffness, plc.planner
+print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))
+"""
+
+
+def run_child(code, args, tmp_path):
     env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(argv), json.dumps(PROBED)],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_fresh(argv, tmp_path):
+    return run_child(CHILD, [json.dumps(argv), json.dumps(PROBED)], tmp_path)
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -90,6 +102,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     seen = {" ".join(argv): run_fresh(argv, tmp_path) for argv, _ in COMMANDS}
     want = {" ".join(argv): {"code": 0, "package": [], "loaded": loads} for argv, loads in COMMANDS}
     assert seen == want
+
+
+def test_stiffness_and_planner_modules_load_no_third_party_module(tmp_path):
+    # numpy is imported inside the functions that build arrays, never at
+    # module level, so the import itself loads none of the PROBED modules
+    assert run_child(SWEEP_IMPORT, [json.dumps(PROBED)], tmp_path) == []
 
 
 def test_local_omnivariance_loads_scipy_spatial(tmp_path):

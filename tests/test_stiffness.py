@@ -149,7 +149,7 @@ def test_stiffness_map_properties(default_desc):
     assert len(samples) == 2000
     compliance = firmed_compliance(default_desc, config)
     eigenvalues = np.linalg.eigvalsh(compliance.matrix)
-    values = np.array([s.stiffness for s in samples])
+    values = samples["stiffness"]
     assert np.all(values >= 1.0 / eigenvalues[-1] - 1e-12)
     assert np.all(values <= 1.0 / eigenvalues[0] + 1e-12)
     assert values.min() == pytest.approx(1.0 / eigenvalues[-1], rel=0.05)
@@ -183,21 +183,26 @@ def test_map_rows_equal_single_directions_bitwise(robot, literal_polar):
         config = random_config(rng, desc.segment_count, desc.tooth_count)
         compliance = firmed_compliance(desc, config, literal_polar)
         samples = stiffness_map(desc, config, count, literal_polar)
-        assert np.array_equal(np.array([s.direction for s in samples]), fibonacci_sphere(count))
-        for sample in samples:
-            single = directional_stiffness(desc, config, sample.direction, literal_polar)
-            looped = float(np.linalg.norm(compliance.displacement(sample.direction)))
-            assert sample.stiffness.hex() == single.hex() == (1.0 / looped).hex()
-            assert sample.compliance.hex() == looped.hex()
+        assert samples.dtype.names == ("direction", "stiffness", "compliance")
+        assert samples.shape == (count,) and len(samples) == count
+        directions = samples["direction"]
+        assert directions.tobytes() == fibonacci_sphere(count).tobytes()
+        # rows of the map's direction field: 40 bytes apart, so their
+        # 16-byte alignment alternates
+        for direction, (_, stiff, per_newton) in zip(directions, samples.tolist()):
+            single = directional_stiffness(desc, config, direction, literal_polar)
+            looped = float(np.linalg.norm(compliance.displacement(direction)))
+            assert stiff.hex() == single.hex() == (1.0 / looped).hex() == (1.0 / per_newton).hex()
+            assert per_newton.hex() == looped.hex()
 
 
 def test_sphere_samples_stay_within_their_memory_bound(default_desc):
-    # MAX_SPHERE_SAMPLES' comment: under 350 B of traced memory per sample
-    # (296 B with numpy 2.4 and Python 3.11), so under 0.35 GB at the limit
+    # MAX_SPHERE_SAMPLES' comment: under 80 B of traced memory per sample
+    # (72 B with numpy 2.4 and Python 3.11), so under 80 MB at the limit
     count = 10**5
     config = Configuration((1, 7, 3, 0, 5), 10)
     stiffness_map(default_desc, config, 6)  # numpy's first-call allocations
-    assert traced_peak(lambda: stiffness_map(default_desc, config, count)) <= 350 * count
+    assert traced_peak(lambda: stiffness_map(default_desc, config, count)) <= 80 * count
 
 
 @pytest.mark.parametrize("edge, inside", [(0, 2.0), (1, 0.5)])
@@ -213,8 +218,9 @@ def test_firmed_model_is_refused_past_its_float_range(edge, inside):
         scale = term / (COMPLIANCE_RANGE[edge] * factor)  # the terms go as 1 / E
         desc = dataclasses.replace(base, youngs_modulus=base.youngs_modulus * scale)
         if factor == inside:
-            products = [s.stiffness * s.compliance for s in stiffness_map(desc, config, 50)]
-            assert products == pytest.approx([1.0] * 50, rel=1e-15)
+            samples = stiffness_map(desc, config, 50)
+            products = samples["stiffness"] * samples["compliance"]
+            assert products.tolist() == pytest.approx([1.0] * 50, rel=1e-15)
         else:
             with pytest.raises(PlcError, match="outside the float range"):
                 stiffness_map(desc, config, 50)
