@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .files import INDEX_FORMAT_VERSION, atomic_open
+from .files import INDEX_FORMAT_VERSION, atomic_open, read_text
 from .model import (
     METRICS,
     Configuration,
@@ -97,8 +97,7 @@ def _parse_direction(text: str) -> np.ndarray:
 def _load_description(args) -> RobotDescription:
     if args.robot == "default":
         return RobotDescription()
-    with open(args.robot, "r", encoding="utf-8") as fh:
-        return parse_robot_description(fh.read())
+    return parse_robot_description(read_text(args.robot))
 
 
 def _config_for(desc: RobotDescription, text: str) -> Configuration:
@@ -133,24 +132,23 @@ def _read_queries(path) -> np.ndarray:
     import numpy as np
 
     rows, lines = [], 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            lines += 1
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts[:3]]
-            except ValueError:
-                if lines > 1:
-                    raise PlcError(f"bad query row: {line!r}") from None
-                continue  # a header: the first line that is not blank or a comment
-            if len(row) != 3:
-                raise PlcError(f"query rows must have 3 columns (x,y,z), got {line!r}")
-            if not all(math.isfinite(v) for v in row):
-                raise PlcError(f"query coordinates must be finite, got {line!r}")
-            rows.append(row)
+    for line in read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        lines += 1
+        parts = line.split(",")
+        try:
+            row = [float(p) for p in parts[:3]]
+        except ValueError:
+            if lines > 1:
+                raise PlcError(f"bad query row: {line!r}") from None
+            continue  # a header: the first line that is not blank or a comment
+        if len(row) != 3:
+            raise PlcError(f"query rows must have 3 columns (x,y,z), got {line!r}")
+        if not all(math.isfinite(v) for v in row):
+            raise PlcError(f"query coordinates must be finite, got {line!r}")
+        rows.append(row)
     if not rows:
         raise PlcError("query file contains no points")
     return np.array(rows)
@@ -180,10 +178,13 @@ def _cmd_workspace_build(args) -> int:
     from .workspace import enumerate_workspace
 
     desc = _load_description(args)
-    index = enumerate_workspace(desc)
     path = _cache_path(desc) if args.out is None else args.out
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    index.save(path)
+    # opened first, so a target that cannot be written is refused before
+    # the enumeration is paid for
+    with atomic_open(path) as fh:
+        index = enumerate_workspace(desc)
+        index._write(fh)
     print(
         f"wrote {path} ({index.point_count} points, "
         f"{index.configuration_count} configurations)",

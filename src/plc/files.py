@@ -11,6 +11,8 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
+from .model import PlcError
+
 #: Version of the ``.plcw`` workspace index layout written by
 #: ``WorkspaceIndex.save``; ``load`` refuses any other.
 INDEX_FORMAT_VERSION = 3
@@ -19,6 +21,18 @@ INDEX_FORMAT_VERSION = 3
 def _naming(exc: OSError, path: Path) -> OSError:
     """``exc`` told of ``path``, not of the temporary file beside it."""
     return OSError(exc.errno, exc.strerror, str(path))
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, with universal newlines.
+
+    A file that is not UTF-8 is refused with a :class:`PlcError` naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PlcError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 @contextmanager

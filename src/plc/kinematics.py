@@ -16,10 +16,10 @@ unit transform above once per tooth index (rotations (N, 3, 3), translations
 joint, ``(R, p) <- (R R_k, p + R t_k)``.  The tool tip takes the last joint
 with the per-tooth tip vector t_k + R_k o of the tool offset o, so it is
 p + R (t_k + R_k o).  :func:`chain_pose` and :func:`tool_position` walk one
-pose at a time with :func:`_step`; :func:`_prefix_poses` applies the step to
-every prefix of the canonical enumeration at once, level by level, for
-:func:`tip_positions` and for the cached prefix table that
-:func:`tool_position` starts its walk from.
+pose at a time with :func:`_step`, joint by joint from the first, each in its
+own loop (only :func:`chain_pose` collects the segment axes);
+:func:`_prefix_poses` applies the step to every prefix of the canonical
+enumeration at once, level by level, for :func:`tip_positions`.
 
 Every product is written out in one stated order of IEEE float operations,
 with no BLAS call, so its bits are the same on every host: entry (i, j) of
@@ -44,9 +44,6 @@ import math
 import numpy as np
 
 from .model import Configuration, RigidTransform, RobotDescription, index_angle
-
-# the cached prefix table holds at most this many poses (about 400 KB)
-PREFIX_TABLE_ROWS = 4096
 
 # poses per block of _products: its at most 30 working rows of this many
 # floats take 960 KiB, within a 2 MiB L2.  Timing tip_positions of the N=4,
@@ -211,43 +208,20 @@ def tip_positions(desc: RobotDescription) -> np.ndarray:
     return _products(rotation, tip[:, :, None], _POSITION_TERMS, position)
 
 
-@functools.lru_cache
-def _prefix_table(desc: RobotDescription) -> tuple[int, np.ndarray, np.ndarray]:
-    """Depth m and the read-only :func:`_prefix_poses` of the first m joints.
-
-    m is the largest depth below n whose N**m poses fit in
-    ``PREFIX_TABLE_ROWS``, and at least 1 (then the table is
-    :func:`unit_table` itself), since the last joint takes the tip vector.
-    Cached per description.
-    """
-    teeth, levels = desc.tooth_count, 1
-    while levels + 1 < desc.segment_count and teeth ** (levels + 1) <= PREFIX_TABLE_ROWS:
-        levels += 1
-    rotation, position = _prefix_poses(desc, levels)
-    rotation.setflags(write=False)
-    position.setflags(write=False)
-    return levels, rotation, position
-
-
 def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
     """Base-frame tool tip of a full chain, without the axes or the checked
     end pose of :func:`chain_pose`.
 
-    The first m joints are one row of the cached prefix table, the joints
-    after them are walked with :func:`_step`, and the last joint's step takes
-    its tip vector for t_k: the arithmetic of :func:`tip_positions`, so the
-    result is bit for bit its row.
+    Joints 1..n-1 are walked with :func:`_step`, as in :func:`chain_pose`,
+    and the last joint's step takes its tip vector for t_k: the arithmetic of
+    :func:`tip_positions`, so the result is bit for bit its row.
     """
     desc.check_configuration(config)
     rot, tra, tip = _unit_rows(desc)
     *head, last = config.indices
     if not head:
         return np.array(tip[last])
-    levels, prefix_rotation, prefix_position = _prefix_table(desc)
-    rank = 0
-    for k in head[:levels]:
-        rank = rank * desc.tooth_count + k
-    rotation, position = prefix_rotation[rank].tolist(), prefix_position[rank].tolist()
-    for k in head[levels:]:
+    rotation, position = rot[head[0]], tra[head[0]]
+    for k in head[1:]:
         rotation, position = _step(rotation, position, rot[k], tra[k])
     return np.array(_step(rotation, position, rot[last], tip[last])[1])

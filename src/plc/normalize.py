@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .files import read_text
 from .model import InvariantError, PlcError
 
 BUILTIN_DESIGNS_RESOURCE = "varying_stiffness_designs.csv"
@@ -150,8 +151,7 @@ def parse_designs_csv(text: str) -> list[DesignRecord]:
 
 
 def load_designs(path) -> list[DesignRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_designs_csv(fh.read())
+    return parse_designs_csv(read_text(path))
 
 
 def builtin_designs() -> list[DesignRecord]:

@@ -223,7 +223,7 @@ def loosening_threshold(desc: RobotDescription, tension: float) -> float:
         F_th = 2 r T / lever_arm
     """
     if tension < 0.0 or not math.isfinite(tension):
-        raise PlcError(f"tension must be >= 0, got {tension}")
+        raise PlcError(f"tension must be finite and >= 0, got {tension}")
     threshold = 2.0 * desc.tendon_anchor_radius * tension / desc.lever_arm
     if not math.isfinite(threshold):
         raise PlcError(f"tension {tension} N is too large to compute the loosening threshold")

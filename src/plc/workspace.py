@@ -321,6 +321,11 @@ class WorkspaceIndex:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path) -> None:
+        with atomic_open(path) as fh:
+            self._write(fh)
+
+    def _write(self, fh) -> None:
+        """Write the ``.plcw`` bytes to the open binary file ``fh``."""
         digest = description_digest(self.desc)
         header = _HEADER.pack(
             _MAGIC,
@@ -331,12 +336,11 @@ class WorkspaceIndex:
             self.point_count,
             self.configuration_count,
         )
-        with atomic_open(path) as fh:
-            fh.write(header)
-            # the arrays themselves, not copies, on a little-endian host
-            fh.write(self.points.astype("<f8", copy=False))
-            fh.write(self.bucket_offsets.astype("<i8", copy=False))
-            fh.write(self.bucket_members.astype("<i8", copy=False))
+        fh.write(header)
+        # the arrays themselves, not copies, on a little-endian host
+        fh.write(self.points.astype("<f8", copy=False))
+        fh.write(self.bucket_offsets.astype("<i8", copy=False))
+        fh.write(self.bucket_members.astype("<i8", copy=False))
 
     @classmethod
     def load(cls, path, desc: RobotDescription) -> "WorkspaceIndex":

@@ -505,6 +505,59 @@ def test_empty_or_zero_options_are_not_taken_as_absent(capsys, tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["robot.yaml", "ws.plcw"]
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("file/x.plcw", "[Errno 17] File exists: 'file'"),
+    ],
+    ids=["empty", "under-a-file"],
+)
+def test_build_refuses_an_unwritable_out_before_enumerating(capsys, tmp_path, monkeypatch, target, message):
+    # the target is opened first: the enumeration (about 3 s and 737 MiB at
+    # n=7) used to run before the same refusal
+    calls = []
+    monkeypatch.setattr(workspace, "enumerate_workspace", calls.append)
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
+    robot = robot_file(tmp_path)
+    code, out, err = run(capsys, "workspace", "build", "--robot", robot, f"--out={target}")
+    assert (code, out, calls) == (3, "", [])
+    assert err == f"i/o error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "robot.yaml"]
+
+
+def test_interrupted_build_leaves_nothing_behind(capsys, tmp_path, monkeypatch):
+    def interrupted(desc):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(workspace, "enumerate_workspace", interrupted)
+    robot = robot_file(tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        main(["workspace", "build", "--robot", robot, "--out", str(tmp_path / "ws.plcw")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["robot.yaml"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fk", "--config", "0,0,0", "--robot"],
+        ["workspace", "accuracy", "--robot", SMALL_ROBOT, "--queries"],
+        ["normalize", "--designs"],
+    ],
+    ids=["robot", "queries", "designs"],
+)
+def test_input_files_that_are_not_utf8_are_refused(capsys, tmp_path, argv):
+    # a byte 0xff used to end in a UnicodeDecodeError traceback with exit 1
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"segment_count: 3\n\xff\n")
+    argv = [robot_file(tmp_path) if arg == SMALL_ROBOT else arg for arg in argv]
+    code, out, err = run(capsys, *argv, str(bad))
+    assert_domain_error(code, err)
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert out == ""
+
+
 def test_normalize_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "normalize", "--designs", str(tmp_path / "nope.csv"))
     assert code == 3

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from plc import Configuration, RobotDescription, chain_pose, tool_position
+from plc.cli import main
 from plc.kinematics import (
     _BLOCK_POSES,
     _POSITION_TERMS,
     _ROTATION_TERMS,
-    _prefix_table,
     _products,
     _step,
     tip_positions,
@@ -170,26 +171,6 @@ def test_unit_table_is_cached_and_read_only():
         rot[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         tra[0] = 0.0
-    # the prefix table: 7**4 = 2401 poses fit in 4096, 7**5 would not
-    levels, rotations, positions = _prefix_table(desc)
-    assert _prefix_table(desc) is _prefix_table(desc_with(tooth_count=7))
-    assert (levels, rotations.shape, positions.shape) == (4, (2401, 9), (2401, 3))
-    with pytest.raises(ValueError):
-        rotations[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        positions[0] = 0.0
-
-
-@pytest.mark.parametrize(
-    "teeth, segments, levels",
-    [(4, 10, 6), (10, 5, 3), (10, 3, 2), (10, 2, 1), (64, 5, 2), (65, 5, 1), (5000, 3, 1)],
-)
-def test_prefix_table_depth_is_the_deepest_that_fits(teeth, segments, levels):
-    # below the last joint, which takes the tip vector
-    desc = desc_with(tooth_count=teeth, segment_count=segments)
-    assert _prefix_table(desc)[0] == levels
-    if levels == 1:
-        assert _prefix_table(desc)[1].base is unit_table(desc)[0]
 
 
 EYE, ORIGIN = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0)
@@ -331,3 +312,43 @@ def test_configuration_must_fit_the_robot(fk):
         fk(desc, Configuration((1, 2), 10))
     with pytest.raises(InvariantError, match="tooth count 12 != robot tooth count 10"):
         fk(desc, Configuration((1, 2, 11), 12))
+
+
+FK_DIGESTS = {
+    ("default", "0,0,0,0,0"): "25e53dd892640bd9a4822d771ddc6c14e5620e8010705d21ae9aa90ccfb2af85",
+    ("default", "9,9,9,9,9"): "650ccebda9f369b631282bbe93549020954a84a288cc2b62c1ebb24a2371e53e",
+    ("default", "1,7,3,0,5"): "52279df80b662490b324850f5ecaea5b4ce42bf1deb2f345b1969d6ff2210404",
+    ("default", "2,9,0,5,7"): "cc7719544530bc90a59acee803b8893d7e4e0cefb14ba371c612c0ba1cc79a84",
+    ("default", "5,0,5,0,5"): "c3e4178d45624940875b933124d755964693208355b9f9999febd842f28666d1",
+    ("default", "3,1,4,1,5"): "5150bab20bbc6a554511424d556cc0a6005f6ad54b2cc1dd9c9a8bfd827047d2",
+    ("ik", "0,0,0,0,0,0,0,0,0,0"): "2564264ea8205eb5b16765cf039762f624d9c73604ff64d842e2216e118b18df",
+    ("ik", "3,3,3,3,3,3,3,3,3,3"): "a10e97b24552f5674d70a09fca8e23354365074c882ede463c8e3c1c36024590",
+    ("ik", "0,1,2,3,0,1,2,3,0,1"): "8c6f120b6b32439e6376e3343916524ac70d809d850c1e6233e6724be52e6b9c",
+    ("ik", "1,3,0,2,2,0,3,1,1,2"): "7bd12ee98ab8a3b27e6c435ad05ae0af7f15a568d9cf991df36f87093cbfc12c",
+    ("ik", "2,0,0,0,0,0,0,0,0,3"): "f8255530d367c912cf779690b7f0e9e55b661656f9d5727355cf49d07c7f2d17",
+    ("ik", "3,2,1,0,3,2,1,0,3,2"): "e5b5e8d0777a8cc480f24d50b3d9b5ce20ee716a6f70b43301f062f15eace376",
+    ("offset", "0,0,0,0"): "58dfb61f23c0906fcccdcc36688429bd001748df5dd3e8154f9faa493338a65d",
+    ("offset", "9,9,9,9"): "1104e82f5e84eebaeed1040f17ebcadc6c5a709fa8b18aacb5acbaf991efbef6",
+    ("offset", "1,7,3,0"): "8d8c2e34ff51705ac722c6ea530fac2829753cefa0f42d50eee0bd23e7dc9286",
+    ("offset", "5,5,0,2"): "8a754935fc3407c05ba154b89f0e57aa2f6a3745caff56f08d35083aa3d1ce67",
+    ("offset", "8,1,6,4"): "826df781dcdee9aaf4f3914bd79df1fa1026ec608617e6dddb86037814359957",
+    ("offset", "0,0,0,9"): "0c83768cc4a6ac2878b2b2f40730910d27245397d76c4bef81c48456ed2b2ff9",
+}
+
+
+def test_fk_outputs_keep_their_digests(capsys, tmp_path):
+    # the end pose and the tool tip as `plc fk` prints them, the same on every
+    # host (CI also runs this under a non-FMA BLAS kernel); a change that
+    # means to move them updates these digests
+    robots = {
+        "default": "default",
+        "ik": tmp_path / "ik.yaml",
+        "offset": tmp_path / "offset.yaml",
+    }
+    robots["ik"].write_text("segment_count: 10\ntooth_count: 4\nbend_angle: 45\n")
+    robots["offset"].write_text("segment_count: 4\ntool_offset: [3, -2, 15]\n")
+    digests = {}
+    for robot, config in FK_DIGESTS:
+        assert main(["fk", "--robot", str(robots[robot]), "--config", config]) == 0
+        digests[robot, config] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == FK_DIGESTS

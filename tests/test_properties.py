@@ -1,10 +1,9 @@
 """Property tests over small random robots: FK against the homogeneous
-oracle, the scalar chain walk against the batched enumeration and the prefix
-table bit for bit, every enumerated tool tip inside its bucket's key cell, and
-the same nearest point from the exact scan and from the k-d tree."""
+oracle, the scalar chain walk against the batched enumeration bit for bit,
+every enumerated tool tip inside its bucket's key cell, and the same nearest
+point from the exact scan and from the k-d tree."""
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +12,6 @@ from plc import (
     Configuration,
     chain_pose,
     enumerate_workspace,
-    kinematics,
     tool_position,
 )
 from plc.kinematics import _prefix_poses, tip_positions
@@ -105,20 +103,17 @@ def test_tool_position_matches_tool_tip_of_chain_pose_bitwise(desc, data):
             max_size=10,
         )
     )
-    # the tool tip is the stored form p + R (t_k + R_k o): at any offset and
-    # prefix depth it is the enumeration's row bit for bit, and the end pose
-    # applied to the offset to rounding
+    # the tool tip is the stored form p + R (t_k + R_k o): at any offset it
+    # is the enumeration's row bit for bit, and the end pose applied to the
+    # offset to rounding
     tips = tip_positions(desc)
-    for levels in range(1, max(desc.segment_count - 1, 1) + 1):
-        table = (levels, *_prefix_poses(desc, levels))
-        with mock.patch.object(kinematics, "_prefix_table", lambda _: table):
-            for indices in configs:
-                config = Configuration(indices, desc.tooth_count)
-                rank = int(np.ravel_multi_index(indices, (desc.tooth_count,) * desc.segment_count))
-                tip = tool_position(desc, config)
-                assert tip.tobytes() == tips[rank].tobytes()
-                expected = chain_pose(desc, config)[0].transform_point(desc.tool_offset)
-                assert np.allclose(tip, expected, rtol=0.0, atol=1e-9)
+    for indices in configs:
+        config = Configuration(indices, desc.tooth_count)
+        rank = int(np.ravel_multi_index(indices, (desc.tooth_count,) * desc.segment_count))
+        tip = tool_position(desc, config)
+        assert tip.tobytes() == tips[rank].tobytes()
+        expected = chain_pose(desc, config)[0].transform_point(desc.tool_offset)
+        assert np.allclose(tip, expected, rtol=0.0, atol=1e-9)
 
 
 @checked

@@ -78,7 +78,6 @@ def test_modules_define_one_way_to_do_each_job():
         "chain_pose",
         "_prefix_poses",
         "tip_positions",
-        "_prefix_table",
         "tool_position",
     }
     # buckets are read through bucket_ranks and configuration_from_rank
@@ -90,7 +89,7 @@ def test_modules_define_one_way_to_do_each_job():
         "omnivariance",
         "local_omnivariance",
     }
-    assert functions_of(files) == {"atomic_open"}
+    assert functions_of(files) == {"read_text", "atomic_open"}
     assert functions_of(normalize) == {
         "normalize_stiffness",
         "build_comparison",
@@ -176,5 +175,6 @@ def test_value_types_carry_only_what_the_library_reads():
         "nearest_point_indices",
         "nearest_point_index",
         "save",
+        "_write",
         "load",
     }

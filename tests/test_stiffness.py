@@ -256,8 +256,9 @@ def test_loosening_threshold_values(default_desc):
     assert loosening_threshold(default_desc, 50.0) == pytest.approx(30.0, rel=1e-15)
     assert loosening_threshold(default_desc, 30.0) == pytest.approx(18.0, rel=1e-15)
     assert loosening_threshold(default_desc, 0.0) == 0.0
-    with pytest.raises(PlcError):
-        loosening_threshold(default_desc, -1.0)
+    for tension in [-1.0, math.inf, math.nan]:
+        with pytest.raises(PlcError, match=f"tension must be finite and >= 0, got {tension}"):
+            loosening_threshold(default_desc, tension)
     with pytest.raises(PlcError, match="too large"):  # 2 r T overflows
         loosening_threshold(default_desc, 1.5e307)
 
