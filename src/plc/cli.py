@@ -111,8 +111,23 @@ def _cache_path(desc: RobotDescription) -> Path:
     return root / f"workspace-{description_digest(desc).hex()[:16]}.plcw"
 
 
+def _build_index(desc: RobotDescription, path) -> WorkspaceIndex:
+    """Enumerate ``desc``'s workspace into a new index file at ``path``.
+
+    The file is opened first, so a target that cannot be written is refused
+    before the enumeration is paid for.
+    """
+    from .workspace import enumerate_workspace
+
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path) as fh:
+        index = enumerate_workspace(desc)
+        index._write(fh)
+    return index
+
+
 def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
-    from .workspace import WorkspaceIndex, enumerate_workspace
+    from .workspace import WorkspaceIndex
 
     if getattr(args, "index", None) is not None:
         return WorkspaceIndex.load(args.index, desc)
@@ -122,10 +137,7 @@ def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
             return WorkspaceIndex.load(cache, desc)
         except PlcError:
             pass  # stale or foreign cache entry: rebuild below
-    index = enumerate_workspace(desc)
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    index.save(cache)
-    return index
+    return _build_index(desc, cache)
 
 
 def _read_queries(path) -> np.ndarray:
@@ -175,16 +187,9 @@ def _cmd_fk(args) -> int:
 
 
 def _cmd_workspace_build(args) -> int:
-    from .workspace import enumerate_workspace
-
     desc = _load_description(args)
     path = _cache_path(desc) if args.out is None else args.out
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    # opened first, so a target that cannot be written is refused before
-    # the enumeration is paid for
-    with atomic_open(path) as fh:
-        index = enumerate_workspace(desc)
-        index._write(fh)
+    index = _build_index(desc, path)
     print(
         f"wrote {path} ({index.point_count} points, "
         f"{index.configuration_count} configurations)",

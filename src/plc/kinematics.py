@@ -15,11 +15,15 @@ unit transform above once per tooth index (rotations (N, 3, 3), translations
 (N, 3)) and caches it per description, and a chain is built by one step per
 joint, ``(R, p) <- (R R_k, p + R t_k)``.  The tool tip takes the last joint
 with the per-tooth tip vector t_k + R_k o of the tool offset o, so it is
-p + R (t_k + R_k o).  :func:`chain_pose` and :func:`tool_position` walk one
-pose at a time with :func:`_step`, joint by joint from the first, each in its
-own loop (only :func:`chain_pose` collects the segment axes);
-:func:`_prefix_poses` applies the step to every prefix of the canonical
-enumeration at once, level by level, for :func:`tip_positions`.
+p + R (t_k + R_k o).  Two loops walk one pose at a time with :func:`_step`,
+joint by joint from the first: :func:`_walk`, which also collects the
+segment axes as float triples, and :func:`tool_position`, whose last joint
+takes the tip vector.  :func:`_walk` is the one walk behind both
+:func:`chain_pose`, which wraps its result in a checked end pose and an
+(n, 3) axes array, and the firmed compliance of :mod:`plc.stiffness`, which
+reads its axes as they are.  :func:`_prefix_poses` applies the step to
+every prefix of the canonical enumeration at once, level by level, for
+:func:`tip_positions`.
 
 Every product is written out in one stated order of IEEE float operations,
 with no BLAS call, so its bits are the same on every host: entry (i, j) of
@@ -161,22 +165,33 @@ def _products(rotation, table, order, position=None) -> np.ndarray:
     return out.reshape(count * teeth, 3 * width)
 
 
+def _walk(desc: RobotDescription, config: Configuration) -> tuple:
+    """End rotation (nine floats row-major), end position (three floats) and
+    segment base axes (n triples of floats) of a full chain, walked joint by
+    joint with :func:`_step`.
+
+    Axis i is the world-frame z-axis of the frame segment i is attached to:
+    the axial unit vector used by the stiffness model.
+    """
+    desc.check_configuration(config)
+    rot, tra, _ = _unit_rows(desc)
+    first, *rest = config.indices
+    rotation, position = rot[first], tra[first]
+    axes = [(0.0, 0.0, 1.0)]
+    for k in rest:
+        axes.append(rotation[2::3])
+        rotation, position = _step(rotation, position, rot[k], tra[k])
+    return rotation, position, axes
+
+
 def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTransform, np.ndarray]:
     """End pose of a full chain and its segment base axes, shape (n, 3).
 
     Row i of the axes is the world-frame z-axis of the frame segment i is
     attached to: the axial unit vector used by the stiffness model.
     """
-    desc.check_configuration(config)
-    rot, tra, _ = _unit_rows(desc)
-    first, *rest = config.indices
-    rotation, position = rot[first], tra[first]
-    axes = np.empty((desc.segment_count, 3))
-    axes[0] = (0.0, 0.0, 1.0)
-    for i, k in enumerate(rest, start=1):
-        axes[i] = rotation[2::3]
-        rotation, position = _step(rotation, position, rot[k], tra[k])
-    return RigidTransform(np.array(rotation).reshape(3, 3), np.array(position)), axes
+    rotation, position, axes = _walk(desc, config)
+    return RigidTransform(np.array(rotation).reshape(3, 3), np.array(position)), np.array(axes)
 
 
 def _prefix_poses(desc: RobotDescription, levels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,11 @@ class JointState:
     config: Configuration
 
     def __post_init__(self):
-        object.__setattr__(self, "lock_flags", tuple(bool(f) for f in self.lock_flags))
+        # the common case, a tuple of bools, is kept as it is; any other
+        # sequence of flags is converted flag by flag
+        flags = self.lock_flags
+        if type(flags) is not tuple or not all(type(f) is bool for f in flags):
+            object.__setattr__(self, "lock_flags", tuple(bool(f) for f in flags))
         if len(self.lock_flags) != len(self.config.indices):
             raise InvariantError(
                 f"{len(self.lock_flags)} lock flags for "

@@ -15,10 +15,22 @@ statement of the model here; its derivation by the energy method
 (Castigliano: C is the Hessian of the chain's strain energy in F) lives in
 ``tests/_oracles.py``, which the tests differentiate to check C.  C maps
 N -> mm, so it is a compliance; directional stiffness is reported as
-|F| / |delta|.  One batched helper computes |C u| for a stack of unit
-directions, so a single direction and a whole sphere map take the same
-arithmetic.  A sphere map is one structured array, a record of direction,
-stiffness and compliance per direction, filled by whole-column operations.
+|F| / |delta|.
+
+C is formed in Python floats, with no BLAS call, so its bits are the same
+on every host: each of the six distinct Gram entries g_ij = sum_s v_si v_sj
+(i <= j) is summed from 0.0 over the segments s = 0 .. n-1 in order, the
+other three mirror them, so C is exactly symmetric, and each entry is then
+a g_ij + b (n delta_ij - g_ij).  :func:`firmed_compliance` reads the axes
+as float triples from the single-pose walk of :mod:`plc.kinematics`, with
+no end pose or axes array built.
+
+One batched helper, ``_displacement_norms``, computes |C u| for a stack of
+unit directions, so a single direction and a whole sphere map take the same
+arithmetic; it still uses BLAS matmuls, laid out so that a map row and the
+same single direction round alike under every kernel (see its docstring).
+A sphere map is one structured array, a record of direction, stiffness and
+compliance per direction, filled by whole-column operations.
 
 Loosening state: an external force large enough to out-lever the tendon
 tension opens the locking ring; past that threshold further deflection is
@@ -107,8 +119,12 @@ def compliance_from_axes(
     """
     import numpy as np
 
-    stack = np.atleast_2d(np.asarray(axes, dtype=float))
-    count = stack.shape[0]
+    return _compliance(desc, np.atleast_2d(np.asarray(axes, dtype=float)).tolist(), literal_polar)
+
+
+def _compliance(desc: RobotDescription, axes, literal_polar: bool) -> ComplianceMatrix:
+    """:func:`compliance_from_axes` of ``axes`` given as triples of floats."""
+    count = len(axes)
     length = desc.curve_length
     e = desc.youngs_modulus
     try:
@@ -123,19 +139,33 @@ def compliance_from_axes(
             f"L^3/(3EI) = {bending:.3g} mm/N lies outside the float range {low:g} to "
             f"{high:g} mm/N the model computes in"
         )
+    # the six distinct entries of A^T A, in the order of the module docstring
+    gxx = gxy = gxz = gyy = gyz = gzz = 0.0
+    for x, y, z in axes:
+        gxx += x * x
+        gxy += x * y
+        gxz += x * z
+        gyy += y * y
+        gyz += y * z
+        gzz += z * z
+    gram = ((gxx, gxy, gxz), (gxy, gyy, gyz), (gxz, gyz, gzz))
     # a v v^T + b (I - v v^T) summed over the rows v; a straight segment's
     # axial entry is a itself, as b (1 - 1) is exactly 0
-    gram = stack.T @ stack
-    return ComplianceMatrix(axial * gram + bending * (count * np.eye(3) - gram))
+    return ComplianceMatrix(
+        [
+            [axial * g + bending * ((count if i == j else 0.0) - g) for j, g in enumerate(row)]
+            for i, row in enumerate(gram)
+        ]
+    )
 
 
 def firmed_compliance(
     desc: RobotDescription, config: Configuration, literal_polar: bool = False
 ) -> ComplianceMatrix:
     """Maximum-stiffness-state compliance of the chain at ``config``."""
-    from .kinematics import chain_pose
+    from .kinematics import _walk
 
-    return compliance_from_axes(desc, chain_pose(desc, config)[1], literal_polar)
+    return _compliance(desc, _walk(desc, config)[2], literal_polar)
 
 
 def _displacement_norms(matrix: np.ndarray, directions: np.ndarray) -> np.ndarray:

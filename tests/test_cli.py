@@ -527,6 +527,29 @@ def test_build_refuses_an_unwritable_out_before_enumerating(capsys, tmp_path, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "robot.yaml"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["export", "--format", "csv"], ["omnivariance"], ["accuracy", "--queries", "queries.csv"]],
+    ids=["export", "omnivariance", "accuracy"],
+)
+def test_cache_that_cannot_be_written_is_refused_before_enumerating(
+    capsys, tmp_path, monkeypatch, command
+):
+    # without --index these commands build the cache entry; its target is
+    # opened first, as workspace build's is
+    calls = []
+    monkeypatch.setattr(workspace, "enumerate_workspace", calls.append)
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
+    Path("queries.csv").write_text("1,2,3\n")
+    monkeypatch.setenv("PLC_CACHE_DIR", str(tmp_path / "file" / "cache"))
+    robot = robot_file(tmp_path)
+    code, out, err = run(capsys, "workspace", *command, "--robot", robot)
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("i/o error: [Errno 20] Not a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "queries.csv", "robot.yaml"]
+
+
 def test_interrupted_build_leaves_nothing_behind(capsys, tmp_path, monkeypatch):
     def interrupted(desc):
         raise KeyboardInterrupt

@@ -125,5 +125,16 @@ def test_total_rotation_budget():
 
 
 def test_joint_state_validation():
+    config = Configuration((0, 0, 0), 10)
     with pytest.raises(InvariantError, match="lock flags"):
-        JointState((True, True), Configuration((0, 0, 0), 10))
+        JointState((True, True), config)
+    with pytest.raises(InvariantError, match="2 lock flags for 3 joints"):
+        JointState([True, False], config)
+    # a tuple of bools is kept as it is; any other flags become one
+    flags = (True, False, True)
+    assert JointState(flags, config).lock_flags is flags
+    for given in ([True, False, True], np.array([True, False, True]), (1, 0, 2), (True, 0, True)):
+        state = JointState(given, config)
+        assert type(state.lock_flags) is tuple
+        assert [type(f) for f in state.lock_flags] == [bool] * 3
+        assert state.lock_flags == flags and state.unlocked_joints == (2,)

@@ -11,6 +11,7 @@ from plc import (
     Configuration,
     PlcError,
     RobotDescription,
+    chain_pose,
     directional_stiffness,
     firmed_compliance,
     force_deflection,
@@ -194,6 +195,36 @@ def test_map_rows_equal_single_directions_bitwise(robot, literal_polar):
             looped = float(np.linalg.norm(compliance.displacement(direction)))
             assert stiff.hex() == single.hex() == (1.0 / looped).hex() == (1.0 / per_newton).hex()
             assert per_newton.hex() == looped.hex()
+
+
+# SHA-256 of firmed_compliance(...).matrix.tobytes() over 200 seeded
+# configurations per robot: C is formed in Python floats with no BLAS call,
+# so its bits are the same under every kernel the suite runs with
+COMPLIANCE_DIGESTS = {
+    ("default", False): "6b5a009e6b72f52acb19543f77485452d4560b1825ab605c2aa01d541e4e10a4",
+    ("default", True): "9c5d52072c1ed3f0fda062faf4f8f5a7f9392dcff2bf91079ea16ddec430a1e2",
+    ("ik", False): "ca05594725d2f4ab58adb8011f1d20667eacb44390f061a6faa90752151d836b",
+    ("ik", True): "dea9f57f78e423087598d1a46ed7f62b078883357bdfa1be5ffec12245f0f074",
+    ("seven", False): "ee98e9b258555e4e8631e63800dacb3710617e8d2ca9b46b13af7af078bec9c5",
+    ("seven", True): "c2bb41f44f786a9efa01b357d456b595fadfa7ef3af9690253c4b9d11ba24bbb",
+}
+
+
+def test_firmed_compliance_keeps_its_digests():
+    digests = {}
+    for robot, literal_polar in COMPLIANCE_DIGESTS:
+        desc = desc_with(**MAP_ROBOTS[robot])
+        rng = np.random.default_rng(2501)
+        sha = hashlib.sha256()
+        for _ in range(200):
+            config = random_config(rng, desc.segment_count, desc.tooth_count)
+            matrix = firmed_compliance(desc, config, literal_polar).matrix
+            axes = chain_pose(desc, config)[1]
+            assert matrix.tobytes() == compliance_from_axes(desc, axes, literal_polar).matrix.tobytes()
+            assert matrix.tobytes() == matrix.T.tobytes()
+            sha.update(matrix.tobytes())
+        digests[robot, literal_polar] = sha.hexdigest()
+    assert digests == COMPLIANCE_DIGESTS
 
 
 def test_sphere_samples_stay_within_their_memory_bound(default_desc):
