@@ -15,13 +15,14 @@ unit transform above once per tooth index (rotations (N, 3, 3), translations
 (N, 3)) and caches it per description, and a chain is built by one step per
 joint, ``(R, p) <- (R R_k, p + R t_k)``.  The tool tip takes the last joint
 with the per-tooth tip vector t_k + R_k o of the tool offset o, so it is
-p + R (t_k + R_k o).  Two loops walk one pose at a time with :func:`_step`,
-joint by joint from the first: :func:`_walk`, which also collects the
-segment axes as float triples, and :func:`tool_position`, whose last joint
-takes the tip vector.  :func:`_walk` is the one walk behind both
-:func:`chain_pose`, which wraps its result in a checked end pose and an
-(n, 3) axes array, and the firmed compliance of :mod:`plc.stiffness`, which
-reads its axes as they are.  :func:`_prefix_poses` applies the step to
+p + R (t_k + R_k o).  One loop, :func:`_walk`, walks one pose at a time
+with :func:`_step`, joint by joint from the first; it collects the segment
+axes as float triples, and takes the last joint a second time, from the
+same pose, with the tip vector.  It is the one walk behind
+:func:`chain_pose`, which wraps its end pose and axes in a checked end pose
+and an (n, 3) axes array, :func:`tool_position`, which returns its tip as an
+array, and the firmed compliance of :mod:`plc.stiffness`, which reads its
+axes as they are.  :func:`_prefix_poses` applies the step to
 every prefix of the canonical enumeration at once, level by level, for
 :func:`tip_positions`.
 
@@ -35,7 +36,7 @@ order is that of an OpenBLAS kernel without FMA, and the position order that
 of numpy's x86-64 einsum, which once formed these products, so zero-offset
 index files written then under such a kernel keep their points; the added
 +0.0 (einsum's start of the sum) turns a row whose three products are all
--0.0 into +0.0.  So the single-pose walks and the batched levels agree bit
+-0.0 into +0.0.  So the single-pose walk and the batched levels agree bit
 for bit on any host and at any tool offset: :func:`tool_position` equals the
 workspace point stored for its configuration, and at zero tool offset so
 does the end translation of :func:`chain_pose`.
@@ -90,7 +91,7 @@ def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache
 def _unit_rows(desc: RobotDescription) -> tuple[list, list, list]:
     """The :func:`unit_table` rows as Python floats, for the single-pose
-    walks: per tooth index, the rotation as nine floats row-major, the
+    walk: per tooth index, the rotation as nine floats row-major, the
     translation t_k, and the tip vector t_k + R_k o, three floats each.
     Cached per description."""
     rot, tra = unit_table(desc)
@@ -105,7 +106,7 @@ def _step(rotation, position, unit_rotation, unit_translation):
 
     Each entry of R R_k is ``(a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j`` and each
     component of p + R t_k is ``p_i + (((a_i0 t0 + a_i2 t2) + a_i1 t1) +
-    0.0)``, the orders of :func:`_products`, so the single-pose walks and the
+    0.0)``, the orders of :func:`_products`, so the single-pose walk and the
     batched levels agree bit for bit.
     """
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = rotation
@@ -166,22 +167,28 @@ def _products(rotation, table, order, position=None) -> np.ndarray:
 
 
 def _walk(desc: RobotDescription, config: Configuration) -> tuple:
-    """End rotation (nine floats row-major), end position (three floats) and
-    segment base axes (n triples of floats) of a full chain, walked joint by
-    joint with :func:`_step`.
+    """End rotation (nine floats row-major), end position (three floats),
+    segment base axes (n triples of floats) and tool tip (three floats) of a
+    full chain, walked joint by joint with :func:`_step`.
 
     Axis i is the world-frame z-axis of the frame segment i is attached to:
-    the axial unit vector used by the stiffness model.
+    the axial unit vector used by the stiffness model.  The last joint takes
+    a second step from the same pose with its tip vector t_k + R_k o for
+    t_k: the arithmetic of :func:`tip_positions`, so the tip is bit for bit
+    its row.
     """
     desc.check_configuration(config)
-    rot, tra, _ = _unit_rows(desc)
+    rot, tra, tips = _unit_rows(desc)
     first, *rest = config.indices
-    rotation, position = rot[first], tra[first]
+    rotation, position, tip = rot[first], tra[first], tips[first]
     axes = [(0.0, 0.0, 1.0)]
     for k in rest:
         axes.append(rotation[2::3])
+        prior_rotation, prior_position = rotation, position
         rotation, position = _step(rotation, position, rot[k], tra[k])
-    return rotation, position, axes
+    if rest:
+        tip = _step(prior_rotation, prior_position, rot[k], tips[k])[1]
+    return rotation, position, axes, tip
 
 
 def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTransform, np.ndarray]:
@@ -190,7 +197,7 @@ def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTran
     Row i of the axes is the world-frame z-axis of the frame segment i is
     attached to: the axial unit vector used by the stiffness model.
     """
-    rotation, position, axes = _walk(desc, config)
+    rotation, position, axes, _ = _walk(desc, config)
     return RigidTransform(np.array(rotation).reshape(3, 3), np.array(position)), np.array(axes)
 
 
@@ -224,19 +231,6 @@ def tip_positions(desc: RobotDescription) -> np.ndarray:
 
 
 def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
-    """Base-frame tool tip of a full chain, without the axes or the checked
-    end pose of :func:`chain_pose`.
-
-    Joints 1..n-1 are walked with :func:`_step`, as in :func:`chain_pose`,
-    and the last joint's step takes its tip vector for t_k: the arithmetic of
-    :func:`tip_positions`, so the result is bit for bit its row.
-    """
-    desc.check_configuration(config)
-    rot, tra, tip = _unit_rows(desc)
-    *head, last = config.indices
-    if not head:
-        return np.array(tip[last])
-    rotation, position = rot[head[0]], tra[head[0]]
-    for k in head[1:]:
-        rotation, position = _step(rotation, position, rot[k], tra[k])
-    return np.array(_step(rotation, position, rot[last], tip[last])[1])
+    """Base-frame tool tip of a full chain: the tip of :func:`_walk`, bit
+    for bit the row :func:`tip_positions` gives its configuration."""
+    return np.array(_walk(desc, config)[3])

@@ -47,7 +47,10 @@ def index_angle(index, tooth_count):
 
 
 _INT_FIELDS = {"segment_count", "tooth_count", "skin_convolutions"}
-MAX_TOOTH_COUNT = 10**6  # every command builds per-tooth tables: about 140 MB at the bound
+# `plc fk`, `stiffness firm` and `stiffness curve` build per-tooth tables:
+# 949 MiB peak at the bound, the unit table's 144 MB and its rows' 768 MB
+# as Python floats
+MAX_TOOTH_COUNT = 10**6
 _POSITIVE_FIELDS = (
     "youngs_modulus",
     "tendon_stiffness",

@@ -25,12 +25,13 @@ a g_ij + b (n delta_ij - g_ij).  :func:`firmed_compliance` reads the axes
 as float triples from the single-pose walk of :mod:`plc.kinematics`, with
 no end pose or axes array built.
 
-One batched helper, ``_displacement_norms``, computes |C u| for a stack of
-unit directions, so a single direction and a whole sphere map take the same
-arithmetic; it still uses BLAS matmuls, laid out so that a map row and the
-same single direction round alike under every kernel (see its docstring).
-A sphere map is one structured array, a record of direction, stiffness and
-compliance per direction, filled by whole-column operations.
+|C u| is written once too, in one stated order with no BLAS call:
+``d_i = (c_i0 u0 + c_i1 u1) + c_i2 u2`` and ``|C u|^2 = (d0 d0 + d1 d1) +
+d2 d2``.  ``_squared_displacement`` spells it for three Python floats (one
+direction) or three numpy columns (a sphere map), so a map row and the same
+single direction agree bit for bit on every host.  A sphere map is one
+structured array, a record of direction, stiffness and compliance per
+direction, filled by whole-column operations.
 
 Loosening state: an external force large enough to out-lever the tendon
 tension opens the locking ring; past that threshold further deflection is
@@ -54,8 +55,8 @@ from .model import Configuration, InvariantError, PlcError, RobotDescription
 MAX_SPHERE_SAMPLES = 10**6
 
 #: Range, mm/N, that a chain's n*min(a, b) and n*max(a, b) must lie in: |C u|
-#: of a unit u lies between those two, so its square (the dot product whose
-#: root ``_displacement_norms`` takes) stays a normal float and its
+#: of a unit u lies between those two, so its square (the sum
+#: ``_squared_displacement`` returns) stays a normal float and its
 #: reciprocal, the stiffness, is finite, with four decades to spare for
 #: rounding.
 COMPLIANCE_RANGE = (1e-150, 1e150)
@@ -85,7 +86,11 @@ def _check_unit(vector, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplianceMatrix:
-    """Symmetric positive-definite tip force -> tip displacement map, mm/N."""
+    """Symmetric positive-definite tip force -> tip displacement map, mm/N.
+
+    Its entries must be finite, and symmetric to within 1e-12 of the largest
+    |entry|.
+    """
 
     matrix: np.ndarray
 
@@ -95,7 +100,10 @@ class ComplianceMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InvariantError("compliance matrix must be 3x3")
-        if np.abs(m - m.T).max() > 1e-12:
+        _, b, c, d, _, f, g, h, _ = entries = m.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
+            raise InvariantError("compliance matrix entries must be finite")
+        if max(abs(b - d), abs(c - g), abs(f - h)) > 1e-12 * max(map(abs, entries)):
             raise InvariantError("compliance matrix must be symmetric")
         if float(np.linalg.eigvalsh(m)[0]) <= 0.0:
             raise InvariantError("compliance matrix must be positive definite")
@@ -168,21 +176,13 @@ def firmed_compliance(
     return _compliance(desc, _walk(desc, config)[2], literal_polar)
 
 
-def _displacement_norms(matrix: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """|C u| (mm/N) for each row u of ``directions`` (k, 3), C = ``matrix``.
-
-    Two stacked matmuls, the per-row displacement and then its dot product
-    with itself, round as ``np.linalg.norm(C @ u)`` row by row does.  Each
-    displacement starts 32 bytes after the one before, so every row has the
-    16-byte alignment of a new 3-vector: an SSE2 dot kernel (OpenBLAS's
-    Prescott) sums by alignment, and rows 24 bytes apart would round
-    alternately, differing between a map row and the same single direction.
+def _squared_displacement(matrix, u0, u1, u2):
+    """|C u|^2 (mm^2/N^2), C = ``matrix`` as three rows of three floats, of a
+    unit u given as three Python floats (one direction) or three numpy
+    columns (one entry per direction), in the order of the module docstring.
     """
-    import numpy as np
-
-    d = np.empty((directions.shape[0], 4, 1))[:, :3]
-    np.matmul(matrix, directions[:, :, None], out=d)
-    return np.sqrt((d.transpose(0, 2, 1) @ d)[:, 0, 0])
+    d0, d1, d2 = ((c0 * u0 + c1 * u1) + c2 * u2 for c0, c1, c2 in matrix)
+    return (d0 * d0 + d1 * d1) + d2 * d2
 
 
 def directional_stiffness(
@@ -190,8 +190,8 @@ def directional_stiffness(
 ) -> float:
     """|F| / |delta| for a unit force along ``direction``, N/mm."""
     u = _check_unit(direction, "direction")
-    compliance = firmed_compliance(desc, config, literal_polar)
-    return 1.0 / float(_displacement_norms(compliance.matrix, u[None])[0])
+    matrix = firmed_compliance(desc, config, literal_polar).matrix.tolist()
+    return 1.0 / math.sqrt(_squared_displacement(matrix, *u.tolist()))
 
 
 def fibonacci_sphere(samples: int) -> np.ndarray:
@@ -228,11 +228,11 @@ def stiffness_map(
         raise PlcError(f"need at most {MAX_SPHERE_SAMPLES} sphere samples, got {sphere_samples}")
     import numpy as np
 
-    compliance = firmed_compliance(desc, config, literal_polar)
+    matrix = firmed_compliance(desc, config, literal_polar).matrix.tolist()
     directions = fibonacci_sphere(sphere_samples)
-    # the norms are taken from the contiguous directions before the records
+    # the norms are taken from the directions' columns before the records
     # exist, which keeps the peak at MAX_SPHERE_SAMPLES' 72 B per sample
-    per_newton = _displacement_norms(compliance.matrix, directions)
+    per_newton = np.sqrt(_squared_displacement(matrix, *directions.T))
     samples = np.empty(
         sphere_samples,
         dtype=[("direction", float, (3,)), ("stiffness", float), ("compliance", float)],

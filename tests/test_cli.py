@@ -407,7 +407,7 @@ def test_stiffness_curve(capsys):
 
 def test_stiffness_curve_names_the_slope_in_printed_digits(capsys, tmp_path):
     # the firmed slope is printed as stdout prints numbers (.9g), not with
-    # the 17 digits whose last ones move with the BLAS kernel's rounding
+    # all 17 digits of the float
     robot = robot_file(tmp_path, "tendon_stiffness: 2.0\n")
     code, out, err = run(
         capsys, "stiffness", "curve", "--robot", robot, "--config", "0,0,0,0,0",

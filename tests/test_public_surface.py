@@ -70,7 +70,7 @@ def test_modules_define_one_way_to_do_each_job():
     # R R_k and p + R t are spelled twice in one stated order each, batched
     # (_products) and single-pose in Python floats (_step), and
     # test_kinematics ties the two bit for bit; one walk (_walk) serves
-    # chain_pose and the firmed compliance
+    # chain_pose, tool_position and the firmed compliance
     assert functions_of(kinematics, private=True) == {
         "unit_table",
         "_unit_rows",
