@@ -7,8 +7,10 @@ written to a temporary file and renamed, so failed runs never leave partial
 files behind.
 
 Each command imports the library modules it runs when it runs, and numpy
-only where it builds an array, so ``plan`` and ``normalize`` load no numpy
-and a ``--robot default`` command loads no PyYAML.
+only where it builds an array: ``fk``, ``stiffness firm --direction`` and
+``stiffness curve`` compute one pose or one direction in Python floats, so
+they, ``stiffness twist``, ``plan`` and ``normalize`` load no numpy, and a
+``--robot default`` command loads no PyYAML.
 """
 from __future__ import annotations
 
@@ -66,9 +68,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise PlcError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    import numpy as np
-
+def _parse_vector(text: str) -> list[float]:
     try:
         parts = [float(part.strip()) for part in text.split(",")]
     except ValueError:
@@ -77,21 +77,18 @@ def _parse_vector(text: str) -> np.ndarray:
         raise PlcError(f"expected 3 components, got {len(parts)}")
     if not all(math.isfinite(p) for p in parts):
         raise PlcError(f"vector components must be finite, got {text!r}")
-    return np.array(parts)
+    return parts
 
 
-def _parse_direction(text: str) -> np.ndarray:
-    import numpy as np
+def _parse_direction(text: str) -> tuple[float, float, float]:
+    from .stiffness import _scaled
 
-    v = _parse_vector(text)
-    # scaled by the power of two that brings the largest |component| into
-    # [0.5, 1): exact, so v / |v| keeps its bits and the norm neither
-    # underflows (1e-200,0,0) nor overflows (1e200,1e200,0)
-    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
-    norm = float(np.linalg.norm(v))
+    # divided by its norm once scaled by the power of two that brings the
+    # largest |component| into [0.5, 1): exact, so v / |v| keeps its bits
+    _, (x, y, z), norm = _scaled(_parse_vector(text))
     if norm == 0.0:
         raise PlcError("direction must be nonzero")
-    return v / norm
+    return x / norm, y / norm, z / norm
 
 
 def _load_description(args) -> RobotDescription:
@@ -170,18 +167,19 @@ def _read_queries(path) -> np.ndarray:
 
 
 def _cmd_fk(args) -> int:
-    from .kinematics import chain_pose, tool_position
+    from .kinematics import _walk
+    from .model import _check_pose
 
     desc = _load_description(args)
     config = _config_for(desc, args.config)
-    end, _ = chain_pose(desc, config)
-    tip = tool_position(desc, config)
+    (rotation, position), _, tip = _walk(desc, config, tip=True)
+    _check_pose(rotation, position)  # chain_pose's RigidTransform checks
     header = (
         "x_mm,y_mm,z_mm,"
         "r11,r12,r13,r21,r22,r23,r31,r32,r33,"
         "tip_x_mm,tip_y_mm,tip_z_mm"
     )
-    values = [*end.translation, *end.rotation.ravel(), *tip]
+    values = [*position, *rotation, *tip]
     _emit(args, header + "\n" + ",".join(_fmt(v) for v in values) + "\n")
     return EXIT_OK
 
@@ -296,18 +294,25 @@ def _cmd_stiffness_firm(args) -> int:
     return EXIT_OK
 
 
-def _cmd_stiffness_curve(args) -> int:
-    import numpy as np
+def _force_grid(top: float, threshold: float) -> list[float]:
+    """``np.unique(np.append(np.linspace(0.0, top, 81), threshold))`` in
+    Python floats, with its bits: k * (top / 80) for k < 80, or (k / 80) *
+    top where top / 80 underflows to 0, then top itself, and the threshold
+    unless it is one of them, ascending."""
+    step = top / 80
+    grid = [k * step if step else (k / 80) * top for k in range(80)]
+    return sorted({*grid, top, threshold})
 
+
+def _cmd_stiffness_curve(args) -> int:
     from .stiffness import force_deflection
 
     desc = _load_description(args)
     config = _config_for(desc, args.config)
     direction = _parse_direction(args.direction)
     curve = force_deflection(desc, config, args.tension, direction, args.literal_polar)
-    forces = np.unique(np.append(np.linspace(0.0, curve.top_force, 81), curve.threshold_force))
     lines = ["force_n,deflection_mm"]
-    for force in forces:
+    for force in _force_grid(curve.top_force, curve.threshold_force):
         lines.append(f"{_fmt(force)},{_fmt(curve.deflection(force))}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -10,21 +10,30 @@ end of one unit sits at
 
 with frame rotation RotZ(q) * RotY(beta).
 
-This module holds the library's only FK.  :func:`unit_table` evaluates the
-unit transform above once per tooth index (rotations (N, 3, 3), translations
-(N, 3)) and caches it per description, and a chain is built by one step per
-joint, ``(R, p) <- (R R_k, p + R t_k)``.  The tool tip takes the last joint
-with the per-tooth tip vector t_k + R_k o of the tool offset o, so it is
+This module holds the library's only FK.  The unit transform above is
+evaluated per tooth index k in one set of expressions, on the angle
+``(2 pi k) / N`` and its ``math`` cosine and sine: :func:`unit_table` gives
+every tooth's row at once as arrays (rotations (N, 3, 3), translations
+(N, 3)) for the workspace enumeration, and :func:`_unit_row` one row in
+Python floats for a single pose, with the per-tooth tip vector t_k + R_k o
+of the tool offset o.  Both are cached per description, the rows one at a
+time as walks read them, so no single-pose call builds an N-row table.  A
+chain is built by one step per joint, ``(R, p) <- (R R_k, p + R t_k)``,
+and the tool tip takes the last joint with the tip vector, so it is
 p + R (t_k + R_k o).  One loop, :func:`_walk`, walks one pose at a time
 with :func:`_step`, joint by joint from the first; it collects the segment
-axes as float triples, and takes the last joint a second time, from the
-same pose, with the tip vector.  It is the one walk behind
+axes as float triples, and steps the last joint only for what its caller
+reads: the end pose, the tip (a second step from the same pose, with the
+tip vector), both, or neither.  It is the one walk behind
 :func:`chain_pose`, which wraps its end pose and axes in a checked end pose
 and an (n, 3) axes array, :func:`tool_position`, which returns its tip as an
-array, and the firmed compliance of :mod:`plc.stiffness`, which reads its
-axes as they are.  :func:`_prefix_poses` applies the step to
-every prefix of the canonical enumeration at once, level by level, for
-:func:`tip_positions`.
+array, ``plc fk``, which prints its floats, and the firmed compliance of
+:mod:`plc.stiffness`, which reads its axes as they are.
+:func:`_prefix_poses` applies the step to every prefix of the canonical
+enumeration at once, level by level, for :func:`tip_positions`.
+
+numpy is imported inside the functions that build arrays, so ``plc fk``
+and the single-direction stiffness commands, which walk one pose, load none.
 
 Every product is written out in one stated order of IEEE float operations,
 with no BLAS call, so its bits are the same on every host: entry (i, j) of
@@ -46,8 +55,6 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from .model import Configuration, RigidTransform, RobotDescription, index_angle
 
 # poses per block of _products: its at most 30 working rows of this many
@@ -55,23 +62,33 @@ from .model import Configuration, RigidTransform, RobotDescription, index_angle
 # n=10 and N=10, n=6 robots (2-core Xeon, numpy 2.4), 2048-8192 were alike,
 # and on the N=4 robot 512 took 2.5x and 65536 1.4x as long as 4096.
 _BLOCK_POSES = 4096
+# rows of _unit_row kept per description: 0.76 kB each with the cache's own
+# entry (tracemalloc, Python 3.11), so about 3 MB at most, where the rows of
+# a whole N=1e6 table took 768 MB
+_CACHED_ROWS = 4096
 # the stated orders of the terms of R R_k and of R t (see the module docstring)
 _ROTATION_TERMS, _POSITION_TERMS = (0, 1, 2), (0, 2, 1)
 
 
 @functools.lru_cache
 def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tooth-index unit rotation (N, 3, 3) and translation (N, 3) tables.
+    """Per-tooth-index unit rotation (N, 3, 3) and translation (N, 3) tables,
+    for the workspace enumeration.
 
+    Each entry is the expression of :func:`_unit_row`, with the cosine and
+    sine of each angle taken by ``math``, so the two agree bit for bit.
     Cached per description; the arrays are read-only because every caller
     shares them.
     """
+    import numpy as np
+
     teeth = desc.tooth_count
     beta = desc.bend_angle
     radius = desc.curve_length / beta
     sag = radius * (1.0 - math.cos(beta))
-    q = index_angle(np.arange(teeth), teeth)
-    cq, sq = np.cos(q), np.sin(q)
+    q = index_angle(np.arange(teeth), teeth).tolist()
+    cq = np.fromiter(map(math.cos, q), float, teeth)
+    sq = np.fromiter(map(math.sin, q), float, teeth)
     cb, sb = math.cos(beta), math.sin(beta)
     rot = np.zeros((teeth, 3, 3))
     rot[:, 0, 0] = cq * cb
@@ -88,15 +105,31 @@ def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
     return rot, tra
 
 
+def _unit_row(desc: RobotDescription, k: int) -> tuple:
+    """Row ``k`` of the unit table in Python floats, for the single-pose
+    walk: the rotation R_k as nine floats row-major, the translation t_k
+    and the tip vector t_k + R_k o of the tool offset o, three floats each.
+
+    The entries are :func:`unit_table`'s expressions, and the tip vector is
+    the position of a :func:`_step` from (R_k, t_k) by o.
+    """
+    beta = desc.bend_angle
+    radius = desc.curve_length / beta
+    sag = radius * (1.0 - math.cos(beta))
+    q = index_angle(k, desc.tooth_count)
+    cq, sq = math.cos(q), math.sin(q)
+    cb, sb = math.cos(beta), math.sin(beta)
+    rotation = (cq * cb, -sq, cq * sb, sq * cb, cq, sq * sb, -sb, 0.0, cb)
+    translation = (sag * cq, sag * sq, radius * sb)
+    return rotation, translation, _step(rotation, translation, rotation, desc.tool_offset)[1]
+
+
 @functools.lru_cache
-def _unit_rows(desc: RobotDescription) -> tuple[list, list, list]:
-    """The :func:`unit_table` rows as Python floats, for the single-pose
-    walk: per tooth index, the rotation as nine floats row-major, the
-    translation t_k, and the tip vector t_k + R_k o, three floats each.
-    Cached per description."""
-    rot, tra = unit_table(desc)
-    tips = _products(rot, np.reshape(desc.tool_offset, (1, 3, 1)), _POSITION_TERMS, tra)
-    return rot.reshape(-1, 9).tolist(), tra.tolist(), tips.tolist()
+def _unit_rows(desc: RobotDescription):
+    """:func:`_unit_row` of ``desc`` by tooth index, each row computed on
+    its first read, so a walk computes the rows of its own indices only.
+    Cached per description, and the last ``_CACHED_ROWS`` rows read."""
+    return functools.lru_cache(maxsize=_CACHED_ROWS)(functools.partial(_unit_row, desc))
 
 
 def _step(rotation, position, unit_rotation, unit_translation):
@@ -142,6 +175,8 @@ def _products(rotation, table, order, position=None) -> np.ndarray:
     contiguous row per entry, and each table entry is summed by in-place
     ufuncs, a column of R against a row of B_k at a time.
     """
+    import numpy as np
+
     count, (teeth, _, width) = rotation.shape[0], table.shape
     out = np.empty((count, teeth, 3 * width))
     rows = min(count, _BLOCK_POSES)
@@ -166,29 +201,36 @@ def _products(rotation, table, order, position=None) -> np.ndarray:
     return out.reshape(count * teeth, 3 * width)
 
 
-def _walk(desc: RobotDescription, config: Configuration) -> tuple:
-    """End rotation (nine floats row-major), end position (three floats),
-    segment base axes (n triples of floats) and tool tip (three floats) of a
-    full chain, walked joint by joint with :func:`_step`.
+def _walk(desc: RobotDescription, config: Configuration, end: bool = True, tip: bool = False) -> tuple:
+    """End pose (rotation as nine floats row-major, position as three
+    floats), segment base axes (n triples of floats) and tool tip (three
+    floats) of a full chain, walked joint by joint with :func:`_step`.
 
     Axis i is the world-frame z-axis of the frame segment i is attached to:
-    the axial unit vector used by the stiffness model.  The last joint takes
-    a second step from the same pose with its tip vector t_k + R_k o for
-    t_k: the arithmetic of :func:`tip_positions`, so the tip is bit for bit
-    its row.
+    the axial unit vector used by the stiffness model.  The last joint is
+    stepped only for what the caller asks for, the end pose with ``end`` and
+    the tip with ``tip``, and what is not asked for is None.  The tip is a
+    step from the same pose by the tip vector t_k + R_k o for t_k: the
+    arithmetic of :func:`tip_positions`, so it is bit for bit its row.
     """
     desc.check_configuration(config)
-    rot, tra, tips = _unit_rows(desc)
-    first, *rest = config.indices
-    rotation, position, tip = rot[first], tra[first], tips[first]
+    rows = _unit_rows(desc)
+    *head, last = config.indices
+    unit_rotation, unit_translation, tip_vector = rows(last)
+    end_pose = unit_rotation, unit_translation
     axes = [(0.0, 0.0, 1.0)]
-    for k in rest:
+    if head:
+        rotation, position, _ = rows(head[0])
+        for k in head[1:]:
+            axes.append(rotation[2::3])
+            r, t, _ = rows(k)
+            rotation, position = _step(rotation, position, r, t)
         axes.append(rotation[2::3])
-        prior_rotation, prior_position = rotation, position
-        rotation, position = _step(rotation, position, rot[k], tra[k])
-    if rest:
-        tip = _step(prior_rotation, prior_position, rot[k], tips[k])[1]
-    return rotation, position, axes, tip
+        if end:
+            end_pose = _step(rotation, position, unit_rotation, unit_translation)
+        if tip:
+            tip_vector = _step(rotation, position, unit_rotation, tip_vector)[1]
+    return end_pose if end else None, axes, tip_vector if tip else None
 
 
 def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTransform, np.ndarray]:
@@ -197,7 +239,9 @@ def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTran
     Row i of the axes is the world-frame z-axis of the frame segment i is
     attached to: the axial unit vector used by the stiffness model.
     """
-    rotation, position, axes, _ = _walk(desc, config)
+    import numpy as np
+
+    (rotation, position), axes, _ = _walk(desc, config)
     return RigidTransform(np.array(rotation).reshape(3, 3), np.array(position)), np.array(axes)
 
 
@@ -223,7 +267,10 @@ def tip_positions(desc: RobotDescription) -> np.ndarray:
     The last joint takes the per-tooth tip vector t_k + R_k tool_offset on
     every (n-1)-joint prefix pose, so it needs no rotation.
     """
-    tip = np.array(_unit_rows(desc)[2])
+    import numpy as np
+
+    rot, tra = unit_table(desc)
+    tip = _products(rot, np.reshape(desc.tool_offset, (1, 3, 1)), _POSITION_TERMS, tra)
     if desc.segment_count == 1:
         return tip
     rotation, position = _prefix_poses(desc, desc.segment_count - 1)
@@ -233,4 +280,6 @@ def tip_positions(desc: RobotDescription) -> np.ndarray:
 def tool_position(desc: RobotDescription, config: Configuration) -> np.ndarray:
     """Base-frame tool tip of a full chain: the tip of :func:`_walk`, bit
     for bit the row :func:`tip_positions` gives its configuration."""
-    return np.array(_walk(desc, config)[3])
+    import numpy as np
+
+    return np.array(_walk(desc, config, end=False, tip=True)[2])

@@ -38,18 +38,23 @@ class InvariantError(PlcError):
 def index_angle(index, tooth_count):
     """Rotation angle (rad) of a tooth index: 2*pi*k / tooth_count.
 
-    Works element-wise on arrays.  All modules derive angles through this
+    A Python int gives a Python float, and anything else is taken
+    element-wise as a float array.  All modules derive angles through this
     single expression so index -> angle is bit-for-bit reproducible.
     """
+    if type(index) is int:
+        return (TWO_PI * float(index)) / tooth_count
     import numpy as np
 
     return (TWO_PI * np.asarray(index, dtype=float)) / tooth_count
 
 
 _INT_FIELDS = {"segment_count", "tooth_count", "skin_convolutions"}
-# `plc fk`, `stiffness firm` and `stiffness curve` build per-tooth tables:
-# 949 MiB peak at the bound, the unit table's 144 MB and its rows' 768 MB
-# as Python floats
+# the single-pose commands (`plc fk`, `stiffness firm`, `stiffness curve`)
+# read the per-tooth rows of their own indices only: at the bound they peak
+# at 17 MiB RSS in 0.08-0.15 s, as `plan` does (2-core Xeon), where whole
+# per-tooth tables took 949 MiB.  Only the workspace commands build the
+# N-row unit table
 MAX_TOOTH_COUNT = 10**6
 _POSITIVE_FIELDS = (
     "youngs_modulus",
@@ -240,6 +245,36 @@ class Configuration:
         return Configuration(tuple(new), self.tooth_count)
 
 
+def _check_pose(rotation, translation) -> None:
+    """Raise unless ``rotation``, nine floats row-major, is proper
+    orthonormal (every entry of R^T R - I within 1e-12 of 0 and det R
+    within 1e-12 of +1) and ``translation``, three floats, is finite.
+
+    The checks of :class:`RigidTransform`, in Python floats.  Written so
+    that a NaN error or determinant fails the bound too.
+    """
+    a, b, c, d, e, f, g, h, i = rotation
+    # the entries of R^T R - I on and above the diagonal: dot products of
+    # the columns (a, d, g), (b, e, h) and (c, f, i)
+    errors = (
+        abs((a * a + d * d) + g * g - 1.0),
+        abs((a * b + d * e) + g * h),
+        abs((a * c + d * f) + g * i),
+        abs((b * b + e * e) + h * h - 1.0),
+        abs((b * c + e * f) + h * i),
+        abs((c * c + f * f) + i * i - 1.0),
+    )
+    if not all(err <= 1e-12 for err in errors):
+        err = max(errors, key=lambda err: math.inf if math.isnan(err) else err)
+        raise InvariantError(f"rotation is not orthonormal (max error {err:.3e})")
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if not abs(det - 1.0) <= 1e-12:
+        raise InvariantError(f"rotation determinant {det} != +1")
+    x, y, z = translation
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise InvariantError(f"translation must be finite, got {list(translation)}")
+
+
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rotation + translation pair; rotation is checked proper-orthonormal."""
@@ -256,17 +291,7 @@ class RigidTransform:
             raise InvariantError(f"rotation must be 3x3, got shape {rot.shape}")
         if tra.shape != (3,):
             raise InvariantError(f"translation must be a 3-vector, got shape {tra.shape}")
-        # written so that a NaN error or determinant fails the bound too
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if not err <= 1e-12:
-            raise InvariantError(f"rotation is not orthonormal (max error {err:.3e})")
-        (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if not abs(det - 1.0) <= 1e-12:
-            raise InvariantError(f"rotation determinant {det} != +1")
-        x, y, z = tra.tolist()
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise InvariantError(f"translation must be finite, got {tra.tolist()}")
+        _check_pose(rot.ravel().tolist(), tra.tolist())
         rot.setflags(write=False)
         tra.setflags(write=False)
         object.__setattr__(self, "rotation", rot)

@@ -23,13 +23,20 @@ on every host: each of the six distinct Gram entries g_ij = sum_s v_si v_sj
 other three mirror them, so C is exactly symmetric, and each entry is then
 a g_ij + b (n delta_ij - g_ij).  :func:`firmed_compliance` reads the axes
 as float triples from the single-pose walk of :mod:`plc.kinematics`, with
-no end pose or axes array built.
+no end pose, tip or axes array built.  :class:`ComplianceMatrix` checks the
+nine entries as Python floats (finite, symmetric, and positive definite by
+the pivots of a Cholesky factorization) and builds its array only when
+``matrix`` is read.
 
 |C u| is written once too, in one stated order with no BLAS call:
 ``d_i = (c_i0 u0 + c_i1 u1) + c_i2 u2`` and ``|C u|^2 = (d0 d0 + d1 d1) +
 d2 d2``.  ``_squared_displacement`` spells it for three Python floats (one
 direction) or three numpy columns (a sphere map), so a map row and the same
-single direction agree bit for bit on every host.  A sphere map is one
+single direction agree bit for bit on every host, and
+:meth:`ComplianceMatrix.displacement` forms C F with the same d_i.  The
+norm of a direction is one stated order too, ``sqrt((x x + y y) + z z)`` of
+the vector scaled exactly by a power of two (``_scaled``), for the unit
+check here and for the CLI's ``--direction``.  A sphere map is one
 structured array, a record of direction, stiffness and compliance per
 direction, filled by whole-column operations.
 
@@ -40,7 +47,9 @@ dominated by tendon stretch, giving a shallower second slope.
 All lengths mm, forces N, moduli MPa, torques N*mm, angles rad.
 
 numpy and :mod:`plc.kinematics` are imported inside the functions that use
-them, so the twist formulas (``plc stiffness twist``) load neither.
+them, so the twist formulas (``plc stiffness twist``) load neither, and one
+direction or one force-deflection curve (``plc stiffness firm --direction``,
+``plc stiffness curve``) loads no numpy.
 """
 from __future__ import annotations
 
@@ -68,53 +77,100 @@ def _bending_inertia(desc: RobotDescription, literal_polar: bool) -> float:
     return desc.spine_polar_inertia if literal_polar else desc.spine_bending_inertia
 
 
-def _check_unit(vector, what: str) -> np.ndarray:
-    import numpy as np
+def _scaled(vector) -> tuple[int, tuple[float, float, float], float]:
+    """The exponent e of the largest |component| of ``vector``, three floats
+    (``math.frexp``), the vector scaled by 2**-e, and the norm of the scaled
+    vector, ``sqrt((x x + y y) + z z)`` in that order.
 
-    v = np.asarray(vector, dtype=float)
+    The scaling is exact, so the scaled vector keeps its bits and its norm
+    neither underflows (1e-200,0,0) nor overflows (1e200,1e200,0).
+    """
+    x, y, z = vector
+    e = math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
+    return e, (x, y, z), math.sqrt((x * x + y * y) + z * z)
+
+
+def _check_unit(vector, what: str) -> tuple[float, float, float]:
+    """``vector`` as three Python floats, refused unless it is a unit vector."""
+    if type(vector) in (list, tuple) and all(isinstance(c, (int, float)) for c in vector):
+        v = tuple(map(float, vector))
+    else:
+        import numpy as np
+
+        v = np.asarray(vector, dtype=float)
+        v = tuple(v.tolist()) if v.shape == (3,) else ()
     # a unit vector's largest |component| lies in [3**-0.5, 1 + 1e-9], so
-    # its math.frexp exponent is 0 or 1; any other vector is refused before
-    # its norm could underflow or overflow.  Written so that a NaN fails too
-    if (
-        v.shape != (3,)
-        or math.frexp(float(np.abs(v).max()))[1] not in (0, 1)
-        or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9
-    ):
-        raise InvariantError(f"{what} must be a unit 3-vector")
-    return v
+    # its math.frexp exponent is 0 or 1, and its norm is that of the scaled
+    # vector times 2**e, exactly.  Written so that a NaN fails too
+    if len(v) == 3:
+        e, _, norm = _scaled(v)
+        if e in (0, 1) and abs(math.ldexp(norm, e) - 1.0) <= 1e-9:
+            return v
+    raise InvariantError(f"{what} must be a unit 3-vector")
 
 
-@dataclass(frozen=True)
 class ComplianceMatrix:
     """Symmetric positive-definite tip force -> tip displacement map, mm/N.
 
-    Its entries must be finite, and symmetric to within 1e-12 of the largest
-    |entry|.
+    Built from a 3x3 array-like.  Its entries must be finite, symmetric to
+    within 1e-12 of the largest |entry|, and positive definite, all checked
+    on the nine entries as Python floats.  ``matrix`` is the map as a
+    read-only (3, 3) array, built on its first read.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("_rows", "_matrix")
 
-    def __post_init__(self):
-        import numpy as np
+    def __init__(self, matrix):
+        if type(matrix) in (list, tuple) and all(
+            type(row) in (list, tuple) and len(row) == 3 and all(type(x) is float for x in row)
+            for row in matrix
+        ):
+            rows = matrix  # three rows of Python floats: no array to build
+        else:
+            import numpy as np
 
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (3, 3):
+            m = np.array(matrix, dtype=float)
+            rows = m.tolist() if m.shape == (3, 3) else []
+        if len(rows) != 3:
             raise InvariantError("compliance matrix must be 3x3")
-        _, b, c, d, _, f, g, h, _ = entries = m.ravel().tolist()
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        entries = a, b, c, d, e, f, g, h, i
         if not all(map(math.isfinite, entries)):
             raise InvariantError("compliance matrix entries must be finite")
-        if max(abs(b - d), abs(c - g), abs(f - h)) > 1e-12 * max(map(abs, entries)):
+        largest = max(map(abs, entries))
+        if max(abs(b - d), abs(c - g), abs(f - h)) > 1e-12 * largest:
             raise InvariantError("compliance matrix must be symmetric")
-        if float(np.linalg.eigvalsh(m)[0]) <= 0.0:
+        # the pivots of a Cholesky factorization (L D L^T) of the lower
+        # triangle, once scaled exactly by the power of two that brings the
+        # largest |entry| into [0.5, 1), so no product overflows
+        scale = -math.frexp(largest)[1]
+        a, d, e, g, h, i = (math.ldexp(x, scale) for x in (a, d, e, g, h, i))
+        if not a > 0.0:
             raise InvariantError("compliance matrix must be positive definite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        l1, l2 = d / a, g / a
+        pivot, l3 = e - l1 * d, h - l2 * d
+        if not pivot > 0.0 or not (i - l2 * g) - l3 * l3 / pivot > 0.0:
+            raise InvariantError("compliance matrix must be positive definite")
+        self._rows = tuple(map(tuple, rows))
+        self._matrix = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The map as a read-only (3, 3) float array."""
+        if self._matrix is None:
+            import numpy as np
+
+            self._matrix = np.array(self._rows)
+            self._matrix.setflags(write=False)
+        return self._matrix
 
     def displacement(self, force) -> np.ndarray:
-        """Tip displacement (mm) under a tip force (N)."""
+        """Tip displacement (mm) under a tip force (N): each component
+        ``d_i = (c_i0 f0 + c_i1 f1) + c_i2 f2``, in the order of |C u|."""
         import numpy as np
 
-        return self.matrix @ np.asarray(force, dtype=float)
+        return np.array(_displacement(self._rows, *np.asarray(force, dtype=float)))
 
 
 def compliance_from_axes(
@@ -173,15 +229,20 @@ def firmed_compliance(
     """Maximum-stiffness-state compliance of the chain at ``config``."""
     from .kinematics import _walk
 
-    return _compliance(desc, _walk(desc, config)[2], literal_polar)
+    return _compliance(desc, _walk(desc, config, end=False)[1], literal_polar)
 
 
-def _squared_displacement(matrix, u0, u1, u2):
-    """|C u|^2 (mm^2/N^2), C = ``matrix`` as three rows of three floats, of a
-    unit u given as three Python floats (one direction) or three numpy
-    columns (one entry per direction), in the order of the module docstring.
-    """
-    d0, d1, d2 = ((c0 * u0 + c1 * u1) + c2 * u2 for c0, c1, c2 in matrix)
+def _displacement(rows, u0, u1, u2):
+    """C u, C given as three ``rows`` of three floats, of a u given as three
+    Python floats (one vector) or three numpy columns (one entry per
+    vector): ``d_i = (c_i0 u0 + c_i1 u1) + c_i2 u2``, as a list of three."""
+    return [(c0 * u0 + c1 * u1) + c2 * u2 for c0, c1, c2 in rows]
+
+
+def _squared_displacement(rows, u0, u1, u2):
+    """|C u|^2 (mm^2/N^2) of a unit u, in the order of the module docstring:
+    ``(d0 d0 + d1 d1) + d2 d2`` of :func:`_displacement`."""
+    d0, d1, d2 = _displacement(rows, u0, u1, u2)
     return (d0 * d0 + d1 * d1) + d2 * d2
 
 
@@ -190,8 +251,8 @@ def directional_stiffness(
 ) -> float:
     """|F| / |delta| for a unit force along ``direction``, N/mm."""
     u = _check_unit(direction, "direction")
-    matrix = firmed_compliance(desc, config, literal_polar).matrix.tolist()
-    return 1.0 / math.sqrt(_squared_displacement(matrix, *u.tolist()))
+    rows = firmed_compliance(desc, config, literal_polar)._rows
+    return 1.0 / math.sqrt(_squared_displacement(rows, *u))
 
 
 def fibonacci_sphere(samples: int) -> np.ndarray:
@@ -228,11 +289,11 @@ def stiffness_map(
         raise PlcError(f"need at most {MAX_SPHERE_SAMPLES} sphere samples, got {sphere_samples}")
     import numpy as np
 
-    matrix = firmed_compliance(desc, config, literal_polar).matrix.tolist()
+    rows = firmed_compliance(desc, config, literal_polar)._rows
     directions = fibonacci_sphere(sphere_samples)
     # the norms are taken from the directions' columns before the records
     # exist, which keeps the peak at MAX_SPHERE_SAMPLES' 72 B per sample
-    per_newton = np.sqrt(_squared_displacement(matrix, *directions.T))
+    per_newton = np.sqrt(_squared_displacement(rows, *directions.T))
     samples = np.empty(
         sphere_samples,
         dtype=[("direction", float, (3,)), ("stiffness", float), ("compliance", float)],
@@ -302,12 +363,19 @@ class ForceDeflectionCurve:
         return 2.0 * self.threshold_force if self.threshold_force > 0 else 10.0
 
     def deflection(self, force):
-        """Deflection (mm) at external force(s) (N)."""
-        import numpy as np
+        """Deflection (mm) at external force(s) (N): a float for a number,
+        else an array of the shape of ``force``, with the same bits."""
+        number = isinstance(force, (int, float))
+        if number:
+            force = float(force)
+        else:
+            import numpy as np
 
-        force = np.asarray(force, dtype=float)
+            force = np.asarray(force, dtype=float)
         firm = force / self.firm_slope
         loose = self.breakpoint_deflection + (force - self.threshold_force) / self.loose_slope
+        if number:
+            return firm if force <= self.threshold_force else loose
         result = np.where(force <= self.threshold_force, firm, loose)
         return float(result) if result.ndim == 0 else result
 

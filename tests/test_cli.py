@@ -15,7 +15,7 @@ from plc import (
     tool_position,
     workspace,
 )
-from plc.cli import _fmt, main
+from plc.cli import _fmt, _force_grid, main
 from plc.files import INDEX_FORMAT_VERSION
 from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION
 
@@ -418,6 +418,20 @@ def test_stiffness_curve_names_the_slope_in_printed_digits(capsys, tmp_path):
         "error: tendon stiffness 2.0 N/mm is not below the firmed slope "
         "0.511817803 N/mm along this direction\n"
     )
+
+
+def test_force_grid_has_the_bits_of_numpys():
+    # np.unique(np.append(np.linspace(0, top, 81), threshold)), as the curve
+    # command formed it, down to a step that underflows to 0
+    thresholds = [5e-324, 1e-323, 3e-320, 1e-300, 0.3, 30.0, 8e307]
+    thresholds += np.random.default_rng(2704).lognormal(0.0, 20.0, size=500).tolist()
+    for threshold in thresholds:
+        for top in (2.0 * threshold, 10.0):
+            expected = np.unique(np.append(np.linspace(0.0, top, 81), threshold))
+            assert np.array(_force_grid(top, threshold)).tobytes() == expected.tobytes()
+    # at zero tension the threshold, 0 or -0, is the grid's first point
+    for zero in (0.0, -0.0):
+        assert _force_grid(10.0, zero) == np.linspace(0.0, 10.0, 81).tolist()
 
 
 def test_stiffness_twist(capsys):

@@ -1,8 +1,10 @@
 """Each command loads only the third-party modules it runs.
 
 ``import plc`` loads none of them.  numpy is loaded by the commands that
-compute with arrays, so ``plan``, ``normalize`` and ``stiffness twist`` never
-load it.  PyYAML is loaded only to read a ``--robot`` description file.  scipy
+compute with arrays: the workspace commands, ``ik`` and ``stiffness firm
+--sphere``.  ``fk``, ``stiffness firm --direction``, ``stiffness curve`` and
+``stiffness twist`` compute one pose or one direction in Python floats, and
+``plan`` and ``normalize`` are scalar too, so none of them loads it.  PyYAML is loaded only to read a ``--robot`` description file.  scipy
 is loaded only to build a k-d tree: a one-shot ``ik`` or ``workspace
 accuracy`` call scans the index exactly instead (see
 ``plc.workspace.SCAN_BUDGET``).
@@ -31,16 +33,23 @@ NUMPY_YAML = ["numpy", "yaml"]
 
 # argv, and the PROBED modules it loads
 COMMANDS = [
-    (["fk", "--robot", "default", "--config", "0,1,2,3,4"], NUMPY),
-    (["fk", "--robot", ROBOT, "--config", "0,1,2,3,4"], NUMPY_YAML),
+    # one pose, one direction or one curve is computed in Python floats
+    (["fk", "--robot", "default", "--config", "0,1,2,3,4"], []),
+    (["fk", "--robot", ROBOT, "--config", "0,1,2,3,4"], ["yaml"]),
     (["plan", "--robot", "default", "--start", "0,0,0,0,0", "--goal", "0,9,0,2,0", "--verify"], []),
     (["plan", "--robot", ROBOT, "--start", "0,0,0,0,0", "--goal", "0,9,0,2,0", "--out", "plan.txt"],
      ["yaml"]),
     (["stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0", "--direction", "1,0,0"],
-     NUMPY),
-    (["stiffness", "firm", "--robot", ROBOT, "--config", "1,2,3,4,5", "--sphere", "20"], NUMPY_YAML),
+     []),
+    (["stiffness", "firm", "--robot", ROBOT, "--config", "1,2,3,4,5", "--direction", "1,2,3",
+      "--literal-polar"], ["yaml"]),
     (["stiffness", "curve", "--robot", "default", "--config", "0,0,0,0,0", "--tension", "50",
-      "--direction", "1,0,0"], NUMPY),
+      "--direction", "1,0,0"], []),
+    (["stiffness", "curve", "--robot", ROBOT, "--config", "3,1,4,1,5", "--tension", "20",
+      "--direction", "0,1,1", "--out", "curve.csv"], ["yaml"]),
+    # a sphere map is an array
+    (["stiffness", "firm", "--robot", "default", "--config", "1,2,3,4,5", "--sphere", "20"], NUMPY),
+    (["stiffness", "firm", "--robot", ROBOT, "--config", "1,2,3,4,5", "--sphere", "20"], NUMPY_YAML),
     # the twist formulas are scalar: no numpy
     (["stiffness", "twist", "--robot", "default", "--skin", "--torque", "1000"], []),
     (["stiffness", "twist", "--robot", ROBOT, "--spine", "--torque", "1000"], ["yaml"]),

@@ -7,12 +7,15 @@ import pytest
 
 from plc import Configuration, RobotDescription, chain_pose, tool_position
 from plc.cli import main
+from plc import kinematics, stiffness
 from plc.kinematics import (
     _BLOCK_POSES,
     _POSITION_TERMS,
     _ROTATION_TERMS,
     _products,
     _step,
+    _unit_row,
+    _unit_rows,
     tip_positions,
     unit_table,
 )
@@ -20,7 +23,7 @@ from plc.model import InvariantError, RigidTransform, index_angle
 from plc.workspace import configuration_from_rank
 
 from _oracles import fk_matrix, fk_position
-from conftest import desc_with
+from conftest import desc_with, traced_peak
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -171,6 +174,73 @@ def test_unit_table_is_cached_and_read_only():
         rot[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         tra[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(tooth_count=3, segment_count=2),
+        dict(),  # the reference robot, N=10
+        dict(tooth_count=4, segment_count=10, bend_angle=math.radians(45.0)),
+        dict(tooth_count=7, segment_count=4, tool_offset=(3.0, -2.0, 15.0)),
+        dict(tooth_count=12, segment_count=7, bend_angle=math.radians(45.0)),
+        dict(tooth_count=360, segment_count=1, tool_offset=(0.5, 0.0, -4.0)),
+        dict(tooth_count=997, segment_count=2, bend_angle=math.radians(12.5)),
+        dict(tooth_count=1000, segment_count=3, tool_offset=(1.0, 2.0, 3.0), curve_length=31.25),
+    ],
+)
+def test_float_rows_equal_the_unit_table_bitwise(overrides):
+    # the single-pose walk reads rows in Python floats and the enumeration
+    # the unit table: every rotation entry, translation component and tip
+    # vector component has the same bits (CI also runs this under other
+    # BLAS kernels)
+    desc = desc_with(**overrides)
+    rot, tra = unit_table(desc)
+    tips = _products(rot, np.reshape(desc.tool_offset, (1, 3, 1)), _POSITION_TERMS, tra)
+    rows = [_unit_row(desc, k) for k in range(desc.tooth_count)]
+    assert np.array([r for r, _, _ in rows]).tobytes() == rot.reshape(-1, 9).tobytes()
+    assert np.array([t for _, t, _ in rows]).tobytes() == tra.tobytes()
+    assert np.array([tip for _, _, tip in rows]).tobytes() == tips.tobytes()
+
+
+def test_walks_take_only_the_steps_their_callers_read(monkeypatch):
+    # n - 2 steps to the pose before the last joint, then one step for the
+    # end pose, one for the tip, or none for the axes alone
+    desc = RobotDescription()
+    config = Configuration((1, 7, 3, 0, 5), 10)
+    kinematics._walk(desc, config, tip=True)  # fills the row cache first
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        return _step(*args)
+
+    monkeypatch.setattr(kinematics, "_step", counted)
+    for call, count in [
+        (lambda: chain_pose(desc, config), 4),
+        (lambda: tool_position(desc, config), 4),
+        (lambda: stiffness.firmed_compliance(desc, config), 3),
+        (lambda: main(["fk", "--config", "1,7,3,0,5"]), 5),
+    ]:
+        steps.clear()
+        call()
+        assert len(steps) == count
+
+
+def test_fk_at_the_tooth_bound_builds_no_per_tooth_table(capsys, tmp_path):
+    # a single pose reads the rows of its own indices: no unit table, and
+    # under 1 MB of traced memory (87 kB, mostly the argument parser and the
+    # YAML reader, with Python 3.11), where the per-tooth tables took 912 MB
+    robot = tmp_path / "robot.yaml"
+    robot.write_text("tooth_count: 1000000\n")
+    argv = ["fk", "--robot", str(robot), "--config", "1,2,3,4,5"]
+    assert main(argv) == 0  # loads PyYAML and the modules
+    capsys.readouterr()
+    unit_table.cache_clear()
+    assert traced_peak(lambda: main(argv)) < 2**20
+    assert unit_table.cache_info().currsize == 0
+    assert _unit_rows(desc_with(tooth_count=10**6)).cache_info().currsize == 5
+    assert capsys.readouterr().out.splitlines()[0].startswith("x_mm,")
 
 
 EYE, ORIGIN = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0)

@@ -200,6 +200,14 @@ def test_configuration_validation():
 def test_rigid_transform_validation():
     with pytest.raises(InvariantError, match="orthonormal"):
         RigidTransform(np.eye(3) * 1.001, np.zeros(3))
+    # every entry of R^T R - I within 1e-12: 2e-11 on the diagonal or 1e-11
+    # off it is refused, 2e-13 is rounding
+    sheared = np.eye(3)
+    sheared[0, 1] = 1e-11
+    for matrix in (np.eye(3) * (1.0 + 1e-11), sheared):
+        with pytest.raises(InvariantError, match="orthonormal"):
+            RigidTransform(matrix, np.zeros(3))
+    RigidTransform(np.eye(3) * (1.0 + 1e-13), np.zeros(3))
     reflection = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(InvariantError, match="determinant"):
         RigidTransform(reflection, np.zeros(3))
@@ -208,7 +216,7 @@ def test_rigid_transform_validation():
 
 
 def test_rigid_transform_rejects_non_finite_values():
-    with pytest.raises(InvariantError, match="orthonormal"):
+    with pytest.raises(InvariantError, match=r"orthonormal \(max error nan\)"):
         RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
     for bad in (np.nan, np.inf):
         with pytest.raises(InvariantError, match="translation must be finite"):

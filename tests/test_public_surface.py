@@ -66,13 +66,16 @@ def test_all_lists_every_public_name_of_the_package():
 
 
 def test_modules_define_one_way_to_do_each_job():
-    # one unit transform (the cached table) and one tool-tip expression;
-    # R R_k and p + R t are spelled twice in one stated order each, batched
-    # (_products) and single-pose in Python floats (_step), and
-    # test_kinematics ties the two bit for bit; one walk (_walk) serves
-    # chain_pose, tool_position and the firmed compliance
+    # one unit transform, as a table for the enumeration and as one row in
+    # Python floats for a single pose (test_kinematics ties the two bit for
+    # bit), and one tool-tip expression; R R_k and p + R t are spelled twice
+    # in one stated order each, batched (_products) and single-pose in
+    # Python floats (_step), and test_kinematics ties the two bit for bit;
+    # one walk (_walk) serves chain_pose, tool_position, the firmed
+    # compliance and `plc fk`
     assert functions_of(kinematics, private=True) == {
         "unit_table",
+        "_unit_row",
         "_unit_rows",
         "_step",
         "_products",
@@ -150,7 +153,8 @@ def test_value_types_carry_only_what_the_library_reads():
         "__post_init__",
         "transform_point",
     }
-    assert members_of(ComplianceMatrix) == {"matrix", "__post_init__", "displacement"}
+    # the rows as Python floats, and the array built from them on first read
+    assert members_of(ComplianceMatrix) == {"__init__", "_rows", "_matrix", "matrix", "displacement"}
     # the breakpoint is derived, so it cannot disagree with the slopes
     assert [f.name for f in dataclasses.fields(ForceDeflectionCurve)] == [
         "threshold_force",

@@ -22,7 +22,14 @@ from plc import (
 )
 from plc.cli import main
 from plc.model import InvariantError
-from plc.stiffness import COMPLIANCE_RANGE, bellows_twist, compliance_from_axes, fibonacci_sphere
+from plc.stiffness import (
+    COMPLIANCE_RANGE,
+    _check_unit,
+    _scaled,
+    bellows_twist,
+    compliance_from_axes,
+    fibonacci_sphere,
+)
 
 from _oracles import segment_strain_energy, total_strain_energy
 from conftest import desc_with, traced_peak
@@ -303,6 +310,7 @@ def test_unit_vectors_refuse_nan(default_desc):
     [
         [1e200, 1e200, 0.0],  # its square overflows: refused without a warning
         [1e-200, 0.0, 0.0],  # its square underflows
+        [1.7e308, 1.7e308, 1.7e308],  # its norm overflows, scaled or not
         [1.0 + 2e-9, 0.0, 0.0],
         [0.5, 0.5, 0.5],
     ],
@@ -409,6 +417,90 @@ def test_compliance_matrix_symmetry_is_relative_to_its_largest_entry(scale):
         matrix[i, j] *= 1.5
         with pytest.raises(InvariantError, match="symmetric"):
             ComplianceMatrix(matrix)
+
+
+def test_displacement_sums_in_the_stated_order():
+    # d_i = (c_i0 f0 + c_i1 f1) + c_i2 f2, the order of |C u|, with no BLAS
+    # call: pinned bitwise on seeded matrices and forces, and on one where
+    # the order shows, (1e16 + 1) - 1e16 = 0 where (1e16 - 1e16) + 1 = 1
+    rng = np.random.default_rng(2701)
+    for _ in range(200):
+        desc = desc_with(segment_count=int(rng.integers(1, 9)))
+        compliance = firmed_compliance(desc, random_config(rng, desc.segment_count))
+        f0, f1, f2 = force = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
+        rows = compliance.matrix.tolist()
+        expected = [(c0 * f0 + c1 * f1) + c2 * f2 for c0, c1, c2 in rows]
+        assert compliance.displacement(force).tobytes() == np.array(expected).tobytes()
+        assert compliance.displacement(force.tolist()).tobytes() == np.array(expected).tobytes()
+        columns = np.stack([force, -force], axis=1)  # one column per force, as C @ F takes them
+        assert compliance.displacement(columns)[:, 0].tobytes() == np.array(expected).tobytes()
+    spd = ComplianceMatrix([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    assert spd.displacement([1e16, 2.0, -2e16])[0] == 0.0
+
+
+def test_compliance_matrix_is_read_only_and_built_once():
+    compliance = firmed_compliance(RobotDescription(), Configuration((1, 7, 3, 0, 5), 10))
+    assert compliance.matrix is compliance.matrix
+    assert compliance.matrix.shape == (3, 3)
+    with pytest.raises(ValueError):
+        compliance.matrix[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        compliance.matrix = np.eye(3)
+    for bad in (np.eye(2), np.eye(3)[:, :2], np.ones((3, 3, 1)), [[1.0, 0.0, 0.0]] * 2):
+        with pytest.raises(InvariantError, match="must be 3x3"):
+            ComplianceMatrix(bad)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-140, 1.0, 1e140, 1e300])
+def test_compliance_matrix_definiteness_at_any_scale(scale):
+    # the factorization's pivots are scaled by a power of two first, so
+    # neither their products nor the entries' squares leave the float range;
+    # a clearly positive or negative eigenvalue decides as eigvalsh does
+    rng = np.random.default_rng(2702)
+    for _ in range(100):
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        eigenvalues = rng.uniform(0.1, 1.0, size=3)
+        eigenvalues[int(rng.integers(3))] *= rng.choice([-1.0, 1e-6, -1e-6])
+        matrix = (q * eigenvalues) @ q.T
+        matrix = (matrix + matrix.T) / 2.0 * scale
+        if np.linalg.eigvalsh(matrix)[0] > 0.0:
+            assert ComplianceMatrix(matrix).matrix.tobytes() == matrix.tobytes()
+        else:
+            with pytest.raises(InvariantError, match="positive definite"):
+                ComplianceMatrix(matrix)
+    for singular in ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.zeros((3, 3))):
+        with pytest.raises(InvariantError, match="positive definite"):
+            ComplianceMatrix(np.array(singular) * scale)
+
+
+def test_unit_norm_sums_in_the_stated_order():
+    # sqrt((x x + y y) + z z) of the vector scaled by the power of two that
+    # brings its largest |component| into [0.5, 1): exact, so the scaled
+    # vector keeps its bits; on this vector either other order of the sum
+    # gives a norm one ulp larger
+    x, y, z = 0.6966275474821131, 0.3411339961775049, 0.020602734615138334
+    e, scaled, norm = _scaled([4.0 * x, 4.0 * y, 4.0 * z])
+    assert (e, scaled) == (2, (x, y, z))
+    assert norm == math.sqrt((x * x + y * y) + z * z)
+    assert norm < math.sqrt(x * x + (y * y + z * z)) == math.sqrt((x * x + z * z) + y * y)
+    # squares of 2**-700 underflow and of 2**700 overflow, scaled ones do not
+    assert _scaled([2.0**-700, 0.0, 0.0]) == (-699, (0.5, 0.0, 0.0), 0.5)
+    assert _scaled([2.0**700, 2.0**700, 0.0]) == (701, (0.5, 0.5, 0.0), math.sqrt(0.5))
+    rng = np.random.default_rng(2703)
+    for v in rng.normal(size=(200, 3)).tolist():
+        v = [x / math.hypot(*v) for x in v]
+        assert _check_unit(v, "u") == _check_unit(np.array(v), "u") == tuple(v)
+
+
+def test_curve_deflection_of_a_number_has_the_arrays_bits(default_desc):
+    config = Configuration((1, 7, 3, 0, 5), 10)
+    for tension in (0.0, 5.0, 50.0):
+        curve = force_deflection(default_desc, config, tension, X)
+        forces = np.linspace(0.0, curve.top_force, 101).tolist() + [curve.threshold_force, 1e300]
+        deflections = [curve.deflection(force) for force in forces]
+        assert all(type(d) is float for d in deflections)
+        assert np.array(deflections).tobytes() == curve.deflection(np.array(forces)).tobytes()
+        assert curve.deflection(int(curve.top_force)) == curve.deflection(float(int(curve.top_force)))
 
 
 def test_compliance_spd_property():
