@@ -14,8 +14,9 @@ from pathlib import Path
 from .model import PlcError
 
 #: Version of the ``.plcw`` workspace index layout written by
-#: ``WorkspaceIndex.save``; ``load`` refuses any other.
-INDEX_FORMAT_VERSION = 3
+#: ``WorkspaceIndex.save``; ``load`` refuses any other.  Version 4 stores the
+#: bucket offsets and members as uint32, where version 3 stored int64.
+INDEX_FORMAT_VERSION = 4
 
 
 def _naming(exc: OSError, path: Path) -> OSError:

@@ -16,10 +16,13 @@ what :func:`~plc.kinematics.tool_position` walks.  When the choice is the
 bucket's first configuration on an index that ``enumerate_workspace`` built
 or ``WorkspaceIndex.load`` read, it is read from the stored point, which is
 that tip on any host and at any tool offset; any other choice, or any choice
-on a hand-built index, walks the chain.  The error is ``sqrt(d.dot(d))`` of
-the offset ``d`` from the target, the same dot product and correctly rounded
-square root that ``np.linalg.norm`` takes of a float vector, so its bits are
-the same.
+on a hand-built index, walks the chain.  The error is the correctly rounded
+square root of ``(dx dx + dz dz) + dy dy``, in Python floats, for the offset
+``d`` from the target: the order of numpy's einsum, which
+:func:`~plc.workspace.reach_accuracy` takes, and of the FK's positions.  So
+it makes no BLAS call, has the same bits under every kernel, and equals
+``reach_accuracy`` of the target bit for bit whenever the answer is the
+stored point.
 """
 from __future__ import annotations
 
@@ -80,7 +83,8 @@ def solve_ik(
     on an index that ``enumerate_workspace`` built or ``load`` read, at any
     tool offset, else a walk of the chain.  The chosen indices come from its
     rank in Python ints, and ``position_error`` is ``math.sqrt`` of the
-    offset's dot product with itself: the bits ``np.linalg.norm`` gives.
+    offset's squared length, summed in Python floats as ``(dx dx + dz dz) +
+    dy dy``: the bits of ``reach_accuracy``'s einsum, on every host.
     """
     if desc is not index.desc and desc != index.desc:
         raise InvariantError("index was built from a different robot description")
@@ -113,8 +117,8 @@ def solve_ik(
         achieved = index.points[g].copy()  # the first configuration's tip
     else:
         achieved = tool_position(desc, config)
-    offset = achieved - target
-    error = math.sqrt(offset.dot(offset))
+    dx, dy, dz = (achieved - target).tolist()
+    error = math.sqrt((dx * dx + dz * dz) + dy * dy)
     return IkSolution(
         config=config,
         achieved_position=achieved,

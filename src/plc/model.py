@@ -329,7 +329,9 @@ def parse_robot_description(text: str) -> RobotDescription:
 
     try:
         doc = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of > 4300 digits, a bad date
+    # ValueError: an int of > 4300 digits, a bad date; RecursionError: nesting
+    # deeper than the composer's recursion can follow
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise SchemaError(f"unparseable description document: {exc}") from exc
     if doc is None:
         doc = {}

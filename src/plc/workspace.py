@@ -29,6 +29,12 @@ that :func:`enumerate_workspace` builds or :meth:`WorkspaceIndex.load` reads
 is marked so, and ``solve_ik`` answers that configuration with the stored
 point; a hand-built index holds the caller's points and is not marked.
 
+The bucket offsets and members are held as uint32, in memory and in the
+``.plcw`` file (format 4): a build refuses 2**32 configurations or more, and
+``load`` a header that claims them, so every offset and rank fits.  An index
+takes 24 B per point for its points and 4 B per point and per configuration
+for the rest; format 3's int64 offsets and members took 8.
+
 The index is immutable apart from the scan count and the cached tree, and
 is safe for concurrent queries: racing queries may both build the tree, or
 lose an update to the count, and either way only extra work is done, never
@@ -49,9 +55,17 @@ from .model import InvariantError, PlcError, RobotDescription, description_diges
 
 #: Peak memory of an enumeration per raw configuration, bytes, rounded up from
 #: the peak RSS of ``plc workspace build`` above the interpreter's (a
-#: one-segment build's): 70 B at 10**6, 74 B at 10**7 and 70 B at 4**10
-#: configurations (numpy 2.4, Linux).
+#: one-segment build's): 69 B at 10**6, 74 B at 10**7 and 70 B at 4**10
+#: configurations (numpy 2.4, Linux, uint32 offsets and members).
 BYTES_PER_CONFIGURATION = 80
+
+#: Peak memory of an enumeration per tooth, bytes, beyond
+#: ``BYTES_PER_CONFIGURATION``: the per-tooth unit table and tip vectors, and
+#: the list of angles the table's ``math`` cosines read.  Rounded up from the
+#: peak RSS of one-segment builds above that of a build of as many
+#: configurations on few teeth: 102 B per tooth at 10**6 teeth and 117 B at
+#: 10**5 (numpy 2.4, Linux).
+BYTES_PER_TOOTH = 120
 
 #: (limit, usage, stat, inactive file field) of the cgroup memory controller:
 #: v2, then v1.  A limit that is missing or not an integer (v2 writes "max")
@@ -88,7 +102,7 @@ _UNMEASURABLE = "a target is non-finite or too far away to measure"
 #: any point count: they run one block of rows at a time, and the key check's
 #: scaled floats and int64 keys set the peak (``tracemalloc``: 48.0 B per row).
 #: ``load``'s member check holds one bool per rank beside it, charged apart,
-#: and its blocks of members stay within it (9 B per member).
+#: and its blocks of uint32 members stay within it (6 B per member).
 _CHECK_BYTES = 50 * (_SCAN_ROWS + 1)
 
 #: Most neighbors (K x point count) ``local_omnivariance`` gathers: run time
@@ -159,12 +173,24 @@ def _members_are_ranks(offsets: np.ndarray, members: np.ndarray) -> bool:
         seen[block] = True
         # a rank not above the one before it must start a bucket
         rises = block[1:] > block[:-1]
-        first, last = np.searchsorted(offsets, [lo + 1, lo + block.shape[0]]).tolist()
+        # bounds of the offsets' dtype: a list of ints would cast all of them
+        bounds = np.array([lo + 1, lo + block.shape[0]], dtype=offsets.dtype)
+        first, last = np.searchsorted(offsets, bounds).tolist()
         starts = offsets[first:last]
         rises[starts - (lo + 1)] = True
         if not rises.all():
             return False
     return bool(seen.all())  # M ranks in range, none missing: each once
+
+
+def _as_uint32(values, name: str) -> np.ndarray:
+    """``values`` as a contiguous uint32 array, refused if a value lies
+    outside [0, 2**32), where the cast would wrap."""
+    values = np.asarray(values)
+    if values.dtype != np.uint32 and values.size:
+        if not (values.min() >= 0 and values.max() < 2**32):
+            raise InvariantError(f"{name} must lie in [0, 2**32)")
+    return np.ascontiguousarray(values, dtype=np.uint32)
 
 
 def _rank_indices(rank: int, desc: RobotDescription) -> tuple[int, ...]:
@@ -185,9 +211,14 @@ class WorkspaceIndex:
                      a misordered or non-finite file is refused); each is the
                      tip position of the first configuration (in canonical
                      order) that produced the key.
-    bucket_offsets:  (G + 1,) slice bounds into bucket_members.
-    bucket_members:  (M,) enumeration ranks grouped per point, each group in
-                     canonical (ascending) order.
+    bucket_offsets:  (G + 1,) uint32 slice bounds into bucket_members.
+    bucket_members:  (M,) uint32 enumeration ranks grouped per point, each
+                     group in canonical (ascending) order.
+
+    Both integer arrays are held as uint32, the widths of the file: a build
+    refuses 2**32 configurations or more, so every offset and rank fits.  A
+    caller's array of another dtype is cast, and refused if a value lies
+    outside [0, 2**32), so the cast never wraps.
     """
 
     def __init__(
@@ -198,8 +229,8 @@ class WorkspaceIndex:
         bucket_members: np.ndarray,
     ):
         points = np.ascontiguousarray(points, dtype=float)
-        bucket_offsets = np.ascontiguousarray(bucket_offsets, dtype=np.int64)
-        bucket_members = np.ascontiguousarray(bucket_members, dtype=np.int64)
+        bucket_offsets = _as_uint32(bucket_offsets, "bucket_offsets")
+        bucket_members = _as_uint32(bucket_members, "bucket_members")
         if points.ndim != 2 or points.shape[1] != 3:
             raise InvariantError("points must have shape (G, 3)")
         if bucket_offsets.shape != (points.shape[0] + 1,):
@@ -339,8 +370,8 @@ class WorkspaceIndex:
         fh.write(header)
         # the arrays themselves, not copies, on a little-endian host
         fh.write(self.points.astype("<f8", copy=False))
-        fh.write(self.bucket_offsets.astype("<i8", copy=False))
-        fh.write(self.bucket_members.astype("<i8", copy=False))
+        fh.write(self.bucket_offsets.astype("<u4", copy=False))
+        fh.write(self.bucket_members.astype("<u4", copy=False))
 
     @classmethod
     def load(cls, path, desc: RobotDescription) -> "WorkspaceIndex":
@@ -351,7 +382,7 @@ class WorkspaceIndex:
         M bytes, would need more than the available memory is refused before
         anything is read.  The constructor's checks hold, and the bucket
         members must be each enumeration rank once, ascending within each
-        bucket: ``solve_ik`` takes joint indices from any int64 rank, so a
+        bucket: ``solve_ik`` takes joint indices from any uint32 rank, so a
         wrong one would answer a configuration that does not reach its point.
         """
         with open(path, "rb") as fh:
@@ -374,13 +405,15 @@ class WorkspaceIndex:
             expected = (desc.segment_count, desc.tooth_count, teeth ** min(n, 64))
             if (n, teeth, configs_n) != expected:
                 raise PlcError("index header disagrees with robot description")
-            expected = _HEADER.size + points_n * 24 + (points_n + 1) * 8 + configs_n * 8
+            if configs_n >= 2**32:  # no build stores them, and ranks are uint32
+                raise PlcError(f"index file {path} claims {configs_n} configurations, at least 2**32")
+            expected = _HEADER.size + points_n * 24 + (points_n + 1) * 4 + configs_n * 4
             if size != expected:
                 raise PlcError(f"index file {path} is truncated or padded")
             needed = size - _HEADER.size + configs_n + _CHECK_BYTES
             _require_memory(needed, f"index file {path}", "load")
             arrays = []
-            for dtype, count in (("<f8", points_n * 3), ("<i8", points_n + 1), ("<i8", configs_n)):
+            for dtype, count in (("<f8", points_n * 3), ("<u4", points_n + 1), ("<u4", configs_n)):
                 arrays.append(np.fromfile(fh, dtype=dtype, count=count))
                 if arrays[-1].shape[0] != count:  # the file shrank after fstat
                     raise PlcError(f"index file {path} is truncated or padded")
@@ -467,16 +500,18 @@ def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:
     if n * (teeth.bit_length() - 1) >= 64:
         raise InvariantError(f"raw configuration count {teeth}**{n} is at least 2**64")
     count = desc.raw_configuration_count
-    needed = count * BYTES_PER_CONFIGURATION
+    needed = count * BYTES_PER_CONFIGURATION + teeth * BYTES_PER_TOOTH
     _require_memory(needed, f"raw configuration count {count}", "enumerate")
-    if count >= 2**32:  # past _sort_and_group's 32-bit run ids and ranks
+    if count >= 2**32:  # past _sort_and_group's 32-bit run ids and the uint32 ranks
         raise InvariantError(f"raw configuration count {count} is at least 2**32")
     positions = tip_positions(desc)
     order, starts = _sort_and_group(position_key(positions))
     points = np.take(positions, order[starts], axis=0)  # 3x faster than fancy indexing
-    offsets = np.append(starts, count)
-    del positions, starts  # freed before the index checks the points' keys
-    index = WorkspaceIndex(desc, points, offsets, order)
+    del positions  # freed first, so the casts to the index's widths add nothing to the peak
+    offsets = np.append(starts, count).astype(np.uint32)
+    members = order.astype(np.uint32)
+    del starts, order  # freed before the index checks the points' keys
+    index = WorkspaceIndex(desc, points, offsets, members)
     index._points_are_tips = True
     return index
 

@@ -43,7 +43,7 @@ def write_sparse_index(path, desc: RobotDescription, point_count: int) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.truncate(_HEADER.size + point_count * 24 + (point_count + 1) * 8 + count * 8)
+        fh.truncate(_HEADER.size + point_count * 24 + (point_count + 1) * 4 + count * 4)
 
 
 @functools.cache

@@ -17,7 +17,7 @@ from plc import (
 )
 from plc.cli import _fmt, _force_grid, main
 from plc.files import INDEX_FORMAT_VERSION
-from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION
+from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION, BYTES_PER_TOOTH
 
 from conftest import desc_with, write_sparse_index
 
@@ -97,7 +97,7 @@ def test_build_is_refused_past_the_address_space_limit(tmp_path):
     path = robot_file(tmp_path, "segment_count: 7\n")
     env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"), OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    needed = 10**7 * BYTES_PER_CONFIGURATION
+    needed = 10**7 * BYTES_PER_CONFIGURATION + 10 * BYTES_PER_TOOTH
     limit = needed * 3 // 4
     proc = subprocess.run(
         [sys.executable, "-m", "plc.cli", "workspace", "build", "--robot", path],
@@ -113,7 +113,7 @@ def test_build_is_refused_past_the_address_space_limit(tmp_path):
     "command", [["ik", "--target", "1,2,3"], ["workspace", "export", "--format", "csv"]]
 )
 def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
-    # a sparse n=8 index (4.1 GB to load, no disk blocks) under an RLIMIT_AS
+    # a sparse n=8 index (3.3 GB to load, no disk blocks) under an RLIMIT_AS
     # of 1.5 GB: numpy ran out of address space reading it (exit 1, traceback)
     path = robot_file(tmp_path, "segment_count: 8\n")
     index = tmp_path / "n8.plcw"
@@ -127,7 +127,7 @@ def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert_domain_error(proc.returncode, proc.stderr)
-    assert "n8.plcw needs about 4.1 GB to load, more than the" in proc.stderr
+    assert "n8.plcw needs about 3.3 GB to load, more than the" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -206,6 +206,25 @@ def test_integer_literals_too_large_for_a_float(capsys, tmp_path, text):
     code, _, err = run(capsys, "fk", "--robot", robot, "--config", "0,0,0,0,0")
     assert_domain_error(code, err)
     assert "0" * 100 not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("segment_count: " + "[" * 1000, "unparseable description document: maximum recursion"),
+        ("segment_count: " + "{a: " * 1000, "unparseable description document: maximum recursion"),
+        ("segment_count: " + "[" * 400, "unparseable description document"),
+    ],
+    ids=["lists", "maps", "lists-400"],
+)
+def test_deeply_nested_documents(capsys, tmp_path, text, message):
+    # 1,000 levels took PyYAML's composer past the recursion limit: a
+    # RecursionError traceback, exit 1
+    robot = robot_file(tmp_path, text + "\n")
+    code, out, err = run(capsys, "fk", "--robot", robot, "--config", "1")
+    assert_domain_error(code, err)
+    assert message in err
+    assert out == ""
 
 
 def test_tooth_count_is_bounded_for_every_command(capsys, tmp_path):
@@ -776,8 +795,9 @@ def test_fk_tip_is_the_stored_tool_tip(capsys, tmp_path):
 
 
 def _as_version(path, version):
-    # version 1 stored flange positions under the same digest, and version 2
-    # points whose bits could depend on the host's BLAS kernel
+    # version 1 stored flange positions under the same digest, version 2
+    # points whose bits could depend on the host's BLAS kernel, and version 3
+    # int64 bucket offsets and members
     data = path.read_bytes()
     assert data[4:8] == INDEX_FORMAT_VERSION.to_bytes(4, "little")
     path.write_bytes(data[:4] + version.to_bytes(4, "little") + data[8:])
@@ -786,14 +806,14 @@ def _as_version(path, version):
 def test_version_1_index_is_refused(capsys, tmp_path):
     robot = robot_file(tmp_path)
     index_path = tmp_path / "ws.plcw"
-    for version in (1, 2):
+    for version in (1, 2, 3):
         run(capsys, "workspace", "build", "--robot", robot, "--out", str(index_path))
         _as_version(index_path, version)
         code, out, err = run(
             capsys, "ik", "--robot", robot, "--index", str(index_path), "--target", "1,2,3"
         )
         assert_domain_error(code, err)
-        assert f"version {version} unsupported (expected 3)" in err
+        assert f"version {version} unsupported (expected {INDEX_FORMAT_VERSION})" in err
         assert out == ""
 
 
@@ -833,7 +853,8 @@ def test_index_with_a_non_finite_point_is_refused(capsys, tmp_path):
 def test_index_with_a_wrong_member_rank_is_refused(capsys, tmp_path, rank):
     # a one-member bucket's rank overwritten: out of range, or a repeat of
     # rank 0; ik on its stored point answered a configuration 67 to 223 mm
-    # from it, with exit 0
+    # from it, with exit 0.  The file holds the rank's low 32 bits, as a
+    # writer that wraps would store it: -1 is 2**32 - 1, and 2**62 is 0
     index_path = tmp_path / "ws.plcw"
     run(capsys, "workspace", "build", "--robot", "default", "--out", str(index_path))
     index = WorkspaceIndex.load(index_path, RobotDescription())
@@ -843,8 +864,8 @@ def test_index_with_a_wrong_member_rank_is_refused(capsys, tmp_path, rank):
     code, out, _ = run(capsys, *ik)
     assert code == 0 and out.splitlines()[1].split(",")[4] == "0"  # error_mm
     data = bytearray(index_path.read_bytes())
-    at = _HEADER.size + index.point_count * 32 + 8 + int(index.bucket_offsets[g]) * 8
-    data[at : at + 8] = np.array([rank], dtype="<i8").tobytes()
+    at = _HEADER.size + index.point_count * 28 + 4 + int(index.bucket_offsets[g]) * 4
+    data[at : at + 4] = np.array([rank % 2**32], dtype="<u4").tobytes()
     index_path.write_bytes(bytes(data))
     code, out, err = run(capsys, *ik)
     assert_domain_error(code, err)
@@ -857,7 +878,7 @@ def test_version_1_cache_entry_is_rebuilt(capsys, tmp_path):
     run(capsys, "workspace", "build", "--robot", robot)
     (cache,) = (tmp_path / "cache").iterdir()
     fresh = cache.read_bytes()
-    for version in (1, 2):
+    for version in (1, 2, 3):
         _as_version(cache, version)
         code, out, _ = run(capsys, "workspace", "omnivariance", "--robot", robot)
         assert code == 0

@@ -20,7 +20,7 @@ from plc import (
 )
 from plc.ik import configuration_distance
 from plc.model import InvariantError
-from plc.workspace import WorkspaceIndex, configuration_from_rank, reach_accuracy
+from plc.workspace import _HEADER, WorkspaceIndex, configuration_from_rank, reach_accuracy
 
 from _oracles import (
     IkOracle,
@@ -131,9 +131,9 @@ def test_resolving_again_with_answer_is_idempotent(index_n5):
 
 def assert_achieved_is_the_tool_tip(solution, desc, target):
     assert_walked(solution, desc)
-    # bit for bit the norm, which solve_ik takes as sqrt(d.dot(d))
-    error = float(np.linalg.norm(solution.achieved_position - np.asarray(target, dtype=float)))
-    assert solution.position_error.hex() == error.hex()
+    # bit for bit the error in the order solve_ik states, with no BLAS call
+    dx, dy, dz = (solution.achieved_position - np.asarray(target, dtype=float)).tolist()
+    assert solution.position_error.hex() == math.sqrt((dx * dx + dz * dz) + dy * dy).hex()
 
 
 # the reference choice, a seeded pick and the other metric
@@ -296,6 +296,21 @@ def test_index_files_keep_their_digests(index_n5, index_n4_45deg, index_offset, 
     # the same bytes on every host, whatever its BLAS kernel (CI runs this
     # under three); a change that means to move them updates these digests
     digests = {
+        "n5": "bc4ddd38d3c4c7dbb5dcad55118b85b3f230c3a6489bfdcf3cd77e2091b4eb6e",
+        "ik": "598459f70ff83efc9c05728e1c9c43afc58342da194709e7c99c627cbd7d89e3",
+        "offset": "969b1ce3f31027b7dc0d3c8b9150fe32265f15c88e0434350d94c91b4c04ef78",
+    }
+    indexes = {"n5": index_n5, "ik": index_n4_45deg, "offset": index_offset}
+    for name, index in indexes.items():
+        path = tmp_path / f"{name}.plcw"
+        index.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[name], name
+
+
+def test_format_4_holds_the_values_of_format_3(index_n5, index_n4_45deg, index_offset, tmp_path):
+    # format 3 stored the same header and points, and the offsets and
+    # members as int64: widened back, a format 4 file has format 3's digest
+    format_3_digests = {
         "n5": "4cb1ca7cbfb8d3daef639a905eb1e9f461950f26d3bbb08fb83a812abda75486",
         "ik": "51059f59080a8a99e28f019ca0a173b55f3510759a8387ba9e2c4eaf24364ad9",
         "offset": "7cbed3aa9d5d711e47503efa9b525a65d62dacaeb0242f864de059121a31d129",
@@ -304,7 +319,22 @@ def test_index_files_keep_their_digests(index_n5, index_n4_45deg, index_offset, 
     for name, index in indexes.items():
         path = tmp_path / f"{name}.plcw"
         index.save(path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[name], name
+        data = path.read_bytes()
+        points_end = _HEADER.size + index.point_count * 24
+        offsets = np.frombuffer(data, "<u4", index.point_count + 1, points_end)
+        members = np.frombuffer(data, "<u4", offset=points_end + offsets.nbytes)
+        assert members.shape[0] == index.configuration_count
+        assert data[4:8] == (4).to_bytes(4, "little")
+        widened = b"".join(
+            [
+                data[:4],
+                (3).to_bytes(4, "little"),
+                data[8:points_end],
+                offsets.astype("<i8").tobytes(),
+                members.astype("<i8").tobytes(),
+            ]
+        )
+        assert hashlib.sha256(widened).hexdigest() == format_3_digests[name], name
 
 
 @pytest.mark.parametrize(
@@ -410,6 +440,32 @@ def test_tool_offset_targets_reach_their_own_tip(walks):
                 assert solution.config == config
             # n=3 buckets hold one member: every answer is the stored point
             assert walks == []
+
+
+def test_errors_keep_their_digest(index_n4_45deg):
+    # 600 seeded queries on the redundant robot: stored points, stored points
+    # jittered by 1 mm and points in a box around the workspace.  Their
+    # errors have the same bits under every BLAS kernel (CI runs this under
+    # three); sqrt(d.dot(d)) differed from them in 52 (SkylakeX) and 42
+    # (Nehalem) of these rows.  Where the answer is the stored point, the
+    # error is reach_accuracy's distance for the target, bit for bit
+    index, desc = index_n4_45deg, index_n4_45deg.desc
+    rng = np.random.default_rng(71)
+    points = index.points[rng.choice(index.point_count, 400, replace=False)]
+    jittered = points[200:] + rng.normal(0.0, 1.0, (200, 3))
+    targets = [*points[:200], *jittered, *rng.uniform(-150.0, 150.0, (200, 3))]
+    errors, stored = [], 0
+    for target in targets:
+        reference = Configuration(tuple(rng.integers(0, 4, 10).tolist()), 4)
+        solution = solve_ik(index, desc, target, reference)
+        errors.append(solution.position_error.hex())
+        nearest = index.points[index.nearest_point_index(target)]
+        if solution.achieved_position.tobytes() == nearest.tobytes():
+            stored += 1
+            assert solution.position_error == reach_accuracy(index, target)
+    assert stored == 513
+    digest = hashlib.sha256("\n".join(errors).encode()).hexdigest()
+    assert digest == "9e86bdc8efc0ff30a18456243e65bf54a09757d9f51dbb981d0e4da7dc733cd6"
 
 
 @pytest.fixture(scope="module")

@@ -25,6 +25,7 @@ from plc.workspace import (
     _HEADER,
     _SCAN_ROWS,
     BYTES_PER_CONFIGURATION,
+    BYTES_PER_TOOTH,
     KEY_CELL,
     SCAN_BUDGET,
     WorkspaceIndex,
@@ -32,7 +33,8 @@ from plc.workspace import (
     _sort_and_group,
     configuration_from_rank,
 )
-from plc.kinematics import tip_positions
+from plc.files import INDEX_FORMAT_VERSION
+from plc.kinematics import tip_positions, unit_table
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
 from conftest import desc_with, traced_peak, write_sparse_index
@@ -117,7 +119,7 @@ def test_enumeration_is_deterministic():
 
 def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
     desc = desc_with(segment_count=3)
-    needed = 1000 * BYTES_PER_CONFIGURATION
+    needed = 1000 * BYTES_PER_CONFIGURATION + 10 * BYTES_PER_TOOTH
     assert workspace._available_memory() > needed  # the real memory builds it
     assert enumerate_workspace(desc).configuration_count == 1000
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
@@ -127,21 +129,107 @@ def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
     assert enumerate_workspace(desc).configuration_count == 1000
 
 
+def test_enumeration_memory_check_counts_the_teeth(monkeypatch):
+    # one segment of 10**6 teeth: 10**6 configurations, estimated at 80 MB
+    # when only they were counted, but the per-tooth table sets the peak
+    desc = desc_with(segment_count=1, tooth_count=10**6)
+    needed = 10**6 * (BYTES_PER_CONFIGURATION + BYTES_PER_TOOTH)
+    unit_table.cache_clear()
+    try:
+        peak = traced_peak(lambda: enumerate_workspace(desc))
+    finally:
+        unit_table.cache_clear()
+    assert 10**6 * BYTES_PER_CONFIGURATION < peak <= needed
+
+    def enumerated(desc):
+        raise AssertionError("the refusal must come before any enumeration")
+
+    monkeypatch.setattr(workspace, "tip_positions", enumerated)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: peak)
+    with pytest.raises(InvariantError, match=r"count 1000000 needs about 0\.2 GB"):
+        enumerate_workspace(desc)
+    monkeypatch.setattr(workspace, "_available_memory", lambda: needed)
+    with pytest.raises(AssertionError, match="before any enumeration"):  # past the check
+        enumerate_workspace(desc)
+
+
+@pytest.mark.parametrize(
+    "robot",
+    [
+        {"tooth_count": 4, "segment_count": 10, "bend_angle": math.radians(45.0)},
+        {"segment_count": 6},
+    ],
+    ids=["ik", "n6"],
+)
+def test_enumeration_peak_is_within_bytes_per_configuration(robot):
+    # the constant the memory check charges, tied to the code: the build's
+    # traced peak lies within it, and not so far below that the check
+    # refuses builds that would fit.  position_key sets the peak, with the
+    # tips, their scaled floats and their keys (24 B per configuration
+    # each); the casts to the index's uint32 widths come after the tips are
+    # freed and add nothing to it
+    desc = desc_with(**robot)
+    count = desc.raw_configuration_count
+    peak = traced_peak(lambda: enumerate_workspace(desc))
+    assert 0.8 * BYTES_PER_CONFIGURATION * count <= peak <= BYTES_PER_CONFIGURATION * count
+    assert peak <= 72 * count + 2**20
+
+
+def test_index_holds_uint32_and_never_wraps_a_cast():
+    desc = desc_with(segment_count=1)
+    points = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    for dtype in (np.int64, np.uint64, np.int32, float):
+        index = WorkspaceIndex(desc, points, np.array([0, 1, 3], dtype), np.array([0, 2, 1], dtype))
+        assert index.bucket_offsets.dtype == index.bucket_members.dtype == np.uint32
+        assert index.bucket_ranks(1).dtype == np.uint32
+        assert index.bucket_ranks(1).tolist() == [2, 1]
+    offsets, members = np.array([0, 1, 2], np.uint32), np.array([0, 1], np.uint32)
+    index = WorkspaceIndex(desc, points, offsets, members)
+    assert np.shares_memory(index.bucket_members, members)  # held as they are
+    index = WorkspaceIndex(desc, points, [0, 1, 2], [0, 2**32 - 1])  # the widest rank
+    assert index.bucket_ranks(1).tolist() == [2**32 - 1]
+    # each of these values would wrap to a valid offset or rank
+    for name, offsets, members in [
+        ("bucket_members", [0, 1, 2], [0, -(2**32) + 1]),
+        ("bucket_members", [0, 1, 2], [0, 2**32]),
+        ("bucket_members", [0, 1, 2], [0, 2**32 + 1]),
+        ("bucket_members", [0, 1, 2], [0, np.nan]),
+        ("bucket_offsets", [-(2**32), 1, 2], [0, 1]),
+        ("bucket_offsets", [0, 1, 2**32 + 2], [0, 1]),
+    ]:
+        with pytest.raises(InvariantError, match=rf"{name} must lie in \[0, 2\*\*32\)"):
+            WorkspaceIndex(desc, points, np.array(offsets), np.array(members))
+
+
+def test_load_refuses_a_header_of_2_32_configurations_or_more(tmp_path):
+    # ranks are stored as uint32; a header for such a chain is forged, since
+    # no build writes one, and is refused before its size is checked
+    for teeth, n in [(2, 32), (10, 10)]:
+        desc = desc_with(tooth_count=teeth, segment_count=n)
+        header = _HEADER.pack(
+            b"PLCW", INDEX_FORMAT_VERSION, description_digest(desc), n, teeth, 1, teeth**n
+        )
+        path = tmp_path / "big.plcw"
+        path.write_bytes(header)
+        with pytest.raises(PlcError, match=rf"big\.plcw claims {teeth**n} configurations, at least 2\*\*32$"):
+            WorkspaceIndex.load(path, desc)
+
+
 def refuse_to_read(*args, **kwargs):
     raise AssertionError("np.fromfile was called")
 
 
 def test_load_is_refused_past_the_available_memory(tmp_path, index_n3, monkeypatch):
-    # a sparse n=8 file: 4.0 GB of arrays that take no disk blocks, refused
+    # a sparse n=8 file: 3.2 GB of arrays that take no disk blocks, refused
     # before any read
     desc = desc_with(segment_count=8)
     path = tmp_path / "n8.plcw"
     write_sparse_index(path, desc, 10**8)
     needed = path.stat().st_size - _HEADER.size + 10**8 + _CHECK_BYTES  # a mark per rank
-    assert needed == 4_103_276_858
+    assert needed == 3_303_276_854
     monkeypatch.setattr(np, "fromfile", refuse_to_read)
     monkeypatch.setattr(workspace, "_available_memory", lambda: 1_500_000_000)
-    message = r"index file .*n8\.plcw needs about 4\.1 GB to load, more than the 1\.5 GB available"
+    message = r"index file .*n8\.plcw needs about 3\.3 GB to load, more than the 1\.5 GB available"
     with pytest.raises(InvariantError, match=message):
         WorkspaceIndex.load(path, desc)
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed - 1)
@@ -167,14 +255,16 @@ def test_index_checks_stay_within_the_load_estimate(tmp_path, point_count):
     # the checks run a block at a time, so one key-check block sets the peak
     # at every point count; over the whole index, the offsets' comparison
     # (1 B per point) or the finiteness mask (3 B) would pass it by 2 * 10**6.
-    # A two-tooth chain has 2**n ranks: every point holds one, the last the rest
+    # A two-tooth chain has 2**n ranks: every point holds one, the last the rest.
+    # The arrays come in the index's widths, so the constructor holds them as
+    # they are and casts nothing
     segment_count = (point_count - 1).bit_length()
     desc = desc_with(tooth_count=2, segment_count=segment_count)
     points = np.zeros((point_count, 3))
     points[:, 0] = np.arange(point_count)
-    offsets = np.arange(point_count + 1, dtype=np.int64)
+    offsets = np.arange(point_count + 1, dtype=np.uint32)
     offsets[-1] = 2**segment_count
-    arrays = (points, offsets, np.arange(2**segment_count, dtype=np.int64))
+    arrays = (points, offsets, np.arange(2**segment_count, dtype=np.uint32))
     peak = traced_peak(lambda: WorkspaceIndex(desc, *arrays))
     assert 0.8 * _CHECK_BYTES <= peak <= _CHECK_BYTES
     # load adds the member check, whose bool mark per rank is charged beside
@@ -194,8 +284,8 @@ def test_member_ranks_out_of_order_in_a_bucket_are_refused_on_load(tmp_path, ind
     path = tmp_path / "n5.plcw"
     index_n5.save(path)
     data = bytearray(path.read_bytes())
-    at = _HEADER.size + index_n5.point_count * 32 + 8 + int(index_n5.bucket_offsets[g]) * 8
-    data[at : at + 16] = index_n5.bucket_ranks(g)[1::-1].astype("<i8").tobytes()
+    at = _HEADER.size + index_n5.point_count * 28 + 4 + int(index_n5.bucket_offsets[g]) * 4
+    data[at : at + 8] = index_n5.bucket_ranks(g)[1::-1].astype("<u4").tobytes()
     path.write_bytes(bytes(data))
     with pytest.raises(PlcError, match=r"n5\.plcw has bucket members .* ascending within each bucket"):
         WorkspaceIndex.load(path, index_n5.desc)
@@ -436,6 +526,16 @@ def test_load_refuses_a_point_past_the_int64_key_range(tmp_path, index_n2):
     path.write_bytes(bytes(data))
     with pytest.raises(InvariantError, match="outside the key range"):
         WorkspaceIndex.load(path, index_n2.desc)
+
+
+def test_reach_accuracy_of_one_target_is_the_ik_error(index_n3):
+    # every n=3 bucket holds one configuration, so every answer is the
+    # stored point: both distances sum (dx dx + dz dz) + dy dy
+    rng = np.random.default_rng(73)
+    reference = Configuration((0, 0, 0), 10)
+    for target in rng.uniform(-60.0, 80.0, (200, 3)):
+        error = solve_ik(index_n3, index_n3.desc, target, reference).position_error
+        assert error.hex() == reach_accuracy(index_n3, target).hex()
 
 
 def lexsort_groups(keys):
