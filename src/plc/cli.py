@@ -2,9 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 I/O error.
 All numeric output is fixed at 9 significant digits so identical inputs
-produce byte-identical files across runs and platforms.  File outputs are
-written to a temporary file and renamed, so failed runs never leave partial
-files behind.
+produce byte-identical files across runs and platforms.  Every command
+prints through one writer, ``_emit``: a command that prints a few lines
+passes them as a list, and the whole-table printers (``workspace export``,
+``workspace omnivariance --local``, ``stiffness firm --sphere``) pass
+``_table``, a generator that formats ``_ROWS`` rows at a time straight from
+the arrays, so a table's text is never held whole.  Every check runs before
+the first line is written.  File outputs are written to a temporary file
+and renamed, so failed runs never leave partial files behind.  A reader
+that closes stdout early (``| head``) is an I/O error, exit 3.
 
 Each command imports the library modules it runs when it runs, and numpy
 only where it builds an array: ``fk``, ``stiffness firm --direction`` and
@@ -18,6 +24,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -46,19 +53,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # collapse -0.0 for stable goldens
-    return format(value, ".9g")
+# rows per block of a whole-table printer: bounds the text it holds at once
+_ROWS = 1 << 16
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None) is not None:
-        with atomic_open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _fmt(*values) -> str:
+    """``values`` to 9 significant digits, comma-separated; + 0.0 prints
+    -0.0 as 0, for stable goldens."""
+    return ",".join(["%.9g" % (float(v) + 0.0) for v in values])
+
+
+def _table(header: str, fmt: str, *columns):
+    """``header``, then the rows of ``columns`` (arrays of one length, 1-D
+    or 2-D) formatted by ``fmt``, one text block per ``_ROWS`` rows: one
+    ``%`` on the block's values plus 0.0, the bits ``_fmt`` prints."""
+    import numpy as np
+
+    yield header
+    for lo in range(0, len(columns[0]), _ROWS):
+        block = np.column_stack([column[lo : lo + _ROWS] for column in columns]) + 0.0
+        yield "\n".join([fmt] * len(block)) % tuple(block.ravel().tolist())
+
+
+def _emit(args, lines) -> None:
+    """Write each of ``lines``, a line or a block of lines, and a newline,
+    to the ``--out`` file, atomically, or to stdout."""
+    out = getattr(args, "out", None)
+    with nullcontext(sys.stdout) if out is None else atomic_open(out, "w", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -174,13 +197,8 @@ def _cmd_fk(args) -> int:
     config = _config_for(desc, args.config)
     (rotation, position), _, tip = _walk(desc, config, tip=True)
     _check_pose(rotation, position)  # chain_pose's RigidTransform checks
-    header = (
-        "x_mm,y_mm,z_mm,"
-        "r11,r12,r13,r21,r22,r23,r31,r32,r33,"
-        "tip_x_mm,tip_y_mm,tip_z_mm"
-    )
-    values = [*position, *rotation, *tip]
-    _emit(args, header + "\n" + ",".join(_fmt(v) for v in values) + "\n")
+    header = "x_mm,y_mm,z_mm,r11,r12,r13,r21,r22,r23,r31,r32,r33,tip_x_mm,tip_y_mm,tip_z_mm"
+    _emit(args, [header, _fmt(*position, *rotation, *tip)])
     return EXIT_OK
 
 
@@ -202,23 +220,21 @@ def _cmd_workspace_export(args) -> int:
     desc = _load_description(args)
     index = _load_or_build_index(desc, args)
     if args.format == "csv":
-        lines = ["x,y,z,bucket_size"]
-        for (x, y, z), size in zip(index.points, np.diff(index.bucket_offsets).tolist()):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{size}")
-        _emit(args, "\n".join(lines) + "\n")
+        sizes = np.diff(index.bucket_offsets)
+        _emit(args, _table("x,y,z,bucket_size", "%.9g,%.9g,%.9g,%d", index.points, sizes))
     else:
-        lines = [
-            "ply",
-            "format ascii 1.0",
-            f"element vertex {index.point_count}",
-            "property double x",
-            "property double y",
-            "property double z",
-            "end_header",
-        ]
-        for point in index.points:
-            lines.append(" ".join(_fmt(v) for v in point))
-        _emit(args, "\n".join(lines) + "\n")
+        header = "\n".join(
+            [
+                "ply",
+                "format ascii 1.0",
+                f"element vertex {index.point_count}",
+                "property double x",
+                "property double y",
+                "property double z",
+                "end_header",
+            ]
+        )
+        _emit(args, _table(header, "%.9g %.9g %.9g", index.points))
     return EXIT_OK
 
 
@@ -229,12 +245,9 @@ def _cmd_workspace_omnivariance(args) -> int:
     index = _load_or_build_index(desc, args)
     if args.local is not None:
         values = local_omnivariance(index.points, args.local)
-        lines = ["x,y,z,local_omnivariance"]
-        for point, value in zip(index.points, values):
-            lines.append(",".join(_fmt(v) for v in (*point, value)))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _table("x,y,z,local_omnivariance", "%.9g,%.9g,%.9g,%.9g", index.points, values))
     else:
-        _emit(args, _fmt(omnivariance(index.points)) + "\n")
+        _emit(args, [_fmt(omnivariance(index.points))])
     return EXIT_OK
 
 
@@ -244,7 +257,7 @@ def _cmd_workspace_accuracy(args) -> int:
     desc = _load_description(args)
     index = _load_or_build_index(desc, args)
     queries = _read_queries(args.queries)
-    _emit(args, _fmt(reach_accuracy(index, queries)) + "\n")
+    _emit(args, [_fmt(reach_accuracy(index, queries))])
     return EXIT_OK
 
 
@@ -261,15 +274,9 @@ def _cmd_ik(args) -> int:
         reference = Configuration((0,) * desc.segment_count, desc.tooth_count)
     solution = solve_ik(index, desc, target, reference, metric=args.metric, seed=args.seed)
     header = "config,achieved_x_mm,achieved_y_mm,achieved_z_mm,error_mm,candidate_count"
-    row = ",".join(
-        [
-            " ".join(str(k) for k in solution.config.indices),
-            *(_fmt(v) for v in solution.achieved_position),
-            _fmt(solution.position_error),
-            str(solution.candidate_count),
-        ]
-    )
-    _emit(args, header + "\n" + row + "\n")
+    config = " ".join(map(str, solution.config.indices))
+    row = _fmt(*solution.achieved_position, solution.position_error)
+    _emit(args, [header, f"{config},{row},{solution.candidate_count}"])
     return EXIT_OK
 
 
@@ -279,18 +286,14 @@ def _cmd_stiffness_firm(args) -> int:
     desc = _load_description(args)
     config = _config_for(desc, args.config)
     header = "ux,uy,uz,stiffness_n_per_mm,compliance_mm_per_n"
-    lines = [header]
     if args.direction is not None:
         direction = _parse_direction(args.direction)
         stiff = directional_stiffness(desc, config, direction, args.literal_polar)
-        lines.append(
-            ",".join(_fmt(v) for v in (*direction, stiff, 1.0 / stiff))
-        )
+        _emit(args, [header, _fmt(*direction, stiff, 1.0 / stiff)])
     else:
         samples = stiffness_map(desc, config, args.sphere, literal_polar=args.literal_polar)
-        for direction, stiff, compliance in samples.tolist():
-            lines.append(",".join(_fmt(v) for v in (*direction, stiff, compliance)))
-    _emit(args, "\n".join(lines) + "\n")
+        columns = samples["direction"], samples["stiffness"], samples["compliance"]
+        _emit(args, _table(header, "%.9g,%.9g,%.9g,%.9g,%.9g", *columns))
     return EXIT_OK
 
 
@@ -311,10 +314,8 @@ def _cmd_stiffness_curve(args) -> int:
     config = _config_for(desc, args.config)
     direction = _parse_direction(args.direction)
     curve = force_deflection(desc, config, args.tension, direction, args.literal_polar)
-    lines = ["force_n,deflection_mm"]
-    for force in _force_grid(curve.top_force, curve.threshold_force):
-        lines.append(f"{_fmt(force)},{_fmt(curve.deflection(force))}")
-    _emit(args, "\n".join(lines) + "\n")
+    grid = _force_grid(curve.top_force, curve.threshold_force)
+    _emit(args, ["force_n,deflection_mm", *(_fmt(f, curve.deflection(f)) for f in grid)])
     return EXIT_OK
 
 
@@ -326,7 +327,7 @@ def _cmd_stiffness_twist(args) -> int:
         value = skin_twist(desc, args.torque)
     else:
         value = spine_twist(desc, args.torque)
-    _emit(args, _fmt(value) + "\n")
+    _emit(args, [_fmt(value)])
     return EXIT_OK
 
 
@@ -351,7 +352,7 @@ def _cmd_plan(args) -> int:
         if final.config != goal or final.unlocked_joints:
             raise PlcError("plan verification failed to reach the goal")
         lines.append("final " + ",".join(str(k) for k in final.config.indices))
-    _emit(args, ("\n".join(lines) + "\n") if lines else "")
+    _emit(args, lines)
     return EXIT_OK
 
 
@@ -362,22 +363,11 @@ def _cmd_normalize(args) -> int:
         records = builtin_designs()
     else:
         records = load_designs(args.designs)
-    rows = build_comparison(records)
     lines = ["name,k_max,k_max_normalized,k_min,k_min_normalized,ratio"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.name,
-                    _fmt(row.k_max),
-                    _fmt(row.k_max_normalized) if row.k_max_normalized is not None else "NA",
-                    _fmt(row.k_min),
-                    _fmt(row.k_min_normalized) if row.k_min_normalized is not None else "NA",
-                    _fmt(row.ratio),
-                ]
-            )
-        )
-    _emit(args, "\n".join(lines) + "\n")
+    for row in build_comparison(records):
+        values = row.k_max, row.k_max_normalized, row.k_min, row.k_min_normalized, row.ratio
+        lines.append(",".join([row.name, *("NA" if v is None else _fmt(v) for v in values)]))
+    _emit(args, lines)
     return EXIT_OK
 
 
@@ -494,18 +484,25 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help / --version
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a reader that has left fails here, not at exit
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:  # --help / --version
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
     except PlcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # so the flush at exit has nowhere to fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

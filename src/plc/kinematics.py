@@ -16,8 +16,9 @@ evaluated per tooth index k in one set of expressions, on the angle
 every tooth's row at once as arrays (rotations (N, 3, 3), translations
 (N, 3)) for the workspace enumeration, and :func:`_unit_row` one row in
 Python floats for a single pose, with the per-tooth tip vector t_k + R_k o
-of the tool offset o.  Both are cached per description, the rows one at a
-time as walks read them, so no single-pose call builds an N-row table.  A
+of the tool offset o.  The rows are cached per description, one at a time
+as walks read them, so no single-pose call builds an N-row table; the
+table is built anew for each enumeration, so none outlives its build.  A
 chain is built by one step per joint, ``(R, p) <- (R R_k, p + R t_k)``,
 and the tool tip takes the last joint with the tip vector, so it is
 p + R (t_k + R_k o).  One loop, :func:`_walk`, walks one pose at a time
@@ -70,15 +71,14 @@ _CACHED_ROWS = 4096
 _ROTATION_TERMS, _POSITION_TERMS = (0, 1, 2), (0, 2, 1)
 
 
-@functools.lru_cache
 def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
     """Per-tooth-index unit rotation (N, 3, 3) and translation (N, 3) tables,
     for the workspace enumeration.
 
     Each entry is the expression of :func:`_unit_row`, with the cosine and
     sine of each angle taken by ``math``, so the two agree bit for bit.
-    Cached per description; the arrays are read-only because every caller
-    shares them.
+    Built anew on each call, so a build's table (96 B per tooth) is freed
+    with the build.
     """
     import numpy as np
 
@@ -100,8 +100,6 @@ def unit_table(desc: RobotDescription) -> tuple[np.ndarray, np.ndarray]:
     rot[:, 2, 0] = -sb
     rot[:, 2, 2] = cb
     tra = np.stack([sag * cq, sag * sq, np.full(teeth, radius * sb)], axis=1)
-    rot.setflags(write=False)
-    tra.setflags(write=False)
     return rot, tra
 
 
@@ -245,15 +243,14 @@ def chain_pose(desc: RobotDescription, config: Configuration) -> tuple[RigidTran
     return RigidTransform(np.array(rotation).reshape(3, 3), np.array(position)), np.array(axes)
 
 
-def _prefix_poses(desc: RobotDescription, levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _prefix_poses(rot: np.ndarray, tra: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (N**levels, 9), as rows of nine floats row-major, and
     positions (N**levels, 3) of every ``levels``-joint prefix, in canonical
-    rank order.
+    rank order, from the unit table ``rot``, ``tra`` of :func:`unit_table`.
 
     Level by level, the N**k prefix poses are multiplied by the N table rows
     (prefix-major, so canonical rank order carries over).
     """
-    rot, tra = unit_table(desc)
     rotation, position = rot.reshape(-1, 9), tra
     for _ in range(levels - 1):
         position = _products(rotation, tra[:, :, None], _POSITION_TERMS, position)
@@ -273,7 +270,7 @@ def tip_positions(desc: RobotDescription) -> np.ndarray:
     tip = _products(rot, np.reshape(desc.tool_offset, (1, 3, 1)), _POSITION_TERMS, tra)
     if desc.segment_count == 1:
         return tip
-    rotation, position = _prefix_poses(desc, desc.segment_count - 1)
+    rotation, position = _prefix_poses(rot, tra, desc.segment_count - 1)
     return _products(rotation, tip[:, :, None], _POSITION_TERMS, position)
 
 

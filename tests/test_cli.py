@@ -1,3 +1,4 @@
+import hashlib
 import os
 import resource
 import subprocess
@@ -17,6 +18,7 @@ from plc import (
 )
 from plc.cli import _fmt, _force_grid, main
 from plc.files import INDEX_FORMAT_VERSION
+from plc.stiffness import stiffness_map
 from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION, BYTES_PER_TOOTH
 
 from conftest import desc_with, write_sparse_index
@@ -288,6 +290,84 @@ def test_export_csv_lists_each_points_bucket_size(capsys, tmp_path):
     sizes = [int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
     assert sizes == [len(index.bucket_ranks(g)) for g in range(index.point_count)]
     assert sorted(set(sizes)) == [1, 2]
+
+
+# SHA-256 of `workspace export` stdout: the stored points' bits do not depend
+# on the BLAS kernel, so neither do these; the default robot's 98,910 rows
+# cross a 65,536-row block
+EXPORT_DIGESTS = {
+    ("default", "csv"): "64cade5ff80fde13f78a864bc5f9bdf69f0c862720ce8a1d42d9d6da6895c1ee",
+    ("default", "ply"): "c0ad5364441fd5e8cf7ef1dfe05bb002f6dbcfe7cddc7ec6affbc191ac0ea6e8",
+    ("offset", "csv"): "b699c2b60a129b213b824a557f6ea96cf2f62b188839b25aa390909e59fcc566",
+    ("offset", "ply"): "2a807ba8131d9bea8bf206e6090825111f5babf031078a469fe4936698a35b38",
+}
+
+
+@pytest.mark.parametrize("robot, form", sorted(EXPORT_DIGESTS))
+def test_export_keeps_its_digests(capsys, tmp_path, robot, form):
+    path = "default" if robot == "default" else robot_file(tmp_path, OFFSET_ROBOT)
+    code, out, err = run(capsys, "workspace", "export", "--robot", path, "--format", form)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGESTS[robot, form]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # the map's 16 blocks of rows (57 MB) outgrow any pipe, so the
+        # printer meets the pipe closed mid-table
+        (["stiffness", "firm", "--config", "1,7,3,0,5", "--sphere", "1000000"], 1),
+        # the reader is gone before the first byte: the one row, or the
+        # version argparse prints, waits in stdout's buffer until main
+        # flushes it
+        (["fk", "--config", "1,7,3,0,5"], 0),
+        (["--version"], 0),
+    ],
+    ids=["mid-table", "before-any-output", "version"],
+)
+def test_a_reader_that_leaves_early_is_an_io_error(tmp_path, argv, lines):
+    # one stderr line and exit 3, and the interpreter's own flush at exit
+    # neither reports the pipe again nor exits 120; stdout is block-buffered,
+    # as it is without PYTHONUNBUFFERED
+    env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"), OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    with open(read, "rb") as reader, open(write, "wb") as writer:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plc.cli", *argv], stdout=writer, stderr=subprocess.PIPE, env=env
+        )
+        writer.close()
+        for _ in range(lines):
+            assert reader.readline().startswith(b"ux,uy,uz,")
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (3, b"i/o error: [Errno 32] Broken pipe\n")
+
+
+def rendered(header, *columns):
+    """The table a printer should print: ``header``, then one line per row of
+    the columns, each value to 9 significant digits with -0.0 as 0."""
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(format(v, ".9g") if v else "0" for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+def test_local_omnivariance_prints_the_library_values(capsys, tmp_path, index_n5):
+    path = tmp_path / "n5.plcw"
+    index_n5.save(path)
+    code, out, err = run(capsys, "workspace", "omnivariance", "--index", str(path), "--local", "8")
+    assert (code, err) == (0, "")
+    values = workspace.local_omnivariance(index_n5.points, 8)
+    assert out == rendered("x,y,z,local_omnivariance", index_n5.points, values)
+
+
+def test_stiffness_sphere_prints_the_library_map(capsys):
+    config = "1,7,3,0,5"
+    code, out, err = run(capsys, "stiffness", "firm", "--config", config, "--sphere", "100000")
+    assert (code, err) == (0, "")
+    samples = stiffness_map(RobotDescription(), Configuration((1, 7, 3, 0, 5), 10), 100000)
+    header = "ux,uy,uz,stiffness_n_per_mm,compliance_mm_per_n"
+    assert out == rendered(header, samples["direction"], samples["stiffness"], samples["compliance"])
 
 
 def test_workspace_omnivariance_uses_cache(capsys, tmp_path):
@@ -792,6 +872,15 @@ def test_fk_tip_is_the_stored_tool_tip(capsys, tmp_path):
     tip = [fk["tip_x_mm"], fk["tip_y_mm"], fk["tip_z_mm"]]
     assert tip == [_fmt(v) for v in walked]
     assert tip[0] == "0"
+
+
+def test_negative_zero_prints_as_0(capsys, tmp_path):
+    # a one-segment robot at tooth 0 is its unit row: r12 = -sin 0 = -0.0
+    robot = robot_file(tmp_path, "segment_count: 1\n")
+    code, out, _ = run(capsys, "fk", "--robot", robot, "--config", "0")
+    assert code == 0
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["r12"] == "0"
 
 
 def _as_version(path, version):

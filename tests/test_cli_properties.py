@@ -178,7 +178,7 @@ def assert_contract(argv):
 
 
 # the stiffness formulas: the firmed compliance and the two twists
-MODELS = ("compliance_from_axes", "spine_twist", "bellows_twist")
+MODELS = ("firmed_compliance", "spine_twist", "bellows_twist")
 
 
 @checked

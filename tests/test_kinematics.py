@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,17 +166,6 @@ def test_rotation_stays_orthonormal_after_100_segments():
     assert drift < 1e-10
 
 
-def test_unit_table_is_cached_and_read_only():
-    desc = desc_with(tooth_count=7)
-    rot, tra = unit_table(desc)
-    assert unit_table(desc) is unit_table(desc)
-    assert unit_table(desc_with(tooth_count=7))[0] is rot  # equal descriptions share it
-    with pytest.raises(ValueError):
-        rot[0, 0, 0] = 0.0
-    with pytest.raises(ValueError):
-        tra[0] = 0.0
-
-
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -227,7 +217,7 @@ def test_walks_take_only_the_steps_their_callers_read(monkeypatch):
         assert len(steps) == count
 
 
-def test_fk_at_the_tooth_bound_builds_no_per_tooth_table(capsys, tmp_path):
+def test_fk_at_the_tooth_bound_builds_no_per_tooth_table(capsys, tmp_path, monkeypatch):
     # a single pose reads the rows of its own indices: no unit table, and
     # under 1 MB of traced memory (87 kB, mostly the argument parser and the
     # YAML reader, with Python 3.11), where the per-tooth tables took 912 MB
@@ -236,9 +226,10 @@ def test_fk_at_the_tooth_bound_builds_no_per_tooth_table(capsys, tmp_path):
     argv = ["fk", "--robot", str(robot), "--config", "1,2,3,4,5"]
     assert main(argv) == 0  # loads PyYAML and the modules
     capsys.readouterr()
-    unit_table.cache_clear()
+    tables = mock.Mock(wraps=unit_table)
+    monkeypatch.setattr(kinematics, "unit_table", tables)
     assert traced_peak(lambda: main(argv)) < 2**20
-    assert unit_table.cache_info().currsize == 0
+    assert tables.call_count == 0
     assert _unit_rows(desc_with(tooth_count=10**6)).cache_info().currsize == 5
     assert capsys.readouterr().out.splitlines()[0].startswith("x_mm,")
 
@@ -360,10 +351,9 @@ def test_tip_positions_match_the_step_walk_bitwise(overrides):
 
 def test_tip_positions_peak_memory_is_bounded():
     # 24 B of tips and 24 B of the last prefix level per configuration, plus
-    # the blocks; unblocked, the kernel's 16 working rows of 8 B per pose
-    # would add 32 B
+    # the blocks and the 4-tooth unit table; unblocked, the kernel's 16
+    # working rows of 8 B per pose would add 32 B
     desc = desc_with(tooth_count=4, segment_count=9, bend_angle=math.radians(45.0))
-    unit_table(desc)  # cached, and not counted
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

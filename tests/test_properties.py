@@ -14,7 +14,7 @@ from plc import (
     enumerate_workspace,
     tool_position,
 )
-from plc.kinematics import _prefix_poses, tip_positions
+from plc.kinematics import _prefix_poses, tip_positions, unit_table
 from plc.workspace import KEY_CELL, WorkspaceIndex, configuration_from_rank
 
 from _oracles import all_tips, fk_matrix, quantize
@@ -85,7 +85,7 @@ def test_chain_pose_reproduces_tip_positions_bitwise_ten_joints():
 def test_prefix_poses_match_chain_pose_of_the_prefix_bitwise(desc):
     for levels in range(1, desc.segment_count + 1):
         prefix = dataclasses.replace(desc, segment_count=levels)
-        rotations, positions = _prefix_poses(desc, levels)
+        rotations, positions = _prefix_poses(*unit_table(desc), levels)
         assert positions.shape == (prefix.raw_configuration_count, 3)
         for rank, digits in enumerate(configuration_from_rank(np.arange(len(positions)), prefix)):
             end, _ = chain_pose(prefix, Configuration(tuple(digits.tolist()), desc.tooth_count))

@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +36,8 @@ from plc.workspace import (
     configuration_from_rank,
 )
 from plc.files import INDEX_FORMAT_VERSION
-from plc.kinematics import tip_positions, unit_table
+from plc import kinematics
+from plc.kinematics import tip_positions
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
 from conftest import desc_with, traced_peak, write_sparse_index
@@ -129,16 +132,31 @@ def test_enumeration_is_refused_past_the_available_memory(monkeypatch):
     assert enumerate_workspace(desc).configuration_count == 1000
 
 
+def test_enumeration_keeps_no_unit_table():
+    # one segment of 10**6 teeth: the index holds 32 MB (24 B of point and
+    # 4 B each of offset and member per configuration), and nothing keeps
+    # the build's 96 MB per-tooth table
+    desc = desc_with(segment_count=1, tooth_count=10**6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = enumerate_workspace(desc)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = index.points.nbytes + index.bucket_offsets.nbytes + index.bucket_members.nbytes
+    assert arrays == 32 * 10**6 + 4
+    assert arrays <= held <= arrays + 2**20
+
+
 def test_enumeration_memory_check_counts_the_teeth(monkeypatch):
     # one segment of 10**6 teeth: 10**6 configurations, estimated at 80 MB
     # when only they were counted, but the per-tooth table sets the peak
     desc = desc_with(segment_count=1, tooth_count=10**6)
     needed = 10**6 * (BYTES_PER_CONFIGURATION + BYTES_PER_TOOTH)
-    unit_table.cache_clear()
-    try:
+    with mock.patch.object(kinematics, "unit_table", wraps=kinematics.unit_table) as spy:
         peak = traced_peak(lambda: enumerate_workspace(desc))
-    finally:
-        unit_table.cache_clear()
+    assert spy.call_count == 1  # the table is built inside the traced build
     assert 10**6 * BYTES_PER_CONFIGURATION < peak <= needed
 
     def enumerated(desc):
