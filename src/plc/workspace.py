@@ -60,12 +60,12 @@ from .model import InvariantError, PlcError, RobotDescription, description_diges
 BYTES_PER_CONFIGURATION = 80
 
 #: Peak memory of an enumeration per tooth, bytes, beyond
-#: ``BYTES_PER_CONFIGURATION``: the per-tooth unit table and tip vectors, and
-#: the list of angles the table's ``math`` cosines read.  Rounded up from the
+#: ``BYTES_PER_CONFIGURATION``: the per-tooth unit columns and tip vectors,
+#: and the list of angles their ``math`` cosines read.  Rounded up from the
 #: peak RSS of one-segment builds above that of a build of as many
-#: configurations on few teeth: 102 B per tooth at 10**6 teeth and 117 B at
+#: configurations on few teeth: 79 B per tooth at 10**6 teeth and 41 B at
 #: 10**5 (numpy 2.4, Linux).
-BYTES_PER_TOOTH = 120
+BYTES_PER_TOOTH = 90
 
 #: (limit, usage, stat, inactive file field) of the cgroup memory controller:
 #: v2, then v1.  A limit that is missing or not an integer (v2 writes "max")

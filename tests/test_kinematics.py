@@ -10,15 +10,12 @@ from plc import Configuration, RobotDescription, chain_pose, tool_position
 from plc.cli import main
 from plc import kinematics, stiffness
 from plc.kinematics import (
-    _BLOCK_POSES,
-    _POSITION_TERMS,
-    _ROTATION_TERMS,
-    _products,
-    _step,
+    _rotate,
+    _stepped,
+    _translate,
     _unit_row,
     _unit_rows,
     tip_positions,
-    unit_table,
 )
 from plc.model import InvariantError, RigidTransform, index_angle
 from plc.workspace import configuration_from_rank
@@ -43,9 +40,9 @@ RISE_AT_30DEG = 28.64788975654116
 
 
 def unit_row(desc, k: int) -> RigidTransform:
-    """Transform across one unit at tooth index ``k``: row k of the unit table."""
-    rot, tra = unit_table(desc)
-    return RigidTransform(rot[k], tra[k])
+    """Transform across one unit at tooth index ``k``: ``_unit_row`` of k."""
+    rotation, translation, _ = _unit_row(desc, k)
+    return RigidTransform(np.array(rotation).reshape(3, 3), np.array(translation))
 
 
 def test_segment_translation_at_zero():
@@ -180,149 +177,213 @@ def test_rotation_stays_orthonormal_after_100_segments():
     ],
 )
 def test_float_rows_equal_the_unit_table_bitwise(overrides):
-    # the single-pose walk reads rows in Python floats and the enumeration
-    # the unit table: every rotation entry, translation component and tip
-    # vector component has the same bits (CI also runs this under other
-    # BLAS kernels)
+    # the single-pose walk reads rows of an int index in Python floats and
+    # the enumeration the columns of an index array: every rotation entry,
+    # translation component and tip vector component has the same bits
+    # (CI also runs this under other BLAS kernels)
     desc = desc_with(**overrides)
-    rot, tra = unit_table(desc)
-    tips = _products(rot, np.reshape(desc.tool_offset, (1, 3, 1)), _POSITION_TERMS, tra)
+    columns = _unit_row(desc, np.arange(desc.tooth_count)[:, None])
+    rotation, translation, tips = (np.concatenate(np.broadcast_arrays(*c), axis=1) for c in columns)
     rows = [_unit_row(desc, k) for k in range(desc.tooth_count)]
-    assert np.array([r for r, _, _ in rows]).tobytes() == rot.reshape(-1, 9).tobytes()
-    assert np.array([t for _, t, _ in rows]).tobytes() == tra.tobytes()
+    assert all(type(v) is float for row in rows for part in row for v in part)
+    assert np.array([r for r, _, _ in rows]).tobytes() == rotation.tobytes()
+    assert np.array([t for _, t, _ in rows]).tobytes() == translation.tobytes()
     assert np.array([tip for _, _, tip in rows]).tobytes() == tips.tobytes()
 
 
 def test_walks_take_only_the_steps_their_callers_read(monkeypatch):
     # n - 2 steps to the pose before the last joint, then one step for the
-    # end pose, one for the tip, or none for the axes alone
+    # end pose, one position for the tip, or rotations alone for the axes
     desc = RobotDescription()
     config = Configuration((1, 7, 3, 0, 5), 10)
     kinematics._walk(desc, config, tip=True)  # fills the row cache first
-    steps = []
+    calls = []
 
-    def counted(*args):
-        steps.append(args)
-        return _step(*args)
+    def counted(name, product):
+        def call(*args):
+            calls.append(name)
+            return product(*args)
 
-    monkeypatch.setattr(kinematics, "_step", counted)
-    for call, count in [
-        (lambda: chain_pose(desc, config), 4),
-        (lambda: tool_position(desc, config), 4),
-        (lambda: stiffness.firmed_compliance(desc, config), 3),
-        (lambda: main(["fk", "--config", "1,7,3,0,5"]), 5),
+        return call
+
+    monkeypatch.setattr(kinematics, "_rotate", counted("rotate", _rotate))
+    monkeypatch.setattr(kinematics, "_translate", counted("translate", _translate))
+    for call, rotations, translations in [
+        (lambda: chain_pose(desc, config), 4, 4),
+        (lambda: tool_position(desc, config), 3, 4),
+        (lambda: stiffness.firmed_compliance(desc, config), 3, 0),
+        (lambda: main(["fk", "--config", "1,7,3,0,5"]), 4, 5),
     ]:
-        steps.clear()
+        calls.clear()
         call()
-        assert len(steps) == count
+        assert (calls.count("rotate"), calls.count("translate")) == (rotations, translations)
+        assert len(calls) == rotations + translations
 
 
 def test_fk_at_the_tooth_bound_builds_no_per_tooth_table(capsys, tmp_path, monkeypatch):
-    # a single pose reads the rows of its own indices: no unit table, and
-    # under 1 MB of traced memory (87 kB, mostly the argument parser and the
-    # YAML reader, with Python 3.11), where the per-tooth tables took 912 MB
+    # a single pose reads the rows of its own indices: no index-array call,
+    # and under 1 MB of traced memory (87 kB, mostly the argument parser and
+    # the YAML reader, with Python 3.11), where the per-tooth tables took
+    # 912 MB
     robot = tmp_path / "robot.yaml"
     robot.write_text("tooth_count: 1000000\n")
     argv = ["fk", "--robot", str(robot), "--config", "1,2,3,4,5"]
     assert main(argv) == 0  # loads PyYAML and the modules
     capsys.readouterr()
-    tables = mock.Mock(wraps=unit_table)
-    monkeypatch.setattr(kinematics, "unit_table", tables)
+    rows = mock.Mock(wraps=_unit_row)
+    monkeypatch.setattr(kinematics, "_unit_row", rows)
     assert traced_peak(lambda: main(argv)) < 2**20
-    assert tables.call_count == 0
+    assert all(type(c.args[1]) is int for c in rows.call_args_list)
     assert _unit_rows(desc_with(tooth_count=10**6)).cache_info().currsize == 5
     assert capsys.readouterr().out.splitlines()[0].startswith("x_mm,")
 
 
-EYE, ORIGIN = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0)
+def test_row_caches_keep_a_bounded_number_of_descriptions():
+    # a library process that walks many large-N descriptions keeps the rows
+    # of the last _CACHED_DESCRIPTIONS only, each at most _CACHED_ROWS rows
+    # of about 0.76 kB: twice as many descriptions hold no more memory
+    bound = kinematics._CACHED_DESCRIPTIONS
+    _unit_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(2 * bound):
+            rows = _unit_rows(desc_with(tooth_count=10**6 - i))
+            for k in range(kinematics._CACHED_ROWS + 1):
+                rows(k)
+            assert rows.cache_info().currsize == kinematics._CACHED_ROWS
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _unit_rows.cache_info().currsize == bound
+    assert held <= bound * kinematics._CACHED_ROWS * 1000
 
 
-def step_positions(rotation, position, translation):
-    """p + R t of every pose and table row, one ``_step`` per pair, pose-major
-    as ``_products`` returns them."""
+# poses per block in the stack tests, whatever the tooth count
+ROWS = 4096
+
+
+def as_poses(rotation, position):
+    """Poses (12, P) as ``_stepped`` reads them: the nine rotation entries
+    row-major, then the position, a row each."""
+    return np.concatenate([rotation.reshape(-1, 9), position], axis=1).T
+
+
+def as_columns(rows):
+    """Unit columns (N, 1) of table rows (N, c), one per entry."""
+    return tuple(rows.reshape(len(rows), -1).T[:, :, None])
+
+
+def float_positions(rotation, position, translation):
+    """p + R t of every pose and table row in Python floats, one
+    ``_translate`` per pair, pose-major as ``_stepped`` returns them."""
     teeth = translation.tolist()
     rows = [
-        _step(r, p, EYE, t)[1]
+        _translate(r, p, t)
         for r, p in zip(rotation.reshape(-1, 9).tolist(), position.tolist())
         for t in teeth
     ]
     return np.array(rows).reshape(-1, 3)
 
 
-def batched_positions(rotation, position, translation):
-    """p + R t of every pose and table row by the batched kernel."""
-    return _products(rotation, translation[:, :, None], _POSITION_TERMS, position)
+def column_positions(rotation, position, translation):
+    """p + R t of every pose and table row by the enumeration's columns."""
+    return _stepped(as_poses(rotation, position), None, as_columns(translation))
 
 
-def step_rotations(rotation, unit_rotation):
-    """R R_k of every pose and table row, one ``_step`` per pair, pose-major
-    as ``_products`` returns them."""
-    units = unit_rotation.reshape(-1, 9).tolist()
-    rows = [_step(r, ORIGIN, b, ORIGIN)[0] for r in rotation.reshape(-1, 9).tolist() for b in units]
-    return np.array(rows).reshape(-1, 9)
+def float_poses(rotation, position, unit_rotation, translation):
+    """(R R_k, p + R t_k) of every pose and table row in Python floats, one
+    ``_rotate`` and one ``_translate`` per pair, pose-major as rows of 12."""
+    units = list(zip(unit_rotation.reshape(-1, 9).tolist(), translation.tolist()))
+    rows = [
+        _rotate(r, b) + _translate(r, p, t)
+        for r, p in zip(rotation.reshape(-1, 9).tolist(), position.tolist())
+        for b, t in units
+    ]
+    return np.array(rows).reshape(-1, 12)
 
 
-def tip_by_step(desc, digits):
-    """Tool tip of one configuration walked one pose at a time with ``_step``,
-    in ``tip_positions``' order: the prefix joints, then the last joint's tip
-    vector t_k + R_k tool_offset, itself the position of a step."""
-    rot, tra = unit_table(desc)
-    rot, tra = rot.reshape(-1, 9).tolist(), tra.tolist()
+def tip_by_step(rows, digits):
+    """Tool tip of one configuration walked one pose at a time in Python
+    floats from the int-index rows ``rows`` of ``_unit_row``, in
+    ``tip_positions``' order: the prefix joints, then the last joint's tip
+    vector t_k + R_k tool_offset."""
     *head, last = digits
-    tip = _step(rot[last], tra[last], EYE, desc.tool_offset)[1]
+    tip = rows[last][2]
     if not head:
         return np.array(tip)
-    rotation, position = rot[head[0]], tra[head[0]]
+    rotation, position, _ = rows[head[0]]
     for k in head[1:]:
-        rotation, position = _step(rotation, position, rot[k], tra[k])
-    return np.array(_step(rotation, position, EYE, tip)[1])
+        r, t, _ = rows[k]
+        rotation, position = _rotate(rotation, r), _translate(rotation, position, t)
+    return np.array(_translate(rotation, position, tip))
 
 
-@pytest.mark.parametrize(
-    "poses", [1, 2, _BLOCK_POSES - 1, _BLOCK_POSES, _BLOCK_POSES + 1, 2 * _BLOCK_POSES + 3]
-)
+@pytest.mark.parametrize("poses", [1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
 @pytest.mark.parametrize("teeth", [1, 4, 7])
-def test_positions_match_step_bitwise_on_random_stacks(poses, teeth):
+def test_positions_match_step_bitwise_on_random_stacks(poses, teeth, monkeypatch):
+    monkeypatch.setattr(kinematics, "_BLOCK", ROWS * teeth)
     rng = np.random.default_rng(poses * 10 + teeth)
     rotation = rng.normal(size=(poses, 3, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(poses, 3, 3))
     position = rng.normal(size=(poses, 3)) * 100.0
     translation = rng.normal(size=(teeth, 3)) * 30.0
-    expected = step_positions(rotation, position, translation)
-    assert batched_positions(rotation, position, translation).tobytes() == expected.tobytes()
+    expected = float_positions(rotation, position, translation)
+    assert column_positions(rotation, position, translation).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize(
-    "poses", [1, 2, _BLOCK_POSES - 1, _BLOCK_POSES, _BLOCK_POSES + 1, 2 * _BLOCK_POSES + 3]
-)
+@pytest.mark.parametrize("poses", [1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
 @pytest.mark.parametrize("teeth", [1, 4, 7])
-def test_rotations_match_step_bitwise_on_random_stacks(poses, teeth):
+def test_rotations_match_step_bitwise_on_random_stacks(poses, teeth, monkeypatch):
+    monkeypatch.setattr(kinematics, "_BLOCK", ROWS * teeth)
     rng = np.random.default_rng(poses * 10 + teeth + 1)
     scales = [1e-3, 1.0, 1e3]
     rotation = rng.normal(size=(poses, 3, 3)) * rng.choice(scales, size=(poses, 3, 3))
+    position = rng.normal(size=(poses, 3)) * 100.0
     unit_rotation = rng.normal(size=(teeth, 3, 3)) * rng.choice(scales, size=(teeth, 3, 3))
-    expected = step_rotations(rotation, unit_rotation)
-    assert _products(rotation, unit_rotation, _ROTATION_TERMS).tobytes() == expected.tobytes()
+    translation = rng.normal(size=(teeth, 3)) * 30.0
+    expected = float_poses(rotation, position, unit_rotation, translation)
+    got = _stepped(as_poses(rotation, position), as_columns(unit_rotation), as_columns(translation))
+    assert got.shape == (12, poses * teeth)
+    assert got.T.tobytes() == expected.tobytes()
 
 
 def test_rotation_entries_sum_in_the_stated_order():
-    # entry (i, j) is (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j: with a = (1, 1, 1)
-    # and b = (1e16, 1, -1e16) down column 0, (1e16 + 1) - 1e16 is 0.0, where
-    # summing the outer terms first keeps the 1
+    # entry (i, j) is (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j: with a all ones
+    # and every column of b (1e16, 1, -1e16), (1e16 + 1) - 1e16 is 0.0 where
+    # summing the outer terms first keeps the 1; with (1, 1e16, -1e16),
+    # (1 + 1e16) - 1e16 is 0.0 where summing the last two terms first keeps it
     a = np.ones((1, 3, 3))
-    b = np.array([[[1e16, 0.0, 0.0], [1.0, 1.0, 0.0], [-1e16, 0.0, 1.0]]])
-    assert _products(a, b, _ROTATION_TERMS)[0, 0] == 0.0
-    assert _step(a.ravel().tolist(), ORIGIN, b.ravel().tolist(), ORIGIN)[0][0] == 0.0
+    origin = np.zeros((1, 3))
+    for column in [(1e16, 1.0, -1e16), (1.0, 1e16, -1e16)]:
+        b = np.repeat(np.array(column)[None, :, None], 3, axis=2)
+        entries = _stepped(as_poses(a, origin), as_columns(b), as_columns(origin))[:9, 0]
+        assert entries.tolist() == [0.0] * 9
+        assert _rotate(a.ravel().tolist(), b.ravel().tolist()) == (0.0,) * 9
+
+
+def test_position_components_sum_in_the_stated_order():
+    # component i is p_i + (((a_i0 t0 + a_i2 t2) + a_i1 t1) + 0.0): with t all
+    # ones and every row of a (1e16, 1, -1e16), (1e16 - 1e16) + 1 is 1.0
+    # where the order of the terms gives 0.0; with (1, -1e16, 1e16),
+    # (1 + 1e16) - 1e16 is 0.0 where summing the last two terms first keeps
+    # the 1
+    ones, origin = np.ones((1, 3)), np.zeros((1, 3))
+    for row, expected in [((1e16, 1.0, -1e16), 1.0), ((1.0, -1e16, 1e16), 0.0)]:
+        a = np.repeat(np.array(row)[None, None, :], 3, axis=1)
+        assert column_positions(a, origin, ones).tolist() == [[expected] * 3]
+        assert _translate(a.ravel().tolist(), (0.0,) * 3, (1.0,) * 3) == (expected,) * 3
 
 
 def test_positions_turn_an_all_negative_zero_sum_into_positive_zero():
-    # each row's three products are -0.0 and so is the base: both spellings
-    # add +0.0 to the products' sum before the base (einsum's +0.0 start), so
-    # p + R t is +0.0 where a plain sum would give -0.0
-    rotation = np.array([[[-1.0, -2.0, 3.0], [1.0, 2.0, -3.0], [-0.0, 0.0, -0.0]]] * 3)
+    # in the first pose against the first row, each component's three
+    # products are -0.0 and so is the base: both evaluations add +0.0 to the
+    # products' sum before the base (einsum's +0.0 start), so p + R t is +0.0
+    # where a plain sum would give -0.0
+    rotation = np.array([[[-1.0, -2.0, 3.0], [-1.0, -2.0, 3.0], [-1.0, -2.0, 3.0]]] * 3)
     position = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0], [5.0, -0.0, -0.0]])
     translation = np.array([[0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, 2.0, 0.0]])
-    got = batched_positions(rotation, position, translation)
-    assert got.tobytes() == step_positions(rotation, position, translation).tobytes()
+    got = column_positions(rotation, position, translation)
+    assert got.tobytes() == float_positions(rotation, position, translation).tobytes()
     assert not np.signbit(got[0]).any()  # -0.0 + (-0.0) would keep the sign
 
 
@@ -345,14 +406,15 @@ def test_tip_positions_match_the_step_walk_bitwise(overrides):
     if count > 10**5:
         sample = np.random.default_rng(count).choice(count - 2, 2000, replace=False) + 1
         ranks = np.concatenate(([0], np.sort(sample), [count - 1]))
-    walked = [tip_by_step(desc, digits) for digits in configuration_from_rank(ranks, desc).tolist()]
+    rows = [_unit_row(desc, k) for k in range(desc.tooth_count)]
+    walked = [tip_by_step(rows, digits) for digits in configuration_from_rank(ranks, desc).tolist()]
     assert tip_positions(desc)[ranks].tobytes() == np.array(walked).tobytes()
 
 
 def test_tip_positions_peak_memory_is_bounded():
     # 24 B of tips and 24 B of the last prefix level per configuration, plus
-    # the blocks and the 4-tooth unit table; unblocked, the kernel's 16
-    # working rows of 8 B per pose would add 32 B
+    # one block's columns and the 4-tooth unit columns; unblocked, the last
+    # level's working columns of 8 B per configuration would add 40 B
     desc = desc_with(tooth_count=4, segment_count=9, bend_angle=math.radians(45.0))
     tracemalloc.start()
     try:

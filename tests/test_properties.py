@@ -4,6 +4,7 @@ every enumerated tool tip inside its bucket's key cell, and the same nearest
 point from the exact scan and from the k-d tree."""
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +15,8 @@ from plc import (
     enumerate_workspace,
     tool_position,
 )
-from plc.kinematics import _prefix_poses, tip_positions, unit_table
+from plc import kinematics
+from plc.kinematics import _stepped, _unit_row, tip_positions
 from plc.workspace import KEY_CELL, WorkspaceIndex, configuration_from_rank
 
 from _oracles import all_tips, fk_matrix, quantize
@@ -83,14 +85,29 @@ def test_chain_pose_reproduces_tip_positions_bitwise_ten_joints():
 @checked
 @given(robots)
 def test_prefix_poses_match_chain_pose_of_the_prefix_bitwise(desc):
-    for levels in range(1, desc.segment_count + 1):
-        prefix = dataclasses.replace(desc, segment_count=levels)
-        rotations, positions = _prefix_poses(*unit_table(desc), levels)
-        assert positions.shape == (prefix.raw_configuration_count, 3)
-        for rank, digits in enumerate(configuration_from_rank(np.arange(len(positions)), prefix)):
+    # every level of tip_positions' loop: the poses each step reads, and the
+    # full poses of the last level, which tip_positions forms as tips only
+    levels = []
+
+    def recorded(poses, rotation, translation):
+        levels.append(poses)
+        return _stepped(poses, rotation, translation)
+
+    with mock.patch.object(kinematics, "_stepped", recorded):
+        tip_positions(desc)
+    rotation, translation, _ = _unit_row(desc, np.arange(desc.tooth_count)[:, None])
+    if levels:
+        levels.append(_stepped(levels[-1], rotation, translation))
+    else:
+        levels.append(np.concatenate(np.broadcast_arrays(*rotation, *translation), axis=1).T)
+    assert len(levels) == desc.segment_count
+    for count, poses in enumerate(levels, 1):
+        prefix = dataclasses.replace(desc, segment_count=count)
+        assert poses.shape == (12, prefix.raw_configuration_count)
+        for rank, digits in enumerate(configuration_from_rank(np.arange(poses.shape[1]), prefix)):
             end, _ = chain_pose(prefix, Configuration(tuple(digits.tolist()), desc.tooth_count))
-            assert end.rotation.tobytes() == rotations[rank].tobytes()
-            assert end.translation.tobytes() == positions[rank].tobytes()
+            assert end.rotation.tobytes() == poses[:9, rank].tobytes()
+            assert end.translation.tobytes() == poses[9:, rank].tobytes()
 
 
 @checked

@@ -66,22 +66,20 @@ def test_all_lists_every_public_name_of_the_package():
 
 
 def test_modules_define_one_way_to_do_each_job():
-    # one unit transform, as a table for the enumeration and as one row in
-    # Python floats for a single pose (test_kinematics ties the two bit for
-    # bit), and one tool-tip expression; R R_k and p + R t are spelled twice
-    # in one stated order each, batched (_products) and single-pose in
-    # Python floats (_step), and test_kinematics ties the two bit for bit;
+    # one unit transform (_unit_row), and R R_k (_rotate) and p + R t
+    # (_translate) once each, in one stated order: each runs on Python
+    # floats for a single pose and on numpy columns for the enumeration
+    # (_stepped, one block of prefix poses against every tooth at a time);
     # one walk (_walk) serves chain_pose, tool_position, the firmed
     # compliance and `plc fk`
     assert functions_of(kinematics, private=True) == {
-        "unit_table",
+        "_rotate",
+        "_translate",
         "_unit_row",
         "_unit_rows",
-        "_step",
-        "_products",
         "_walk",
         "chain_pose",
-        "_prefix_poses",
+        "_stepped",
         "tip_positions",
         "tool_position",
     }

@@ -151,12 +151,13 @@ def test_enumeration_keeps_no_unit_table():
 
 def test_enumeration_memory_check_counts_the_teeth(monkeypatch):
     # one segment of 10**6 teeth: 10**6 configurations, estimated at 80 MB
-    # when only they were counted, but the per-tooth table sets the peak
+    # when only they were counted, but the per-tooth columns set the peak
     desc = desc_with(segment_count=1, tooth_count=10**6)
     needed = 10**6 * (BYTES_PER_CONFIGURATION + BYTES_PER_TOOTH)
-    with mock.patch.object(kinematics, "unit_table", wraps=kinematics.unit_table) as spy:
+    with mock.patch.object(kinematics, "_unit_row", wraps=kinematics._unit_row) as spy:
         peak = traced_peak(lambda: enumerate_workspace(desc))
-    assert spy.call_count == 1  # the table is built inside the traced build
+    # the columns of every tooth are built once, inside the traced build
+    assert [type(c.args[1]) is int for c in spy.call_args_list] == [False]
     assert 10**6 * BYTES_PER_CONFIGURATION < peak <= needed
 
     def enumerated(desc):
@@ -164,7 +165,7 @@ def test_enumeration_memory_check_counts_the_teeth(monkeypatch):
 
     monkeypatch.setattr(workspace, "tip_positions", enumerated)
     monkeypatch.setattr(workspace, "_available_memory", lambda: peak)
-    with pytest.raises(InvariantError, match=r"count 1000000 needs about 0\.2 GB"):
+    with pytest.raises(InvariantError, match=r"count 1000000 needs about 0\.17 GB"):
         enumerate_workspace(desc)
     monkeypatch.setattr(workspace, "_available_memory", lambda: needed)
     with pytest.raises(AssertionError, match="before any enumeration"):  # past the check
