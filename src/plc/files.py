@@ -25,12 +25,14 @@ def _naming(exc: OSError, path: Path) -> OSError:
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``, with universal newlines.
+    """The text of the UTF-8 file at ``path``, with universal newlines and
+    without a leading byte order mark, which would otherwise turn a first
+    row of numbers or a header into text that no column name matches.
 
     A file that is not UTF-8 is refused with a :class:`PlcError` naming it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise PlcError(f"{path} is not UTF-8 text: {exc}") from None

@@ -17,12 +17,12 @@ bucket's first configuration on an index that ``enumerate_workspace`` built
 or ``WorkspaceIndex.load`` read, it is read from the stored point, which is
 that tip on any host and at any tool offset; any other choice, or any choice
 on a hand-built index, walks the chain.  The error is the correctly rounded
-square root of ``(dx dx + dz dz) + dy dy``, in Python floats, for the offset
-``d`` from the target: the order of numpy's einsum, which
-:func:`~plc.workspace.reach_accuracy` takes, and of the FK's positions.  So
-it makes no BLAS call, has the same bits under every kernel, and equals
-``reach_accuracy`` of the target bit for bit whenever the answer is the
-stored point.
+square root of the workspace's one squared distance, ``(dx dx + dz dz) + dy
+dy`` in Python floats, for the offset ``d`` from the target: the expression
+that the nearest-point scan and :func:`~plc.workspace.reach_accuracy` run on
+numpy columns.  So it makes no BLAS call, has the same bits under every
+kernel, and equals ``reach_accuracy`` of the target bit for bit whenever the
+answer is the stored point.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .kinematics import tool_position
 from .model import METRICS, Configuration, InvariantError, PlcError, RobotDescription
-from .workspace import WorkspaceIndex, _rank_indices, configuration_from_rank
+from .workspace import WorkspaceIndex, _rank_indices, _squared_distance, configuration_from_rank
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,9 @@ def solve_ik(
     on an index that ``enumerate_workspace`` built or ``load`` read, at any
     tool offset, else a walk of the chain.  The chosen indices come from its
     rank in Python ints, and ``position_error`` is ``math.sqrt`` of the
-    offset's squared length, summed in Python floats as ``(dx dx + dz dz) +
-    dy dy``: the bits of ``reach_accuracy``'s einsum, on every host.
+    offset's squared length, ``(dx dx + dz dz) + dy dy`` in Python floats:
+    the expression ``reach_accuracy`` runs on numpy columns, so the same bits
+    on every host.
     """
     if desc is not index.desc and desc != index.desc:
         raise InvariantError("index was built from a different robot description")
@@ -117,11 +118,9 @@ def solve_ik(
         achieved = index.points[g].copy()  # the first configuration's tip
     else:
         achieved = tool_position(desc, config)
-    dx, dy, dz = (achieved - target).tolist()
-    error = math.sqrt((dx * dx + dz * dz) + dy * dy)
     return IkSolution(
         config=config,
         achieved_position=achieved,
-        position_error=error,
+        position_error=math.sqrt(_squared_distance(*(achieved - target).tolist())),
         candidate_count=len(ranks),
     )

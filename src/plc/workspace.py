@@ -16,11 +16,18 @@ a ``plc workspace accuracy`` whose query rows times points stay within the
 budget.  A larger index (9,764,811 points at 7 segments) builds the tree on
 its first query, since one scan alone would pass the budget.  A long run of
 queries pays the import and build once, after at most ``SCAN_BUDGET``
-distances of scanning.  Both paths pick, among the points at
-the exact smallest squared distance, the one with the smallest index, which
-is the smallest key because the constructor checks the key order.  So scan
-and tree agree bit for bit, ``reach_accuracy`` included.  Building and saving
-an index need neither.
+distances of scanning; a tree that would not fit in the available memory
+(``TREE_BYTES_PER_POINT``) is refused before the import.  Both paths pick,
+among the points at the exact smallest squared distance, the one with the
+smallest index, which is the smallest key because the constructor checks
+the key order: the scan among every point, the tree, when its two nearest
+lie within 1e-9 mm, among every point in that margin.  The
+squared distance is written once, as ``(dx dx + dz dz) + dy dy`` in plain
+float operations, on numpy columns for the scan and ``reach_accuracy`` and
+on Python floats for the ``ik`` error.  So scan and tree agree bit for bit,
+``reach_accuracy`` included, and ``reach_accuracy`` of one target is the
+``ik`` error of a stored point, on every host.  Building and saving an index
+need neither.
 
 Each stored point is, bit for bit, the :func:`~plc.kinematics.tool_position`
 of its bucket's first configuration, on any host and at any tool offset,
@@ -67,6 +74,14 @@ BYTES_PER_CONFIGURATION = 80
 #: 10**5 (numpy 2.4, Linux).
 BYTES_PER_TOOTH = 90
 
+#: Peak memory of a k-d tree's build per point, bytes, rounded up from the
+#: growth of the process's peak address space over ``cKDTree``'s
+#: construction: 40.3 B at 982,750 points and 35.0 B at 9,764,811 (the
+#: reference robot at 6 and 7 segments; peak RSS grew by 30.7 and 27.3 B),
+#: alike for the query tree's settings and the defaults (scipy 1.17, numpy
+#: 2.4, Linux).
+TREE_BYTES_PER_POINT = 44
+
 #: (limit, usage, stat, inactive file field) of the cgroup memory controller:
 #: v2, then v1.  A limit that is missing or not an integer (v2 writes "max")
 #: sets none.  The usage counts the group's page cache, so its inactive file
@@ -92,9 +107,9 @@ CGROUP_MEMORY_FILES = (
 KEY_CELL = 1e-6
 
 #: Point distances (queries x points, summed over an index's life) that an
-#: index scans before it builds its k-d tree.  About 0.1 s of scanning on a
-#: 2-core Xeon, well under the scipy import and tree build it spares a
-#: one-shot query.
+#: index scans before it builds its k-d tree.  About 0.02 s of scanning on a
+#: 2-core Xeon (5.4-5.7 ns per distance at 6 segments), well under the scipy
+#: import and tree build it spares a one-shot query (0.5-0.65 s there).
 SCAN_BUDGET = 4_000_000
 _SCAN_ROWS = 1 << 16  # rows per scan block, neighbors per local block: bounds transient memory
 _UNMEASURABLE = "a target is non-finite or too far away to measure"
@@ -130,13 +145,34 @@ def position_key(position) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-def _closest(points: np.ndarray, target: np.ndarray) -> tuple[float, int]:
-    """Smallest exact squared distance from ``target`` to a row of ``points``,
-    and the first row at exactly that distance."""
-    diffs = points - target
-    sq = np.einsum("ij,ij->i", diffs, diffs)
-    row = int(np.argmin(sq))
-    return sq[row], row
+def _squared_distance(dx, dy, dz):
+    """Squared length ``(dx dx + dz dz) + dy dy`` of an offset, in that order
+    (Python floats for one offset, or numpy columns for many): every nearest
+    point, ``reach_accuracy`` and the ``ik`` error read it."""
+    return (dx * dx + dz * dz) + dy * dy
+
+
+def _closest(points: np.ndarray, target: np.ndarray) -> int:
+    """First row of ``points`` at the smallest exact squared distance from
+    ``target``, scanned in blocks of ``_SCAN_ROWS`` rows.
+
+    A target with no finite distance to any row is refused, as the tree
+    refuses it.
+    """
+    tx, ty, tz = target.tolist()
+    best, nearest = np.inf, -1
+    for lo in range(0, points.shape[0], _SCAN_ROWS):
+        # each column of the strided block on its own: forming the whole
+        # difference first takes about twice as long
+        x, y, z = points[lo : lo + _SCAN_ROWS].T
+        with np.errstate(over="ignore"):  # a square past the float range is inf, not a warning
+            squared = _squared_distance(x - tx, y - ty, z - tz)
+        row = int(squared.argmin())
+        if squared[row] < best:  # a later block wins only when strictly closer
+            best, nearest = squared[row], lo + row
+    if nearest < 0:
+        raise PlcError(_UNMEASURABLE)
+    return nearest
 
 
 def _strictly_ascending(keys: np.ndarray) -> bool:
@@ -261,11 +297,10 @@ class WorkspaceIndex:
 
     @functools.cached_property
     def tree(self):
-        """k-d tree over ``points``, built on first use."""
-        from scipy.spatial import cKDTree  # deferred: only tree-building commands pay for scipy
-
+        """k-d tree over ``points``, built on first use, or refused before
+        it is built where it would not fit in the available memory."""
         # unbalanced, uncompacted nodes build faster and answer the same queries
-        return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+        return _kd_tree(self.points, balanced_tree=False, compact_nodes=False)
 
     def _scans(self, queries: int) -> bool:
         """Whether the next ``queries`` queries scan every point, not the tree.
@@ -281,18 +316,6 @@ class WorkspaceIndex:
             return False
         self._scanned += cost
         return True
-
-    def _scan_nearest(self, target: np.ndarray) -> int:
-        """Exact nearest point to ``target``, by a scan of every point in
-        blocks of ``_SCAN_ROWS`` rows; a tie goes to the earliest row."""
-        best, nearest = np.inf, -1
-        for lo in range(0, self.point_count, _SCAN_ROWS):
-            low, row = _closest(self.points[lo : lo + _SCAN_ROWS], target)
-            if low < best:
-                best, nearest = low, lo + row
-        if nearest < 0:  # no finite distance: the tree refuses the same targets
-            raise PlcError(_UNMEASURABLE)
-        return nearest
 
     # -- size ----------------------------------------------------------------
 
@@ -329,7 +352,7 @@ class WorkspaceIndex:
         if self.point_count == 0:
             raise PlcError("empty workspace index")
         if self._scans(targets.shape[0]):
-            return np.array([self._scan_nearest(t) for t in targets], dtype=np.int64)
+            return np.array([_closest(self.points, t) for t in targets], dtype=np.int64)
         try:
             dist, nearest = self.tree.query(targets, k=2)
             nearest = nearest[:, 0]
@@ -337,7 +360,7 @@ class WorkspaceIndex:
                 if second <= first + 1e-9:  # never for a one-point index: second is inf
                     target = targets[row]
                     ball = self.tree.query_ball_point(target, first + 1e-9, return_sorted=True)
-                    nearest[row] = ball[_closest(self.points[ball], target)[1]]
+                    nearest[row] = ball[_closest(self.points[ball], target)]
         except ValueError as exc:  # scipy refuses non-finite and overflowing distances
             raise PlcError(_UNMEASURABLE) from exc
         return nearest
@@ -486,6 +509,16 @@ def _require_memory(needed: int, subject: str, task: str) -> None:
         )
 
 
+def _kd_tree(points: np.ndarray, **options):
+    """``cKDTree(points, **options)``, refused before it is built where its
+    ``TREE_BYTES_PER_POINT`` per point exceed the available memory."""
+    count = points.shape[0]
+    _require_memory(count * TREE_BYTES_PER_POINT, f"a k-d tree of {count} points", "build")
+    from scipy.spatial import cKDTree  # deferred: only tree-building commands pay for scipy
+
+    return cKDTree(points, **options)
+
+
 def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:
     """Sweep every discrete configuration and build the workspace index.
 
@@ -597,8 +630,8 @@ def reach_accuracy(index: WorkspaceIndex, queries) -> float:
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.size == 0:
         raise PlcError("no query points given")
-    diffs = index.points[index.nearest_point_indices(queries)] - queries
-    return float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs).max()))
+    dx, dy, dz = (index.points[index.nearest_point_indices(queries)] - queries).T
+    return float(np.sqrt(_squared_distance(dx, dy, dz).max()))
 
 
 def omnivariance(points) -> float:
@@ -630,7 +663,9 @@ def local_omnivariance(points, neighbors: int) -> np.ndarray:
 
     The neighborhood includes the point itself; ``neighbors`` >= 4 keeps the
     local covariance non-degenerate in general position.  Run time grows with
-    ``neighbors`` x point count, which may not exceed ``MAX_LOCAL_NEIGHBORS``.
+    ``neighbors`` x point count, which may not exceed ``MAX_LOCAL_NEIGHBORS``,
+    and a k-d tree that would not fit in the available memory is refused
+    before it is built.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -644,9 +679,7 @@ def local_omnivariance(points, neighbors: int) -> np.ndarray:
             f"neighborhood size {neighbors} x {pts.shape[0]} points exceeds "
             f"{MAX_LOCAL_NEIGHBORS} neighbors"
         )
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
+    tree = _kd_tree(pts)
     values = np.empty(pts.shape[0])
     rows = max(1, _SCAN_ROWS // neighbors)  # blocks of about _SCAN_ROWS neighbors
     for lo in range(0, pts.shape[0], rows):

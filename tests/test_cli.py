@@ -133,6 +133,49 @@ def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "command", [["workspace", "accuracy", "--queries"], ["workspace", "omnivariance", "--local", "4"]]
+)
+def test_tree_is_refused_past_the_address_space_limit(tmp_path, command):
+    # an n=6 index that loads under the limit, but whose k-d tree (43 MB by
+    # TREE_BYTES_PER_POINT) does not fit beside it: the scipy import ran out
+    # of address space (exit 1, traceback); 5 query rows pass SCAN_BUDGET,
+    # so accuracy builds the tree
+    text = "segment_count: 6\n"
+    path = robot_file(tmp_path, text)
+    index_path = tmp_path / "n6.plcw"
+    index = workspace.enumerate_workspace(parse_robot_description(text))
+    index.save(index_path)
+    points = index.point_count
+    del index
+    queries = tmp_path / "queries.csv"
+    queries.write_text("0,0,0\n" * 5)
+    if command[-1] == "--queries":
+        command = [*command, str(queries)]
+    env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"), OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # the address space in use when the command loads the index, which the
+    # limit exceeds by what the load needs and half of what the tree needs
+    probe = (
+        "import numpy, yaml, plc.cli, plc.workspace as w;"
+        "print(w._field_bytes('/proc/self/status', 'VmSize'))"
+    )
+    in_use = int(subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout)
+    load = index_path.stat().st_size + 10**6 + workspace._CHECK_BYTES
+    limit = in_use + load + points * workspace.TREE_BYTES_PER_POINT // 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "plc.cli", *command, "--robot", path, "--index", str(index_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert_domain_error(proc.returncode, proc.stderr)
+    needed = points * workspace.TREE_BYTES_PER_POINT
+    assert f"a k-d tree of {points} points needs about {needed / 1e9:.3g} GB to build" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_build_refuses_a_tip_past_the_key_range(capsys, tmp_path):
     # tips near 1e16 mm: the int64 cast used to merge 16 tips into 8, with a warning
     path = robot_file(tmp_path, "segment_count: 2\ntooth_count: 4\ncurve_length: 10000000000000000\n")
@@ -823,6 +866,13 @@ def test_query_file_takes_one_header_line(capsys, tmp_path):
     # comments and blank lines may come before the header
     queries.write_text("# targets\n\nx,y,z\n60,20,35\n")
     assert run(capsys, *accuracy) == plain
+    # a byte order mark is not part of the first row: it stayed on the line,
+    # so float() refused it, the row was skipped as a header, and the
+    # accuracy came from the other rows alone, with exit 0
+    queries.write_text("1000,0,0\n60,20,35\n")
+    both = run(capsys, *accuracy)
+    queries.write_text("1000,0,0\n60,20,35\n", encoding="utf-8-sig")
+    assert run(capsys, *accuracy) == both != plain
     # a second unparsable line is a bad row, not another header: it used to
     # be skipped, and the accuracy came from the last row alone
     queries.write_text("x,y,z\nfoo,bar,baz\nqux\n60,20,35\n")

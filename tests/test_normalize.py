@@ -137,3 +137,7 @@ def test_load_designs(tmp_path):
     records = load_designs(path)
     assert records[0].name == "mine"
     assert records[0].ratio == 5.0
+    # a byte order mark is not part of the first column name: it stayed on
+    # "name", and the file was refused for missing the name column
+    path.write_text("name,k_max,k_min,length_mm,radius_mm\nmine,5,1,50,2\n", encoding="utf-8-sig")
+    assert load_designs(path) == records

@@ -172,7 +172,6 @@ def test_value_types_carry_only_what_the_library_reads():
         "__init__",
         "tree",
         "_scans",
-        "_scan_nearest",
         "point_count",
         "configuration_count",
         "bucket_ranks",

@@ -33,6 +33,7 @@ from plc.workspace import (
     WorkspaceIndex,
     _CHECK_BYTES,
     _sort_and_group,
+    _squared_distance,
     configuration_from_rank,
 )
 from plc.files import INDEX_FORMAT_VERSION
@@ -697,6 +698,40 @@ def test_scan_breaks_ties_across_blocks():
         assert scanning.nearest_point_index([0.0, 0.0, 0.0]) == BLOCK_ROWS[nearest]
         assert treed.nearest_point_index([0.0, 0.0, 0.0]) == BLOCK_ROWS[nearest]
         assert "tree" not in vars(scanning)
+
+
+@pytest.mark.parametrize(
+    "last_z, nearest",
+    [
+        (-1.0, _SCAN_ROWS - 1),  # tied at 1 mm across the block edge: the earlier row
+        (-2.0, _SCAN_ROWS),  # the second block's first row alone at 1 mm
+        (-0.5, _SCAN_ROWS - 1),  # the first block's last row strictly closer
+    ],
+)
+def test_scan_breaks_a_tie_at_the_block_edge(last_z, nearest):
+    # rows _SCAN_ROWS - 1 and _SCAN_ROWS, the last of one scan block and the
+    # first of the next, hold (0, 0, last_z) and (0, 0, 1); every other point
+    # is more than 1 mm from the origin, and the keys ascend
+    points = np.zeros((_SCAN_ROWS + 3, 3))
+    points[: _SCAN_ROWS - 1, 1] = -1.0  # (0, -1, k) for k = 1, 2, ...
+    points[: _SCAN_ROWS - 1, 2] = np.arange(1, _SCAN_ROWS)
+    points[_SCAN_ROWS - 1 :, 2] = (last_z, 1.0, 2.0, 3.0)
+    scanning, treed = scan_and_tree(synthetic_index(points))
+    assert scanning.nearest_point_index([0.0, 0.0, 0.0]) == nearest
+    assert treed.nearest_point_index([0.0, 0.0, 0.0]) == nearest
+    assert "tree" not in vars(scanning)
+
+
+def test_squared_distance_sums_in_the_stated_order():
+    # (dx dx + dz dz) + dy dy: dx dx = 9 * 2**52 lies where floats are 8
+    # apart, so adding dz dz = 6.25 rounds up by 8 and adding dy dy = 4 then
+    # ties and rounds to even, 16 above dx dx; adding dy dy first ties and
+    # rounds down, and dy dy + dz dz = 10.25 rounds down too: 8 above it
+    dx, dy, dz = 3.0 * 2**26, 2.0, 2.5
+    assert (dx * dx + dy * dy) + dz * dz == dx * dx + (dy * dy + dz * dz) == dx * dx + 8.0
+    assert _squared_distance(dx, dy, dz) == dx * dx + 16.0
+    columns = _squared_distance(*(np.array([value, 0.0]) for value in (dx, dy, dz)))
+    assert columns.tolist() == [dx * dx + 16.0, 0.0]
 
 
 def test_tree_is_built_once_scanning_would_pass_the_budget(tmp_path, default_desc):
