@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .files import INDEX_FORMAT_VERSION, atomic_open, read_text
+from .files import INDEX_FORMAT_VERSION, MAX_DOCUMENT_BYTES, atomic_open, read_text
 from .model import (
     METRICS,
     Configuration,
@@ -117,7 +117,7 @@ def _parse_direction(text: str) -> tuple[float, float, float]:
 def _load_description(args) -> RobotDescription:
     if args.robot == "default":
         return RobotDescription()
-    return parse_robot_description(read_text(args.robot))
+    return parse_robot_description(read_text(args.robot, MAX_DOCUMENT_BYTES))
 
 
 def _config_for(desc: RobotDescription, text: str) -> Configuration:

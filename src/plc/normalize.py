@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .files import read_text
+from .files import MAX_DOCUMENT_BYTES, read_text
 from .model import InvariantError, PlcError
 
 BUILTIN_DESIGNS_RESOURCE = "varying_stiffness_designs.csv"
@@ -151,7 +151,7 @@ def parse_designs_csv(text: str) -> list[DesignRecord]:
 
 
 def load_designs(path) -> list[DesignRecord]:
-    return parse_designs_csv(read_text(path))
+    return parse_designs_csv(read_text(path, MAX_DOCUMENT_BYTES))
 
 
 def builtin_designs() -> list[DesignRecord]:

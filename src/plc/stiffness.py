@@ -28,6 +28,19 @@ nine entries as Python floats (finite, symmetric, and positive definite by
 the pivots of a Cholesky factorization) and builds its array only when
 ``matrix`` is read.
 
+A pose is described by its compliance, its sphere map and its
+force-deflection curve, and each of those reads C, so
+:func:`firmed_compliance` keeps C of the last ``_CACHED_POSES`` poses in a
+``functools.lru_cache`` memo keyed on the description, the configuration
+and ``literal_polar``: the three calls at one pose walk the chain and check
+C once, where each paid for both before.  The configuration is checked
+against the description before the lookup, and a refusal is never kept, so
+every error keeps its type and message on every call.  A hit returns the
+matrix of a walk bit for bit: equal descriptions have equal fields, and C
+never reads ``tool_offset``, the only field that can hold -0.0 (which
+equals 0.0).  The matrix holds its entries in tuples and its array
+read-only, so the callers that share it cannot change it for each other.
+
 |C u| is written once too, in one stated order with no BLAS call:
 ``d_i = (c_i0 u0 + c_i1 u1) + c_i2 u2`` and ``|C u|^2 = (d0 d0 + d1 d1) +
 d2 d2``.  ``_squared_displacement`` spells it for three Python floats (one
@@ -53,10 +66,16 @@ direction or one force-deflection curve (``plc stiffness firm --direction``,
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .model import Configuration, InvariantError, PlcError, RobotDescription
+
+# poses whose firmed compliance is kept: 0.64 kB each with the memo's own
+# entry and the configuration it keeps alive, 0.84 kB once ``matrix`` is
+# read (tracemalloc, Python 3.11, 5 and 10 segments), so about 0.2 MB at most
+_CACHED_POSES = 256
 
 #: Most directions ``stiffness_map`` samples: under 80 B of traced memory
 #: each (``tracemalloc``: 72 B, the 40-byte record beside the direction and
@@ -226,7 +245,20 @@ def _compliance(desc: RobotDescription, axes, literal_polar: bool) -> Compliance
 def firmed_compliance(
     desc: RobotDescription, config: Configuration, literal_polar: bool = False
 ) -> ComplianceMatrix:
-    """Maximum-stiffness-state compliance of the chain at ``config``."""
+    """Maximum-stiffness-state compliance of the chain at ``config``.
+
+    Served from the memo of the last ``_CACHED_POSES`` poses (see the
+    module docstring); ``config`` is checked against ``desc`` first, and a
+    refusal is never kept."""
+    desc.check_configuration(config)
+    return _firmed_compliance(desc, config, bool(literal_polar))
+
+
+@functools.lru_cache(maxsize=_CACHED_POSES)
+def _firmed_compliance(
+    desc: RobotDescription, config: Configuration, literal_polar: bool
+) -> ComplianceMatrix:
+    """:func:`firmed_compliance` of a checked ``config``, walked once per pose."""
     from .kinematics import _walk
 
     return _compliance(desc, _walk(desc, config, end=False)[1], literal_polar)

@@ -17,7 +17,8 @@ budget.  A larger index (9,764,811 points at 7 segments) builds the tree on
 its first query, since one scan alone would pass the budget.  A long run of
 queries pays the import and build once, after at most ``SCAN_BUDGET``
 distances of scanning; a tree that would not fit in the available memory
-(``TREE_BYTES_PER_POINT``) is refused before the import.  Both paths pick,
+with the scipy import (``TREE_BYTES_PER_POINT`` and ``TREE_IMPORT_BYTES``)
+is refused before the import.  Both paths pick,
 among the points at the exact smallest squared distance, the one with the
 smallest index, which is the smallest key because the constructor checks
 the key order: the scan among every point, the tree, when its two nearest
@@ -53,6 +54,7 @@ import functools
 import os
 import resource
 import struct
+import sys
 
 import numpy as np
 
@@ -81,6 +83,13 @@ BYTES_PER_TOOTH = 90
 #: alike for the query tree's settings and the defaults (scipy 1.17, numpy
 #: 2.4, Linux).
 TREE_BYTES_PER_POINT = 44
+
+#: Memory the ``scipy.spatial`` import takes, bytes, counted with the tree's
+#: until it has been imported: rounded up from the growth of the process's
+#: address space over the import after numpy, PyYAML and this package, 114 MB
+#: with one OpenBLAS thread and 157 MB with two (scipy 1.17, 2-core Xeon), of
+#: which 37 MB is resident.  Each further OpenBLAS thread adds about 42 MB.
+TREE_IMPORT_BYTES = 160 * 10**6
 
 #: (limit, usage, stat, inactive file field) of the cgroup memory controller:
 #: v2, then v1.  A limit that is missing or not an integer (v2 writes "max")
@@ -511,9 +520,13 @@ def _require_memory(needed: int, subject: str, task: str) -> None:
 
 def _kd_tree(points: np.ndarray, **options):
     """``cKDTree(points, **options)``, refused before it is built where its
-    ``TREE_BYTES_PER_POINT`` per point exceed the available memory."""
+    ``TREE_BYTES_PER_POINT`` per point, and ``TREE_IMPORT_BYTES`` while
+    ``scipy.spatial`` is not yet imported, exceed the available memory."""
     count = points.shape[0]
-    _require_memory(count * TREE_BYTES_PER_POINT, f"a k-d tree of {count} points", "build")
+    needed = count * TREE_BYTES_PER_POINT
+    if "scipy.spatial" not in sys.modules:
+        needed += TREE_IMPORT_BYTES
+    _require_memory(needed, f"a k-d tree of {count} points", "build")
     from scipy.spatial import cKDTree  # deferred: only tree-building commands pay for scipy
 
     return cKDTree(points, **options)

@@ -17,7 +17,7 @@ from plc import (
     workspace,
 )
 from plc.cli import _fmt, _force_grid, main
-from plc.files import INDEX_FORMAT_VERSION
+from plc.files import INDEX_FORMAT_VERSION, MAX_DOCUMENT_BYTES
 from plc.stiffness import stiffness_map
 from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION, BYTES_PER_TOOTH
 
@@ -138,9 +138,12 @@ def test_index_load_is_refused_past_the_address_space_limit(tmp_path, command):
 )
 def test_tree_is_refused_past_the_address_space_limit(tmp_path, command):
     # an n=6 index that loads under the limit, but whose k-d tree (43 MB by
-    # TREE_BYTES_PER_POINT) does not fit beside it: the scipy import ran out
-    # of address space (exit 1, traceback); 5 query rows pass SCAN_BUDGET,
-    # so accuracy builds the tree
+    # TREE_BYTES_PER_POINT) and scipy import (TREE_IMPORT_BYTES) do not fit
+    # beside it, with room for half the tree or for the tree and half the
+    # import: the import ran out of address space (exit 1, traceback), or,
+    # with room for the tree, spun inside OpenBLAS's import or ended in
+    # std::bad_alloc (the timeout fails that); 5 query rows pass
+    # SCAN_BUDGET, so accuracy builds the tree
     text = "segment_count: 6\n"
     path = robot_file(tmp_path, text)
     index_path = tmp_path / "n6.plcw"
@@ -155,7 +158,7 @@ def test_tree_is_refused_past_the_address_space_limit(tmp_path, command):
     env = dict(os.environ, PLC_CACHE_DIR=str(tmp_path / "cache"), OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     # the address space in use when the command loads the index, which the
-    # limit exceeds by what the load needs and half of what the tree needs
+    # limit exceeds by what the load needs and the room
     probe = (
         "import numpy, yaml, plc.cli, plc.workspace as w;"
         "print(w._field_bytes('/proc/self/status', 'VmSize'))"
@@ -164,16 +167,18 @@ def test_tree_is_refused_past_the_address_space_limit(tmp_path, command):
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     ).stdout)
     load = index_path.stat().st_size + 10**6 + workspace._CHECK_BYTES
-    limit = in_use + load + points * workspace.TREE_BYTES_PER_POINT // 2
-    proc = subprocess.run(
-        [sys.executable, "-m", "plc.cli", *command, "--robot", path, "--index", str(index_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
-    assert_domain_error(proc.returncode, proc.stderr)
-    needed = points * workspace.TREE_BYTES_PER_POINT
-    assert f"a k-d tree of {points} points needs about {needed / 1e9:.3g} GB to build" in proc.stderr
-    assert proc.stdout == ""
+    tree = points * workspace.TREE_BYTES_PER_POINT
+    needed = tree + workspace.TREE_IMPORT_BYTES
+    for room in (tree // 2, tree + workspace.TREE_IMPORT_BYTES // 2):
+        limit = in_use + load + room
+        proc = subprocess.run(
+            [sys.executable, "-m", "plc.cli", *command, "--robot", path, "--index", str(index_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert_domain_error(proc.returncode, proc.stderr)
+        assert f"a k-d tree of {points} points needs about {needed / 1e9:.3g} GB to build" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_build_refuses_a_tip_past_the_key_range(capsys, tmp_path):
@@ -734,6 +739,42 @@ def test_input_files_that_are_not_utf8_are_refused(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(bad))
     assert_domain_error(code, err)
     assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["fk", "--config", "0,0,0,0,0", "--robot"], "segment_count: 5\n"),
+        (["normalize", "--designs"], "name,k_max,k_min,length_mm,radius_mm\nmine,5,1,50,2\n"),
+    ],
+    ids=["robot", "designs"],
+)
+def test_description_and_designs_files_past_their_cap_are_refused(capsys, tmp_path, argv, body):
+    # a file of MAX_DOCUMENT_BYTES is read; one byte more is refused before
+    # it is read, so even bytes that are not UTF-8 are refused for their
+    # size, and a device that reports no size and never ends is read no
+    # further than the cap (/dev/zero used to be read until memory ran out);
+    # each refusal is exit 2 naming the file
+    path = tmp_path / "input.txt"
+    cap = f"holds more than {MAX_DOCUMENT_BYTES} bytes, the most this file may hold"
+    for extra in (0, 1):
+        path.write_text(body + "#" * (MAX_DOCUMENT_BYTES - len(body) - 1 + extra) + "\n")
+        assert path.stat().st_size == MAX_DOCUMENT_BYTES + extra
+        code, out, err = run(capsys, *argv, str(path))
+        if extra:
+            assert_domain_error(code, err)
+            assert err == f"error: {path} {cap}\n"
+            assert out == ""
+        else:
+            assert code == 0 and out and err == ""
+    path.write_bytes(b"\xff" * (MAX_DOCUMENT_BYTES + 1))  # not UTF-8, and not read
+    code, out, err = run(capsys, *argv, str(path))
+    assert_domain_error(code, err)
+    assert err == f"error: {path} {cap}\n"
+    code, out, err = run(capsys, *argv, "/dev/zero")
+    assert_domain_error(code, err)
+    assert err == f"error: /dev/zero {cap}\n"
     assert out == ""
 
 

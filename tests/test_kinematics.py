@@ -193,10 +193,13 @@ def test_float_rows_equal_the_unit_table_bitwise(overrides):
 
 def test_walks_take_only_the_steps_their_callers_read(monkeypatch):
     # n - 2 steps to the pose before the last joint, then one step for the
-    # end pose, one position for the tip, or rotations alone for the axes
+    # end pose, one position for the tip, or rotations alone for the axes;
+    # the compliance walks on its memo's first call at a pose, and takes no
+    # step on a second
     desc = RobotDescription()
     config = Configuration((1, 7, 3, 0, 5), 10)
     kinematics._walk(desc, config, tip=True)  # fills the row cache first
+    stiffness._firmed_compliance.cache_clear()
     calls = []
 
     def counted(name, product):
@@ -212,6 +215,7 @@ def test_walks_take_only_the_steps_their_callers_read(monkeypatch):
         (lambda: chain_pose(desc, config), 4, 4),
         (lambda: tool_position(desc, config), 3, 4),
         (lambda: stiffness.firmed_compliance(desc, config), 3, 0),
+        (lambda: stiffness.firmed_compliance(desc, config), 0, 0),
         (lambda: main(["fk", "--config", "1,7,3,0,5"]), 4, 5),
     ]:
         calls.clear()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from plc import (
 )
 from plc.cli import main
 from plc.model import InvariantError
+from plc import kinematics
 from plc.stiffness import (
+    _CACHED_POSES,
     COMPLIANCE_RANGE,
     _check_unit,
+    _firmed_compliance,
     _scaled,
     bellows_twist,
     compliance_from_axes,
@@ -218,22 +222,34 @@ MAP_DIGESTS = {
 }
 
 
+def _map_digest(desc, literal_polar):
+    rng = np.random.default_rng(2601)
+    sha = hashlib.sha256()
+    for count in (6, 7, 200, 201) * 10:
+        config = random_config(rng, desc.segment_count, desc.tooth_count)
+        sha.update(stiffness_map(desc, config, count, literal_polar).tobytes())
+        for v in rng.normal(size=(10, 3)).tolist():
+            norm = math.hypot(*v)
+            direction = [x / norm for x in v]
+            stiffness = directional_stiffness(desc, config, direction, literal_polar)
+            sha.update(stiffness.hex().encode())
+    return sha.hexdigest()
+
+
 def test_stiffness_maps_keep_their_digests():
-    digests = {}
-    for robot, literal_polar in MAP_DIGESTS:
-        desc = desc_with(**MAP_ROBOTS[robot])
-        rng = np.random.default_rng(2601)
-        sha = hashlib.sha256()
-        for count in (6, 7, 200, 201) * 10:
-            config = random_config(rng, desc.segment_count, desc.tooth_count)
-            sha.update(stiffness_map(desc, config, count, literal_polar).tobytes())
-            for v in rng.normal(size=(10, 3)).tolist():
-                norm = math.hypot(*v)
-                direction = [x / norm for x in v]
-                stiffness = directional_stiffness(desc, config, direction, literal_polar)
-                sha.update(stiffness.hex().encode())
-        digests[robot, literal_polar] = sha.hexdigest()
-    assert digests == MAP_DIGESTS
+    # cold, from an empty compliance memo (40 poses, a miss each), and
+    # warm, every pose a hit
+    for memo in ("cold", "warm"):
+        digests = {}
+        for robot, literal_polar in MAP_DIGESTS:
+            desc = desc_with(**MAP_ROBOTS[robot])
+            _firmed_compliance.cache_clear()
+            if memo == "warm":
+                _map_digest(desc, literal_polar)
+            misses = _firmed_compliance.cache_info().misses
+            digests[robot, literal_polar] = _map_digest(desc, literal_polar)
+            assert _firmed_compliance.cache_info().misses == (misses if memo == "warm" else 40)
+        assert digests == MAP_DIGESTS, memo
 
 
 # SHA-256 of firmed_compliance(...).matrix.tobytes() over 200 seeded
@@ -249,21 +265,121 @@ COMPLIANCE_DIGESTS = {
 }
 
 
+def _compliance_digest(desc, literal_polar):
+    rng = np.random.default_rng(2501)
+    sha = hashlib.sha256()
+    for _ in range(200):
+        config = random_config(rng, desc.segment_count, desc.tooth_count)
+        matrix = firmed_compliance(desc, config, literal_polar).matrix
+        axes = chain_pose(desc, config)[1]
+        assert matrix.tobytes() == compliance_from_axes(desc, axes, literal_polar).matrix.tobytes()
+        assert matrix.tobytes() == matrix.T.tobytes()
+        sha.update(matrix.tobytes())
+    return sha.hexdigest()
+
+
 def test_firmed_compliance_keeps_its_digests():
-    digests = {}
-    for robot, literal_polar in COMPLIANCE_DIGESTS:
-        desc = desc_with(**MAP_ROBOTS[robot])
-        rng = np.random.default_rng(2501)
-        sha = hashlib.sha256()
-        for _ in range(200):
-            config = random_config(rng, desc.segment_count, desc.tooth_count)
-            matrix = firmed_compliance(desc, config, literal_polar).matrix
-            axes = chain_pose(desc, config)[1]
-            assert matrix.tobytes() == compliance_from_axes(desc, axes, literal_polar).matrix.tobytes()
-            assert matrix.tobytes() == matrix.T.tobytes()
-            sha.update(matrix.tobytes())
-        digests[robot, literal_polar] = sha.hexdigest()
-    assert digests == COMPLIANCE_DIGESTS
+    # cold, from an empty compliance memo, and warm, every pose a hit (200
+    # poses, within _CACHED_POSES)
+    for memo in ("cold", "warm"):
+        digests = {}
+        for robot, literal_polar in COMPLIANCE_DIGESTS:
+            desc = desc_with(**MAP_ROBOTS[robot])
+            _firmed_compliance.cache_clear()
+            if memo == "warm":
+                _compliance_digest(desc, literal_polar)
+            misses = _firmed_compliance.cache_info().misses
+            digests[robot, literal_polar] = _compliance_digest(desc, literal_polar)
+            assert (_firmed_compliance.cache_info().misses == misses) == (memo == "warm")
+        assert digests == COMPLIANCE_DIGESTS, memo
+
+
+@pytest.mark.parametrize("literal_polar", [False, True])
+@pytest.mark.parametrize("robot", ["default", "ik"])
+def test_compliance_memo_hits_return_the_bits_of_a_walk(robot, literal_polar):
+    # a hit, on an equal configuration object, is the matrix the walk forms
+    desc = desc_with(**MAP_ROBOTS[robot])
+    rng = np.random.default_rng(3301)
+    configs = [random_config(rng, desc.segment_count, desc.tooth_count) for _ in range(200)]
+    _firmed_compliance.cache_clear()
+    cold = [firmed_compliance(desc, config, literal_polar) for config in configs]
+    hits = _firmed_compliance.cache_info().hits
+    for config, first in zip(configs, cold):
+        again = Configuration(tuple(config.indices), config.tooth_count)
+        assert firmed_compliance(desc, again, int(literal_polar)) is first
+        walked = _firmed_compliance.__wrapped__(desc, config, literal_polar)
+        assert first.matrix.tobytes() == walked.matrix.tobytes()
+    assert _firmed_compliance.cache_info().hits == hits + len(configs)
+
+
+def test_equal_descriptions_share_a_compliance_memo_entry(default_desc):
+    # equal fields hash and compare equal; -0.0 == 0.0 in the tool offset,
+    # which the compliance never reads, so another offset has the same bits
+    config = Configuration((1, 7, 3, 0, 5), 10)
+    _firmed_compliance.cache_clear()
+    first = firmed_compliance(default_desc, config)
+    assert firmed_compliance(RobotDescription(), config) is first
+    assert firmed_compliance(desc_with(tool_offset=(-0.0, 0.0, -0.0)), config) is first
+    assert _firmed_compliance.cache_info().currsize == 1
+    offset = firmed_compliance(desc_with(tool_offset=(5.0, -2.0, 40.0)), config)
+    assert offset is not first and offset.matrix.tobytes() == first.matrix.tobytes()
+    assert firmed_compliance(desc_with(curve_length=31.0), config) is not first
+
+
+def test_compliance_memo_keeps_no_refusal(default_desc):
+    # a refused configuration and an out-of-range section raise the same
+    # error on every call, and the memo keeps nothing of them; a list in
+    # place of a configuration is refused by the check, as before the memo,
+    # not by the memo's hash
+    teeth = Configuration((1, 2, 3, 4, 5), 12)
+    joints = Configuration((1, 2, 3), 10)
+    tiny = desc_with(youngs_modulus=1e-300)
+    _firmed_compliance.cache_clear()
+    for desc, config, error in [
+        (default_desc, teeth, InvariantError),
+        (default_desc, joints, InvariantError),
+        (tiny, Configuration((1, 2, 3, 4, 5), 10), PlcError),
+        (default_desc, [1, 2, 3, 4, 5], AttributeError),
+    ]:
+        messages = set()
+        for call in [
+            lambda: firmed_compliance(desc, config),
+            lambda: stiffness_map(desc, config, 6),
+            lambda: force_deflection(desc, config, 10.0, [1.0, 0.0, 0.0]),
+        ] * 2:
+            with pytest.raises(error) as caught:
+                call()
+            assert type(caught.value) is error
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+    assert _firmed_compliance.cache_info().currsize == 0
+
+
+def test_compliance_memo_holds_its_bound(default_desc):
+    count = _CACHED_POSES + 20
+    configs = [Configuration((k // 100, k // 10 % 10, k % 10, 0, 0), 10) for k in range(count)]
+    _firmed_compliance.cache_clear()
+    for config in configs:
+        firmed_compliance(default_desc, config)
+    assert _firmed_compliance.cache_info().currsize == _CACHED_POSES
+    misses = _firmed_compliance.cache_info().misses
+    firmed_compliance(default_desc, configs[-1])  # the newest is kept
+    firmed_compliance(default_desc, configs[0])  # the oldest is gone
+    assert _firmed_compliance.cache_info().misses == misses + 1
+    assert _firmed_compliance.cache_info().currsize == _CACHED_POSES
+
+
+def test_one_pose_is_walked_once(default_desc, monkeypatch):
+    # the compliance, the sphere map and the force-deflection curve of one
+    # pose read one walk, wherever the pose comes from
+    walk = mock.Mock(wraps=kinematics._walk)
+    monkeypatch.setattr(kinematics, "_walk", walk)
+    _firmed_compliance.cache_clear()
+    config = Configuration((1, 7, 3, 0, 5), 10)
+    firmed_compliance(default_desc, config)
+    stiffness_map(default_desc, Configuration((1, 7, 3, 0, 5), 10), 200)
+    force_deflection(default_desc, config, 20.0, [0.0, 0.6, 0.8])
+    assert walk.call_count == 1
 
 
 def test_sphere_samples_stay_within_their_memory_bound(default_desc):
