@@ -8,6 +8,14 @@ lock it again.  At most one joint is ever unlocked.
 
 Joints are numbered 1..n (base to tip), matching how the hardware units are
 counted and how the CLI prints steps.
+
+:func:`simulate` is the state machine that verifies a schedule.  It folds
+the steps over a list of lock flags and a list of tooth indices, with the
+same checks in the same order as each step would meet them, and builds one
+:class:`JointState` at the end, with one :class:`Configuration` only if a
+rotation ran, not a state per step.
+:func:`simulate_step` is ``simulate`` of a one-step schedule, so the step
+rules are written once.
 """
 from __future__ import annotations
 
@@ -72,43 +80,53 @@ def all_locked(config: Configuration) -> JointState:
     return JointState((True,) * len(config.indices), config)
 
 
-def _check_joint(state: JointState, joint: int) -> int:
+def _check_joint(joint: int, count: int) -> int:
+    """0-based position of ``joint``, refused unless an int in 1..count."""
     if isinstance(joint, bool) or not isinstance(joint, int):
         raise InvariantError(f"joint must be an integer, got {joint!r}")
-    if not 1 <= joint <= len(state.lock_flags):
-        raise InvariantError(
-            f"joint {joint} outside 1..{len(state.lock_flags)}"
-        )
+    if not 1 <= joint <= count:
+        raise InvariantError(f"joint {joint} outside 1..{count}")
     return joint - 1
 
 
 def simulate_step(state: JointState, step: ActuationStep) -> JointState:
     """Apply one actuation step; raises on physically illegal steps."""
-    if isinstance(step, Unlock):
-        j = _check_joint(state, step.joint)
-        flags = list(state.lock_flags)
-        flags[j] = False
-        return JointState(tuple(flags), state.config)
-    if isinstance(step, Lock):
-        j = _check_joint(state, step.joint)
-        flags = list(state.lock_flags)
-        flags[j] = True
-        return JointState(tuple(flags), state.config)
-    if isinstance(step, RotateShaft):
-        unlocked = state.unlocked_joints
-        if len(unlocked) != 1:
-            raise PlcError("rotation requires exactly one loosened joint")
-        j = unlocked[0] - 1
-        teeth = state.config.tooth_count
-        new_index = (state.config.indices[j] + step.pitch_steps) % teeth
-        return JointState(state.lock_flags, state.config.with_index(j, new_index))
-    raise PlcError(f"unknown actuation step {step!r}")
+    return simulate(state, (step,))
 
 
 def simulate(state: JointState, steps) -> JointState:
+    """Run ``steps`` from ``state``; raises at the first illegal step.
+
+    One fold over a list of lock flags and, once a rotation runs, a list of
+    tooth indices: it builds one ``JointState`` at the end, and one
+    ``Configuration`` only if a rotation ran.  An empty schedule returns
+    ``state`` itself.
+    """
+    config = state.config
+    flags = list(state.lock_flags)
+    indices = None
+    step = None
     for step in steps:
-        state = simulate_step(state, step)
-    return state
+        if isinstance(step, Unlock):
+            flags[_check_joint(step.joint, len(flags))] = False
+        elif isinstance(step, Lock):
+            flags[_check_joint(step.joint, len(flags))] = True
+        elif isinstance(step, RotateShaft):
+            if flags.count(False) != 1:
+                raise PlcError("rotation requires exactly one loosened joint")
+            if indices is None:
+                indices = list(config.indices)
+            j = flags.index(False)
+            indices[j] = (indices[j] + step.pitch_steps) % config.tooth_count
+        else:
+            raise PlcError(f"unknown actuation step {step!r}")
+    # a step that is not an actuation step raises, so step is None here
+    # only when the schedule was empty
+    if step is None:
+        return state
+    if indices is not None:
+        config = Configuration(tuple(indices), config.tooth_count)
+    return JointState(tuple(flags), config)
 
 
 def plan_to(

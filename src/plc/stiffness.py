@@ -69,6 +69,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .model import Configuration, InvariantError, PlcError, RobotDescription
 
@@ -315,6 +316,11 @@ def stiffness_map(
     - ``compliance``: the reciprocal |delta|/|F|, mm/N, float64, that
       stiffness plots usually color by.
     """
+    # int first: the Integral check (numpy integers) is several times slower
+    if isinstance(sphere_samples, bool) or not (
+        isinstance(sphere_samples, int) or isinstance(sphere_samples, Integral)
+    ):
+        raise PlcError(f"sphere sample count must be an integer, got {sphere_samples!r}")
     if sphere_samples < 6:
         raise PlcError(f"need at least 6 sphere samples, got {sphere_samples}")
     if sphere_samples > MAX_SPHERE_SAMPLES:

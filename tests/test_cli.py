@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -508,6 +509,110 @@ def test_plan_and_verify(capsys):
     )
     assert code == 0
     assert out == ""
+
+
+# robot description text, or "default" for --robot default
+PLAN_ROBOTS = {
+    "default": "default",
+    "seven": "segment_count: 7\ntooth_count: 12\nbend_angle: 45\n",
+    "odd": "segment_count: 4\ntooth_count: 7\n",
+    "bad": "segment_count: 0\n",
+}
+
+
+def plan_invocations():
+    """(robot, arguments) of seeded `plc plan` runs: five random start and
+    goal pairs per robot, each with and without --verify, a half turn and an
+    empty plan, then usage (exit 1) and domain (exit 2) refusals."""
+    def joined(indices):
+        return ",".join(map(str, indices))
+
+    rng = random.Random(34)
+    cases = []
+    for robot, joints, teeth in (("default", 5, 10), ("seven", 7, 12), ("odd", 4, 7)):
+        for _ in range(5):
+            start, goal = ([rng.randrange(teeth) for _ in range(joints)] for _ in range(2))
+            plan = f"--start {joined(start)} --goal {joined(goal)}"
+            cases += [(robot, plan), (robot, plan + " --verify")]
+        zeros, half = joined([0] * joints), joined([teeth // 2] * joints)
+        cases += [
+            (robot, f"--start {zeros} --goal {half} --verify"),
+            (robot, f"--start {half} --goal {half} --verify"),
+        ]
+    cases += [
+        ("default", "--start 0,0,0,0,0"),
+        ("default", "--start 0,0,0,0,0 --goal"),
+        ("default", "--start 0,0,0,0,0 --goal 1,1,1,1,1 --verbose"),
+        ("default", "--start 0,0,0,0,0 --goal 1,1,1,1,10 --verify"),
+        ("default", "--start 0,0,0,0,-1 --goal 0,0,0,0,0"),
+        ("default", "--start 0,0,0,0 --goal 1,1,1,1 --verify"),
+        ("default", "--start a,b --goal 1"),
+        ("seven", "--start 0,0,0,0,0,0,12 --goal 0,0,0,0,0,0,0 --verify"),
+        ("bad", "--start 0 --goal 0 --verify"),
+    ]
+    return cases
+
+
+# SHA-256 of "<exit code>\0<stdout>\0<stderr>" of each plan_invocations() run
+PLAN_DIGESTS = {
+    ('default', '--start 8,5,9,0,3 --goal 0,6,5,1,6'): "782557d3f30e2f5d99d054a535e6b2faac5fcbd9dad340de8b72a0a668c4dc05",
+    ('default', '--start 8,5,9,0,3 --goal 0,6,5,1,6 --verify'): "9cb6ef55d44f0671a46468dba8c384f19d85c9a1d57fad9a663414d833fcb42e",
+    ('default', '--start 4,5,1,9,8 --goal 2,1,4,5,9'): "7c2610d5b4672ca2ca3dc23a9a5ad6e29a7a5ff6544f2ac0764cd25d13f858b0",
+    ('default', '--start 4,5,1,9,8 --goal 2,1,4,5,9 --verify'): "fd1ec7f42365804ad8a68c7aaeefd2b73305cdd610db3d7552f8057490958fce",
+    ('default', '--start 0,2,8,1,0 --goal 5,4,8,0,6'): "bf5f1e2c8acca123bd703a5862caa16b17919538f8163ff7e5f762f8c98918d0",
+    ('default', '--start 0,2,8,1,0 --goal 5,4,8,0,6 --verify'): "2f2a4af74d37b9f4a787ef71060f1632fa5d59b4f6b75d239f4d5e614097bf5d",
+    ('default', '--start 2,9,4,4,6 --goal 5,3,3,7,8'): "896e7fa39fe9a6c34f1f37b8fae00624b54395095407ce60c301a1163520154c",
+    ('default', '--start 2,9,4,4,6 --goal 5,3,3,7,8 --verify'): "1eb49b53e925ed95ae994db5d505c27bf5f0d63e09bbc5c67d2c872e08f71306",
+    ('default', '--start 2,9,2,9,6 --goal 8,6,3,3,1'): "246ef02189553321eab1decc61e97f41b5390e46617de9c9dddcbd9329dc2275",
+    ('default', '--start 2,9,2,9,6 --goal 8,6,3,3,1 --verify'): "be2158d637cd8f46e223de7ad0bfda24717c8daf9d64b0d7372e2794d5ccf6fa",
+    ('default', '--start 0,0,0,0,0 --goal 5,5,5,5,5 --verify'): "03e66811006f48e4d5076410bf4d690056402dd0ac3f72d1f27fbdee31e9c4bb",
+    ('default', '--start 5,5,5,5,5 --goal 5,5,5,5,5 --verify'): "b3063531ad1435d9cb965359d91ef4ca0c5295e002f65a56e5dd14d0a6a4c79d",
+    ('seven', '--start 9,10,11,1,7,4,6 --goal 1,9,4,3,2,6,5'): "65c5ed378eb6d10f2130fe95ffdbd1134d9549298df4d16df9958621e812cbc7",
+    ('seven', '--start 9,10,11,1,7,4,6 --goal 1,9,4,3,2,6,5 --verify'): "49415862a8a75523815264662a8b7d5e35beda91ac6d64ac933b6ffe7eac1c35",
+    ('seven', '--start 7,1,8,11,7,6,7 --goal 5,2,7,4,2,3,2'): "c8ae3c720c81ea4f7550823a2371cd3bb825b80badcc6c30c209c701f9414ca2",
+    ('seven', '--start 7,1,8,11,7,6,7 --goal 5,2,7,4,2,3,2 --verify'): "da000b5a5c486ca70438b1fd4182a7194a8e0fe5d3cf3791c7b239b2bb8601a7",
+    ('seven', '--start 4,4,1,4,8,1,9 --goal 8,4,6,3,6,4,8'): "5c23b1adfb0d9c7c5f16d349bf889a886b159aacfc8f4e052efb8db32ce9e7d9",
+    ('seven', '--start 4,4,1,4,8,1,9 --goal 8,4,6,3,6,4,8 --verify'): "5fa196736738845af4d0cf0e865e1a54618bc93b47040010188e514bc219552b",
+    ('seven', '--start 11,5,11,9,7,1,1 --goal 11,0,5,6,5,2,2'): "7c4bf473d45bb0605dc6a33bd0f0e1232cb181f756ebbc9c17ea199b701b48b1",
+    ('seven', '--start 11,5,11,9,7,1,1 --goal 11,0,5,6,5,2,2 --verify'): "0914f9ffe9cd1085f26f163f72ac141898e68aa2ad86fd58e038d2981ce5fa14",
+    ('seven', '--start 11,6,5,7,5,10,4 --goal 0,11,9,10,4,8,8'): "b168dcbfd147f0e11f377c846af27d7dae02b66a4ddbadcbbb2f8c073eedd1c2",
+    ('seven', '--start 11,6,5,7,5,10,4 --goal 0,11,9,10,4,8,8 --verify'): "02dbde9b7810ef60c257eeff88d8b88781d772bafd42424482add3db520e9396",
+    ('seven', '--start 0,0,0,0,0,0,0 --goal 6,6,6,6,6,6,6 --verify'): "1867102f5ce06f717dd55b4864b89f583cfd537120cdc5f879183522e90e6242",
+    ('seven', '--start 6,6,6,6,6,6,6 --goal 6,6,6,6,6,6,6 --verify'): "c0b8f022749dded92993b4fd569826ac445cd0340834479785222d6d6aec486a",
+    ('odd', '--start 6,0,1,2 --goal 0,4,2,0'): "9b6bee442526b44941aa8da98e328b1055b748497a6982f1f985ddff91db1c42",
+    ('odd', '--start 6,0,1,2 --goal 0,4,2,0 --verify'): "11e198097160d20b6cd29673957f0d7f5f2741d2dfb88c3e0b30b3b37b2bdd0b",
+    ('odd', '--start 6,5,4,3 --goal 6,1,2,5'): "a28459fee7fd56f48d0717b1863d23d6f92729a67899299981bc3df42dd369dc",
+    ('odd', '--start 6,5,4,3 --goal 6,1,2,5 --verify'): "d4cb35e220c0e39255cd49f7b84576c7ac2977f055f8196dbbf03c74777305fa",
+    ('odd', '--start 5,6,1,3 --goal 1,5,2,5'): "21e8c909d41cf634faf8bf53e61d5ebe4cf6c7dea6554d80ec3a89ad9061c8b6",
+    ('odd', '--start 5,6,1,3 --goal 1,5,2,5 --verify'): "00302dd2a1cfa08143b0fc6ad971d690cc85ec091f6809c7325129fde511ec95",
+    ('odd', '--start 6,3,1,0 --goal 3,2,4,1'): "ba735a6224ffd3b56fc5aa104e05b282305f1a81a6a6eaef30c41e48cbf373b8",
+    ('odd', '--start 6,3,1,0 --goal 3,2,4,1 --verify'): "7150af3c0eccabe330453fc6be35317a44d2da71646021bdac34d27e7279b471",
+    ('odd', '--start 6,1,2,5 --goal 6,3,5,6'): "5bb1f60f7410b0a46928e519c1c7333a8f7000c3870a44e547a461d56ef1b53f",
+    ('odd', '--start 6,1,2,5 --goal 6,3,5,6 --verify'): "e44f3a787679f7196df4089127c047169810048d897c5d3a2c7e1121c27a0839",
+    ('odd', '--start 0,0,0,0 --goal 3,3,3,3 --verify'): "6c153325bcabe53638f693025f1db24d957df4e2dbbc9d224a100bd29fb667db",
+    ('odd', '--start 3,3,3,3 --goal 3,3,3,3 --verify'): "adae2df77360229fd1647c9c10104f37f7a8961e9dd7313178914db73a3aa15d",
+    ('default', '--start 0,0,0,0,0'): "9b5493a9160dbf39841ef110127fcb631abf5ecb0187a7104a6358164f826d36",
+    ('default', '--start 0,0,0,0,0 --goal'): "996cb5e4c63e5907cedbad5aab48ee4a909ad76fe3fb92a0860731c6ec380f05",
+    ('default', '--start 0,0,0,0,0 --goal 1,1,1,1,1 --verbose'): "24d0df0dd1fd0eac2e14a46ae96bad5da55c0f1617db0d1ce12a75be55554c51",
+    ('default', '--start 0,0,0,0,0 --goal 1,1,1,1,10 --verify'): "bfbb16601498c0c6b65127064dbd621fd71c95ad87a804e2da98764b62b81438",
+    ('default', '--start 0,0,0,0,-1 --goal 0,0,0,0,0'): "4361e7b320192da42b392bfde9a6119bd9511f1039dea4f08e8dc2190e461776",
+    ('default', '--start 0,0,0,0 --goal 1,1,1,1 --verify'): "7b7e1b6bd4261914d65cfc6a25fb22fa6b7a6ffac5d559038e7e7edb47fbe97e",
+    ('default', '--start a,b --goal 1'): "153628bcbc98a5bde5b35e4d238b40e4ed37eafeb8b2f0cba30d37cab5123a5b",
+    ('seven', '--start 0,0,0,0,0,0,12 --goal 0,0,0,0,0,0,0 --verify'): "a236e99af2d8b6b9c702c3587f90af0cf0283b4f3665b3d0ddbfe9e7e25e2feb",
+    ('bad', '--start 0 --goal 0 --verify'): "49ff69fa817247bb4fdf37e24301c3139086117700d696f07efdd55798b02db9",
+}
+
+
+def test_plan_outputs_keep_their_digests(capsys, tmp_path):
+    digests = {}
+    for robot, arguments in plan_invocations():
+        text = PLAN_ROBOTS[robot]
+        if text != "default":
+            (tmp_path / f"{robot}.yaml").write_text(text)
+        path = "default" if text == "default" else str(tmp_path / f"{robot}.yaml")
+        code, out, err = run(capsys, "plan", "--robot", path, *arguments.split())
+        digests[robot, arguments] = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+    assert digests == PLAN_DIGESTS
 
 
 def test_stiffness_firm_direction(capsys):

@@ -1,7 +1,9 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plc import (
     Configuration,
@@ -138,3 +140,109 @@ def test_joint_state_validation():
         assert type(state.lock_flags) is tuple
         assert [type(f) for f in state.lock_flags] == [bool] * 3
         assert state.lock_flags == flags and state.unlocked_joints == (2,)
+
+
+# a joint number a step may carry: in range for some robots and out of range
+# for others, or not an integer at all
+joint_numbers = st.one_of(st.integers(-1, 8), st.sampled_from([True, 1.0, "1", None]))
+any_steps = st.one_of(
+    st.builds(Unlock, joint_numbers),
+    st.builds(Lock, joint_numbers),
+    st.builds(RotateShaft, st.integers(-25, 25)),
+    st.sampled_from([None, 3, "unlock 1", ("rotate", 1), Configuration((0,), 10)]),
+)
+
+
+def schedules(n):
+    """Step lists that mix unlock / rotate / lock triples on joints 1..n, as
+    plan_to writes them, with single steps of any kind."""
+    triples = st.builds(
+        lambda joint, pitch_steps: [Unlock(joint), RotateShaft(pitch_steps), Lock(joint)],
+        st.integers(1, n),
+        st.integers(-25, 25),
+    )
+    # three triples to one single step
+    groups = st.integers(0, 3).flatmap(lambda k: triples if k else any_steps.map(lambda step: [step]))
+    return st.lists(groups, max_size=6).map(lambda groups: [step for group in groups for step in group])
+
+
+def reference_fold(flags, indices, teeth, schedule):
+    """The end lock flags and tooth indices of ``schedule`` run from
+    ``flags`` and ``indices``, or the exception type and message of its
+    first illegal step: the step rules written out again, with no library
+    call."""
+    flags, indices = list(flags), list(indices)
+    for step in schedule:
+        if isinstance(step, (Unlock, Lock)):
+            joint = step.joint
+            if isinstance(joint, bool) or not isinstance(joint, int):
+                return InvariantError, f"joint must be an integer, got {joint!r}"
+            if not 1 <= joint <= len(flags):
+                return InvariantError, f"joint {joint} outside 1..{len(flags)}"
+            flags[joint - 1] = isinstance(step, Lock)
+        elif isinstance(step, RotateShaft):
+            loosened = [j for j, locked in enumerate(flags) if not locked]
+            if len(loosened) != 1:
+                return PlcError, "rotation requires exactly one loosened joint"
+            j = loosened[0]
+            indices[j] = (indices[j] + step.pitch_steps) % teeth
+        else:
+            return PlcError, f"unknown actuation step {step!r}"
+    return tuple(flags), tuple(indices)
+
+
+def outcome(run, state, schedule):
+    """``run(state, schedule)`` as the state it returns, or as the type and
+    message of what it raises."""
+    try:
+        return run(state, schedule)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_simulate_is_the_reference_fold(data):
+    n = data.draw(st.integers(1, 6))
+    teeth = data.draw(st.integers(2, 13))
+    flags = data.draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+    indices = data.draw(st.lists(st.integers(0, teeth - 1), min_size=n, max_size=n))
+    schedule = data.draw(schedules(n))
+    state = JointState(tuple(flags), Configuration(tuple(indices), teeth))
+    want = reference_fold(flags, indices, teeth, schedule)
+    for given_schedule in (list(schedule), (step for step in schedule)):
+        got = outcome(simulate, state, given_schedule)
+        if isinstance(got, JointState):
+            assert [type(f) for f in got.lock_flags] == [bool] * n
+            assert got.config.tooth_count == teeth
+            got = got.lock_flags, got.config.indices
+        assert got == want
+    for step in schedule:
+        assert outcome(simulate_step, state, step) == outcome(simulate, state, (step,))
+
+
+def test_simulate_builds_one_state(monkeypatch):
+    start, goal = Configuration((3, 1, 4, 1, 5), 10), Configuration((3, 9, 4, 6, 0), 10)
+    state = all_locked(start)
+    plan = plan_to(desc_with(), start, goal)
+    assert len(plan) == 9
+    built = collections.Counter()
+    for cls in (JointState, Configuration):
+        def spy(self, post_init=cls.__post_init__, cls=cls):
+            built[cls.__name__] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    end = simulate(state, plan)
+    assert built == {"JointState": 1, "Configuration": 1}
+    assert end.lock_flags == (True,) * 5 and end.config == goal
+    built.clear()
+    end = simulate(state, iter([Unlock(2), Lock(2), Unlock(5)]))
+    assert built == {"JointState": 1}
+    assert end.unlocked_joints == (5,) and end.config is start
+    built.clear()
+    for empty in ([], (), iter([])):
+        assert simulate(state, empty) is state
+    assert built == {}
+    assert simulate_step(state, Lock(1)) == state
+    assert built == {"JointState": 1}

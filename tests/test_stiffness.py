@@ -176,6 +176,21 @@ def test_stiffness_map_properties(default_desc):
         stiffness_map(default_desc, config, 10**6 + 1)
 
 
+def test_stiffness_map_refuses_a_sample_count_that_is_not_an_integer(default_desc):
+    # 200.5 and 200.0 raised numpy's TypeError, "200" a comparison TypeError,
+    # and True was refused as too few samples, "got True"
+    config = Configuration((1, 7, 3, 0, 5), 10)
+    for count in (200.5, 200.0, "200", True, np.float64(200.0), np.bool_(True), None):
+        with pytest.raises(PlcError) as refused:
+            stiffness_map(default_desc, config, count)
+        assert str(refused.value) == f"sphere sample count must be an integer, got {count!r}"
+    with pytest.raises(PlcError, match="at least 6 sphere samples, got 5"):
+        stiffness_map(default_desc, config, np.int64(5))
+    expected = stiffness_map(default_desc, config, 200)
+    for count in (np.int64(200), np.int32(200), np.uint16(200)):
+        assert stiffness_map(default_desc, config, count).tobytes() == expected.tobytes()
+
+
 MAP_ROBOTS = {
     "default": {},
     "seven": {"segment_count": 7, "tooth_count": 12, "bend_angle": math.radians(45.0)},
