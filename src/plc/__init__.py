@@ -51,7 +51,6 @@ _PUBLIC = {
         "all_locked",
         "plan_to",
         "simulate",
-        "simulate_step",
     ),
     "normalize": (
         "DesignRecord",

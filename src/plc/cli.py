@@ -263,10 +263,9 @@ def _cmd_workspace_accuracy(args) -> int:
 
 def _cmd_ik(args) -> int:
     from .ik import solve_ik
-    from .workspace import WorkspaceIndex
 
     desc = _load_description(args)
-    index = WorkspaceIndex.load(args.index, desc)
+    index = _load_or_build_index(desc, args)
     target = _parse_vector(args.target)
     if args.reference is not None:
         reference = _config_for(desc, args.reference)

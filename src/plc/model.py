@@ -238,12 +238,6 @@ class Configuration:
                 )
         object.__setattr__(self, "indices", tuple(int(k) for k in self.indices))
 
-    def with_index(self, joint: int, index: int) -> "Configuration":
-        """Copy with joint ``joint`` (0-based) set to tooth index ``index``."""
-        new = list(self.indices)
-        new[joint] = index
-        return Configuration(tuple(new), self.tooth_count)
-
 
 def _check_pose(rotation, translation) -> None:
     """Raise unless ``rotation``, nine floats row-major, is proper

@@ -4,6 +4,10 @@ A cantilever of length L and radius R has bending stiffness 3EI/L^3 with
 I = pi R^4 / 64, so multiplying a measured stiffness by L^3 / R^4 strips the
 beam-size dependence and leaves a material-level comparator (N/mm^2).  The
 max/min stiffness ratio of a design is unchanged by the normalization.
+
+A :class:`DesignRecord` derives its normalized extremes from its own fields,
+and :func:`build_comparison` orders the records themselves, so the
+comparison table is the records, sorted.
 """
 from __future__ import annotations
 
@@ -54,6 +58,16 @@ class DesignRecord:
     def ratio(self) -> float:
         return self.k_max / self.k_min
 
+    @property
+    def k_max_normalized(self) -> float | None:
+        """``normalize_stiffness`` of ``k_max``, or None without geometry."""
+        return normalize_stiffness(self.k_max, self.length, self.radius) if self.has_geometry else None
+
+    @property
+    def k_min_normalized(self) -> float | None:
+        """``normalize_stiffness`` of ``k_min``, or None without geometry."""
+        return normalize_stiffness(self.k_min, self.length, self.radius) if self.has_geometry else None
+
 
 def normalize_stiffness(k: float, length: float, radius: float) -> float:
     """k * L^3 / R^4, the size-independent bending-stiffness comparator."""
@@ -68,40 +82,19 @@ def normalize_stiffness(k: float, length: float, radius: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    k_max: float
-    k_min: float
-    k_max_normalized: float | None
-    k_min_normalized: float | None
-    ratio: float
+def build_comparison(records) -> list[DesignRecord]:
+    """The records, sorted by ratio descending; equal ratios keep their order.
 
-
-def build_comparison(records) -> list[ComparisonRow]:
-    """Raw + normalized extremes per design, sorted by ratio descending."""
+    Each record's normalized extremes are computed first, in input order, so
+    a normalization past the float range is refused here, not when a row is
+    printed.
+    """
     records = list(records)
     if not records:
         raise PlcError("no design records given")
-    rows = []
     for rec in records:
-        if rec.has_geometry:
-            k_max_n = normalize_stiffness(rec.k_max, rec.length, rec.radius)
-            k_min_n = normalize_stiffness(rec.k_min, rec.length, rec.radius)
-        else:
-            k_max_n = k_min_n = None
-        rows.append(
-            ComparisonRow(
-                name=rec.name,
-                k_max=rec.k_max,
-                k_min=rec.k_min,
-                k_max_normalized=k_max_n,
-                k_min_normalized=k_min_n,
-                ratio=rec.ratio,
-            )
-        )
-    rows.sort(key=lambda row: -row.ratio)
-    return rows
+        rec.k_max_normalized, rec.k_min_normalized  # read for the refusal only
+    return sorted(records, key=lambda rec: -rec.ratio)
 
 
 def _parse_optional(field: str, row_name: str, column: str) -> float | None:

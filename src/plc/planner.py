@@ -13,9 +13,8 @@ counted and how the CLI prints steps.
 the steps over a list of lock flags and a list of tooth indices, with the
 same checks in the same order as each step would meet them, and builds one
 :class:`JointState` at the end, with one :class:`Configuration` only if a
-rotation ran, not a state per step.
-:func:`simulate_step` is ``simulate`` of a one-step schedule, so the step
-rules are written once.
+rotation ran, not a state per step.  One step is the schedule ``[step]``,
+so the step rules are written once.
 """
 from __future__ import annotations
 
@@ -87,11 +86,6 @@ def _check_joint(joint: int, count: int) -> int:
     if not 1 <= joint <= count:
         raise InvariantError(f"joint {joint} outside 1..{count}")
     return joint - 1
-
-
-def simulate_step(state: JointState, step: ActuationStep) -> JointState:
-    """Apply one actuation step; raises on physically illegal steps."""
-    return simulate(state, (step,))
 
 
 def simulate(state: JointState, steps) -> JointState:

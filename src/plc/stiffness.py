@@ -382,9 +382,7 @@ class ForceDeflectionCurve:
                 "slopes must satisfy firm > loose > 0, got "
                 f"firm={self.firm_slope}, loose={self.loose_slope}"
             )
-        # top_force > threshold_force, so this is deflection(top_force)
-        top = self.breakpoint_deflection + (self.top_force - self.threshold_force) / self.loose_slope
-        if not math.isfinite(top):
+        if not math.isfinite(self.deflection(self.top_force)):
             raise InvariantError(
                 f"deflection at {self.top_force} N is out of the float range"
             )

@@ -23,7 +23,7 @@ from plc import (
     normalize_stiffness,
     omnivariance,
     plan_to,
-    simulate_step,
+    simulate,
     skin_twist,
     solve_ik,
 )
@@ -233,7 +233,7 @@ def test_10_planner_soundness():
         for step in steps:
             if isinstance(step, RotateShaft) and not isinstance(step.pitch_steps, int):
                 sound = False
-            state = simulate_step(state, step)
+            state = simulate(state, [step])
             if len(state.unlocked_joints) > 1:
                 sound = False
         if state.config != goal or state.unlocked_joints != ():

@@ -26,6 +26,7 @@ from conftest import desc_with, write_sparse_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ROBOT = "segment_count: 2\n"
+OFFSET_ROBOT = "segment_count: 3\ntool_offset: [0, 0, 15]\n"
 
 
 @pytest.fixture(autouse=True)
@@ -615,6 +616,185 @@ def test_plan_outputs_keep_their_digests(capsys, tmp_path):
     assert digests == PLAN_DIGESTS
 
 
+# robot description text, or "default" for --robot default
+COMMAND_ROBOTS = {
+    "default": "default",
+    "offset": OFFSET_ROBOT,
+    "stiff": "tendon_stiffness: 2.0\n",  # not below the firmed slope
+    "slack": "tendon_stiffness: 1.0e-310\n",  # the deflection at the top force overflows
+}
+# the designs files of the normalize runs, by file name
+DESIGNS_FILES = {
+    # ties of ratio (b, c) keep their input order; NA and empty geometry print NA
+    "na.csv": "name,k_max,k_min,length_mm,radius_mm\na,9,1,100,5\nb,4,2,NA,NA\nc,6,3,,\nd,8,2,50,2.5\n",
+    # both normalizations overflow: the first in input order is the one refused
+    "overflow.csv": "name,k_max,k_min,length_mm,radius_mm\nlow,2e300,1e300,1e100,1\nhigh,1e300,1,1e100,1\n",
+    "columns.csv": "x,y,z\n1,2,3\n",
+}
+
+
+def command_invocations(points):
+    """(robot, arguments) of seeded `plc ik`, `plc stiffness curve` and
+    `plc normalize` runs, refusals included; ``points`` maps "default" and
+    "offset" to the stored points of their indexes, which the ik runs read
+    as default.plcw and offset.plcw.  ``robot`` is None for a command that
+    takes no --robot."""
+    def joined(values):
+        return ",".join(map(repr, values))
+
+    rng = random.Random(35)
+    cases = []
+    for robot, joints in (("default", 5), ("offset", 3)):
+        stored = [points[robot][rng.randrange(len(points[robot]))].tolist() for _ in range(3)]
+        jittered = [[v + rng.uniform(-2.0, 2.0) for v in point] for point in stored]
+        far = [[rng.uniform(-500.0, 500.0) for _ in range(3)] for _ in range(2)]
+        reference = ",".join(str(rng.randrange(10)) for _ in range(joints))
+        for target in stored + jittered + far:
+            query = f"ik --index {robot}.plcw --target={joined(target)}"
+            for option in ("", f" --reference {reference}", " --seed 7", " --metric euclidean"):
+                cases.append((robot, query + option))
+    cases += [
+        ("default", "ik --index default.plcw"),
+        ("default", "ik --index default.plcw --target=0,0,60 --metric manhattan"),
+        ("default", "ik --index default.plcw --target=0,0,60 --reference 0,0"),
+        ("default", "ik --index default.plcw --target=nan,0,0"),
+        ("offset", "ik --index default.plcw --target=0,0,60"),
+        ("default", "ik --index missing.plcw --target=0,0,60"),
+    ]
+    for _ in range(3):
+        config = ",".join(str(rng.randrange(10)) for _ in range(5))
+        direction = joined([rng.uniform(-1.0, 1.0) for _ in range(3)])
+        for tension in ("0", "20"):
+            curve = f"stiffness curve --config {config} --direction={direction}"
+            cases.append(("default", f"{curve} --tension {tension}"))
+    curve = "stiffness curve --config 0,0,0,0,0 --direction 1,0,0"
+    cases += [
+        ("default", "stiffness curve --config 0,0,0,0,0 --direction 1e-200,0,0 --tension 20"),
+        ("default", curve),
+        ("default", f"{curve} --tension 1e308"),
+        ("stiff", f"{curve} --tension 20"),
+        ("slack", f"{curve} --tension 0"),
+        ("slack", f"{curve} --tension 20"),
+    ]
+    cases += [(None, f"normalize --designs {name}") for name in ("builtin", *DESIGNS_FILES)]
+    return cases
+
+
+# SHA-256 of "<exit code>\0<stdout>\0<stderr>" of each command_invocations() run
+COMMAND_DIGESTS = {
+    ('default', 'ik --index default.plcw --target=39.28985871686545,-85.36160216737684,101.96339151125775'): "fb7161644cc4ce71afd7ae9f07ce22a148c2d1dc5669a7901f63b613e88b24ad",
+    ('default', 'ik --index default.plcw --target=39.28985871686545,-85.36160216737684,101.96339151125775 --reference 8,0,1,7,5'): "fb7161644cc4ce71afd7ae9f07ce22a148c2d1dc5669a7901f63b613e88b24ad",
+    ('default', 'ik --index default.plcw --target=39.28985871686545,-85.36160216737684,101.96339151125775 --seed 7'): "fb7161644cc4ce71afd7ae9f07ce22a148c2d1dc5669a7901f63b613e88b24ad",
+    ('default', 'ik --index default.plcw --target=39.28985871686545,-85.36160216737684,101.96339151125775 --metric euclidean'): "fb7161644cc4ce71afd7ae9f07ce22a148c2d1dc5669a7901f63b613e88b24ad",
+    ('default', 'ik --index default.plcw --target=-9.475646370441272,-97.6976515791703,96.09671823652114'): "382bed8a71a75522b72589bb03a3545523f7c3d54f05c6fb2ed9180099483729",
+    ('default', 'ik --index default.plcw --target=-9.475646370441272,-97.6976515791703,96.09671823652114 --reference 8,0,1,7,5'): "382bed8a71a75522b72589bb03a3545523f7c3d54f05c6fb2ed9180099483729",
+    ('default', 'ik --index default.plcw --target=-9.475646370441272,-97.6976515791703,96.09671823652114 --seed 7'): "382bed8a71a75522b72589bb03a3545523f7c3d54f05c6fb2ed9180099483729",
+    ('default', 'ik --index default.plcw --target=-9.475646370441272,-97.6976515791703,96.09671823652114 --metric euclidean'): "382bed8a71a75522b72589bb03a3545523f7c3d54f05c6fb2ed9180099483729",
+    ('default', 'ik --index default.plcw --target=108.68532282585018,-24.8028011154556,71.33203901987366'): "81f45b8abce139023b30a808f52af8968c21d805ba5156bbea17fd284a828331",
+    ('default', 'ik --index default.plcw --target=108.68532282585018,-24.8028011154556,71.33203901987366 --reference 8,0,1,7,5'): "81f45b8abce139023b30a808f52af8968c21d805ba5156bbea17fd284a828331",
+    ('default', 'ik --index default.plcw --target=108.68532282585018,-24.8028011154556,71.33203901987366 --seed 7'): "81f45b8abce139023b30a808f52af8968c21d805ba5156bbea17fd284a828331",
+    ('default', 'ik --index default.plcw --target=108.68532282585018,-24.8028011154556,71.33203901987366 --metric euclidean'): "81f45b8abce139023b30a808f52af8968c21d805ba5156bbea17fd284a828331",
+    ('default', 'ik --index default.plcw --target=37.816760550498245,-85.99973075006169,100.57958636402435'): "a6c188209302cbc81b44d803e8e04cb61cd7b12883e42c3b475e6c436e3b5b4a",
+    ('default', 'ik --index default.plcw --target=37.816760550498245,-85.99973075006169,100.57958636402435 --reference 8,0,1,7,5'): "a6c188209302cbc81b44d803e8e04cb61cd7b12883e42c3b475e6c436e3b5b4a",
+    ('default', 'ik --index default.plcw --target=37.816760550498245,-85.99973075006169,100.57958636402435 --seed 7'): "a6c188209302cbc81b44d803e8e04cb61cd7b12883e42c3b475e6c436e3b5b4a",
+    ('default', 'ik --index default.plcw --target=37.816760550498245,-85.99973075006169,100.57958636402435 --metric euclidean'): "a6c188209302cbc81b44d803e8e04cb61cd7b12883e42c3b475e6c436e3b5b4a",
+    ('default', 'ik --index default.plcw --target=-9.748744542224586,-98.6890573473639,94.34396330231124'): "031368e01965a8470c2ea67038acd8d54140db582b1f071abe02f17bf77b65ae",
+    ('default', 'ik --index default.plcw --target=-9.748744542224586,-98.6890573473639,94.34396330231124 --reference 8,0,1,7,5'): "031368e01965a8470c2ea67038acd8d54140db582b1f071abe02f17bf77b65ae",
+    ('default', 'ik --index default.plcw --target=-9.748744542224586,-98.6890573473639,94.34396330231124 --seed 7'): "031368e01965a8470c2ea67038acd8d54140db582b1f071abe02f17bf77b65ae",
+    ('default', 'ik --index default.plcw --target=-9.748744542224586,-98.6890573473639,94.34396330231124 --metric euclidean'): "031368e01965a8470c2ea67038acd8d54140db582b1f071abe02f17bf77b65ae",
+    ('default', 'ik --index default.plcw --target=108.78833737709928,-23.351606831219186,72.53190603815942'): "720a9ee38fc7ac7730604368532b87661fc7b146fc40492ee195b7e409816d5f",
+    ('default', 'ik --index default.plcw --target=108.78833737709928,-23.351606831219186,72.53190603815942 --reference 8,0,1,7,5'): "720a9ee38fc7ac7730604368532b87661fc7b146fc40492ee195b7e409816d5f",
+    ('default', 'ik --index default.plcw --target=108.78833737709928,-23.351606831219186,72.53190603815942 --seed 7'): "720a9ee38fc7ac7730604368532b87661fc7b146fc40492ee195b7e409816d5f",
+    ('default', 'ik --index default.plcw --target=108.78833737709928,-23.351606831219186,72.53190603815942 --metric euclidean'): "720a9ee38fc7ac7730604368532b87661fc7b146fc40492ee195b7e409816d5f",
+    ('default', 'ik --index default.plcw --target=152.89770339892664,305.4122233192958,419.448752591734'): "375187fb484b953c23e8c1b28b64189e05a8e1d493f882141dbf37f34e9770c8",
+    ('default', 'ik --index default.plcw --target=152.89770339892664,305.4122233192958,419.448752591734 --reference 8,0,1,7,5'): "375187fb484b953c23e8c1b28b64189e05a8e1d493f882141dbf37f34e9770c8",
+    ('default', 'ik --index default.plcw --target=152.89770339892664,305.4122233192958,419.448752591734 --seed 7'): "375187fb484b953c23e8c1b28b64189e05a8e1d493f882141dbf37f34e9770c8",
+    ('default', 'ik --index default.plcw --target=152.89770339892664,305.4122233192958,419.448752591734 --metric euclidean'): "375187fb484b953c23e8c1b28b64189e05a8e1d493f882141dbf37f34e9770c8",
+    ('default', 'ik --index default.plcw --target=430.76256476616754,-403.2871174492639,-491.37915704223366'): "8ca230abc9503a6f3fe0fd40f6b707cb414ef96214feafba1e59dfec2c95d73e",
+    ('default', 'ik --index default.plcw --target=430.76256476616754,-403.2871174492639,-491.37915704223366 --reference 8,0,1,7,5'): "8ca230abc9503a6f3fe0fd40f6b707cb414ef96214feafba1e59dfec2c95d73e",
+    ('default', 'ik --index default.plcw --target=430.76256476616754,-403.2871174492639,-491.37915704223366 --seed 7'): "8ca230abc9503a6f3fe0fd40f6b707cb414ef96214feafba1e59dfec2c95d73e",
+    ('default', 'ik --index default.plcw --target=430.76256476616754,-403.2871174492639,-491.37915704223366 --metric euclidean'): "8ca230abc9503a6f3fe0fd40f6b707cb414ef96214feafba1e59dfec2c95d73e",
+    ('offset', 'ik --index offset.plcw --target=27.557389547783764,44.531594626793776,81.17372237562745'): "f5a49d5c54b657b3309f6529c5cda8005cba827f082592aa4b5ac4c9de9bb9e7",
+    ('offset', 'ik --index offset.plcw --target=27.557389547783764,44.531594626793776,81.17372237562745 --reference 7,5,6'): "f5a49d5c54b657b3309f6529c5cda8005cba827f082592aa4b5ac4c9de9bb9e7",
+    ('offset', 'ik --index offset.plcw --target=27.557389547783764,44.531594626793776,81.17372237562745 --seed 7'): "f5a49d5c54b657b3309f6529c5cda8005cba827f082592aa4b5ac4c9de9bb9e7",
+    ('offset', 'ik --index offset.plcw --target=27.557389547783764,44.531594626793776,81.17372237562745 --metric euclidean'): "f5a49d5c54b657b3309f6529c5cda8005cba827f082592aa4b5ac4c9de9bb9e7",
+    ('offset', 'ik --index offset.plcw --target=-62.55933081207529,-34.42587495680971,59.80586084472475'): "fd4942c5ece2fc9dc4192072322809ce57acead8f6ff4b4a4c8179e102d4c452",
+    ('offset', 'ik --index offset.plcw --target=-62.55933081207529,-34.42587495680971,59.80586084472475 --reference 7,5,6'): "fd4942c5ece2fc9dc4192072322809ce57acead8f6ff4b4a4c8179e102d4c452",
+    ('offset', 'ik --index offset.plcw --target=-62.55933081207529,-34.42587495680971,59.80586084472475 --seed 7'): "fd4942c5ece2fc9dc4192072322809ce57acead8f6ff4b4a4c8179e102d4c452",
+    ('offset', 'ik --index offset.plcw --target=-62.55933081207529,-34.42587495680971,59.80586084472475 --metric euclidean'): "fd4942c5ece2fc9dc4192072322809ce57acead8f6ff4b4a4c8179e102d4c452",
+    ('offset', 'ik --index offset.plcw --target=-16.69175821115552,-29.718564392274597,97.00460033395223'): "cf16ffd9a862617299e1b54ef42df1e45e94ca6af115c139af1569662977e4eb",
+    ('offset', 'ik --index offset.plcw --target=-16.69175821115552,-29.718564392274597,97.00460033395223 --reference 7,5,6'): "cf16ffd9a862617299e1b54ef42df1e45e94ca6af115c139af1569662977e4eb",
+    ('offset', 'ik --index offset.plcw --target=-16.69175821115552,-29.718564392274597,97.00460033395223 --seed 7'): "cf16ffd9a862617299e1b54ef42df1e45e94ca6af115c139af1569662977e4eb",
+    ('offset', 'ik --index offset.plcw --target=-16.69175821115552,-29.718564392274597,97.00460033395223 --metric euclidean'): "cf16ffd9a862617299e1b54ef42df1e45e94ca6af115c139af1569662977e4eb",
+    ('offset', 'ik --index offset.plcw --target=28.257725184404674,42.73790522753261,80.11232872663896'): "984c935deff0143138e25736cfe1fa08440f1bc3d81d97973b57a72eb93a2e82",
+    ('offset', 'ik --index offset.plcw --target=28.257725184404674,42.73790522753261,80.11232872663896 --reference 7,5,6'): "984c935deff0143138e25736cfe1fa08440f1bc3d81d97973b57a72eb93a2e82",
+    ('offset', 'ik --index offset.plcw --target=28.257725184404674,42.73790522753261,80.11232872663896 --seed 7'): "984c935deff0143138e25736cfe1fa08440f1bc3d81d97973b57a72eb93a2e82",
+    ('offset', 'ik --index offset.plcw --target=28.257725184404674,42.73790522753261,80.11232872663896 --metric euclidean'): "984c935deff0143138e25736cfe1fa08440f1bc3d81d97973b57a72eb93a2e82",
+    ('offset', 'ik --index offset.plcw --target=-63.25938694538544,-35.797699389994065,58.46243132594047'): "e00750fc8646aa6ab9eeb0b52c0036bdcdb42ea60e3178cb0fccfc449a7dc256",
+    ('offset', 'ik --index offset.plcw --target=-63.25938694538544,-35.797699389994065,58.46243132594047 --reference 7,5,6'): "e00750fc8646aa6ab9eeb0b52c0036bdcdb42ea60e3178cb0fccfc449a7dc256",
+    ('offset', 'ik --index offset.plcw --target=-63.25938694538544,-35.797699389994065,58.46243132594047 --seed 7'): "e00750fc8646aa6ab9eeb0b52c0036bdcdb42ea60e3178cb0fccfc449a7dc256",
+    ('offset', 'ik --index offset.plcw --target=-63.25938694538544,-35.797699389994065,58.46243132594047 --metric euclidean'): "e00750fc8646aa6ab9eeb0b52c0036bdcdb42ea60e3178cb0fccfc449a7dc256",
+    ('offset', 'ik --index offset.plcw --target=-18.39729861552091,-28.334221234231315,95.33683710952812'): "293c22da5d2390cfbaac70db7bca0955437f4b34b1c277b06765d2bff816981a",
+    ('offset', 'ik --index offset.plcw --target=-18.39729861552091,-28.334221234231315,95.33683710952812 --reference 7,5,6'): "293c22da5d2390cfbaac70db7bca0955437f4b34b1c277b06765d2bff816981a",
+    ('offset', 'ik --index offset.plcw --target=-18.39729861552091,-28.334221234231315,95.33683710952812 --seed 7'): "293c22da5d2390cfbaac70db7bca0955437f4b34b1c277b06765d2bff816981a",
+    ('offset', 'ik --index offset.plcw --target=-18.39729861552091,-28.334221234231315,95.33683710952812 --metric euclidean'): "293c22da5d2390cfbaac70db7bca0955437f4b34b1c277b06765d2bff816981a",
+    ('offset', 'ik --index offset.plcw --target=-339.190180774428,-423.0018356874596,409.42097552125983'): "a583f671174e4ba3e7fc453b564ab66090b5f49ec53eb3d552d581fcf85c0633",
+    ('offset', 'ik --index offset.plcw --target=-339.190180774428,-423.0018356874596,409.42097552125983 --reference 7,5,6'): "a583f671174e4ba3e7fc453b564ab66090b5f49ec53eb3d552d581fcf85c0633",
+    ('offset', 'ik --index offset.plcw --target=-339.190180774428,-423.0018356874596,409.42097552125983 --seed 7'): "a583f671174e4ba3e7fc453b564ab66090b5f49ec53eb3d552d581fcf85c0633",
+    ('offset', 'ik --index offset.plcw --target=-339.190180774428,-423.0018356874596,409.42097552125983 --metric euclidean'): "a583f671174e4ba3e7fc453b564ab66090b5f49ec53eb3d552d581fcf85c0633",
+    ('offset', 'ik --index offset.plcw --target=45.86112298925286,322.48309582837965,472.4625931322828'): "024293006cb0c6b6ca6872ddf7838bcc9957c428f4d7c828831de33daa9b567a",
+    ('offset', 'ik --index offset.plcw --target=45.86112298925286,322.48309582837965,472.4625931322828 --reference 7,5,6'): "024293006cb0c6b6ca6872ddf7838bcc9957c428f4d7c828831de33daa9b567a",
+    ('offset', 'ik --index offset.plcw --target=45.86112298925286,322.48309582837965,472.4625931322828 --seed 7'): "024293006cb0c6b6ca6872ddf7838bcc9957c428f4d7c828831de33daa9b567a",
+    ('offset', 'ik --index offset.plcw --target=45.86112298925286,322.48309582837965,472.4625931322828 --metric euclidean'): "024293006cb0c6b6ca6872ddf7838bcc9957c428f4d7c828831de33daa9b567a",
+    ('default', 'ik --index default.plcw'): "b52ba39400937e1df3ab5fd1f4a1ca96695cf962df57d7e9c195fecb4ece0778",
+    ('default', 'ik --index default.plcw --target=0,0,60 --metric manhattan'): "18a00c9c518d878d8cebf829802881ad5d2dfbc8ef61c41e5ce4eaeaae21e638",
+    ('default', 'ik --index default.plcw --target=0,0,60 --reference 0,0'): "ca0a6aaf01c33aaa3e491893a3bccb98a7d046ac4d69dada5af6fcbefea6e27e",
+    ('default', 'ik --index default.plcw --target=nan,0,0'): "d6f8122de9b17b34895f5d048ee3d04940545581b3981d633b4dce454369a557",
+    ('offset', 'ik --index default.plcw --target=0,0,60'): "4474428259bb3e8b1ba625d296670857304c3946935fdc94fbd72a97a88a9f94",
+    ('default', 'ik --index missing.plcw --target=0,0,60'): "446077a43f94135105036bf92c7168378b1bd2fee91526a5bf9312701a7c7fa9",
+    ('default', 'stiffness curve --config 9,6,0,4,9 --direction=0.5392827535612847,-0.08760610962818438,0.10954986150037804 --tension 0'): "f182c4f9bcbe2c5e003dd79f4645939e3755f67f7897d5adf26eb44c1d4f262b",
+    ('default', 'stiffness curve --config 9,6,0,4,9 --direction=0.5392827535612847,-0.08760610962818438,0.10954986150037804 --tension 20'): "066e4bef10bc7a3184b2797eb57036d08236e1ffac28efffd4440ff6e45446f4",
+    ('default', 'stiffness curve --config 0,1,5,8,7 --direction=-0.8042778361825622,-0.2452641665015658,0.706318634716901 --tension 0'): "f182c4f9bcbe2c5e003dd79f4645939e3755f67f7897d5adf26eb44c1d4f262b",
+    ('default', 'stiffness curve --config 0,1,5,8,7 --direction=-0.8042778361825622,-0.2452641665015658,0.706318634716901 --tension 20'): "6153b360746d0edd5cd85eb60333dc3810c675f46d99322b33c24f657dd00e3e",
+    ('default', 'stiffness curve --config 7,6,0,4,9 --direction=0.444916415501142,-0.506879839511444,0.1590195568417203 --tension 0'): "f182c4f9bcbe2c5e003dd79f4645939e3755f67f7897d5adf26eb44c1d4f262b",
+    ('default', 'stiffness curve --config 7,6,0,4,9 --direction=0.444916415501142,-0.506879839511444,0.1590195568417203 --tension 20'): "13bda1a8069a6d0b36aebb63b55a1351117fe2ff3cc40252c1626fe6d17f7c90",
+    ('default', 'stiffness curve --config 0,0,0,0,0 --direction 1e-200,0,0 --tension 20'): "8f55977a53b83d6d5b3766303347a02b7901b7bb985b876784383138667cdc62",
+    ('default', 'stiffness curve --config 0,0,0,0,0 --direction 1,0,0'): "37b000e6ae585823aa2c3b795473407a829d715bd10630684f703f7c8e0f62a1",
+    ('default', 'stiffness curve --config 0,0,0,0,0 --direction 1,0,0 --tension 1e308'): "a42a14bfd612152571bdce7a1daeb657301369205a63b1f63dd73b6deeeeddce",
+    ('stiff', 'stiffness curve --config 0,0,0,0,0 --direction 1,0,0 --tension 20'): "fb49be0ed5a8938f65dd1fd3efec273c92cdcdb739d0a2b7fcede1e6494c0f99",
+    ('slack', 'stiffness curve --config 0,0,0,0,0 --direction 1,0,0 --tension 0'): "8c0b5ff526d309b03141e7649705b1b35528503449e086e8c637ba514b0f2e3a",
+    ('slack', 'stiffness curve --config 0,0,0,0,0 --direction 1,0,0 --tension 20'): "b1767b075802858a277bd5d3740f37cf89f85f345d32642297c3df4883f56862",
+    (None, 'normalize --designs builtin'): "0557a0829398168c5d68a036f1f12d675b46c7bcae13142719b4932213066d00",
+    (None, 'normalize --designs na.csv'): "bc28e05cdb62351dc23319dc1cf644a22744a1f3852e2d65b5d63cbf4d8dda44",
+    (None, 'normalize --designs overflow.csv'): "190648ec7e22f7147ef69f26ed5f9c0920c28beed372b7bff1453e2eef6a49df",
+    (None, 'normalize --designs columns.csv'): "a0b7ba058d944b8ed651b334b03e4cab8d94d15badab9815023ffb84cc67593d",
+}
+
+
+def test_command_outputs_keep_their_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the runs name their files by relative paths, which messages print
+    for name, text in DESIGNS_FILES.items():
+        Path(name).write_text(text)
+    for robot, text in COMMAND_ROBOTS.items():
+        if text != "default":
+            Path(f"{robot}.yaml").write_text(text)
+    points = {}
+    for robot in ("default", "offset"):
+        text = COMMAND_ROBOTS[robot]
+        desc = RobotDescription() if text == "default" else parse_robot_description(text)
+        index = workspace.enumerate_workspace(desc)
+        index.save(f"{robot}.plcw")
+        points[robot] = index.points
+    digests = {}
+    for robot, arguments in command_invocations(points):
+        argv = arguments.split()
+        if robot is not None:
+            argv += ["--robot", "default" if robot == "default" else f"{robot}.yaml"]
+        code, out, err = run(capsys, *argv)
+        digests[robot, arguments] = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+    assert digests == COMMAND_DIGESTS
+
+
 def test_stiffness_firm_direction(capsys):
     code, out, _ = run(
         capsys, "stiffness", "firm", "--robot", "default", "--config", "0,0,0,0,0",
@@ -1026,9 +1206,6 @@ def test_query_file_takes_one_header_line(capsys, tmp_path):
     assert_domain_error(code, err)
     assert "bad query row: 'foo,bar,baz'" in err
     assert out == ""
-
-
-OFFSET_ROBOT = "segment_count: 3\ntool_offset: [0, 0, 15]\n"
 
 
 def test_fk_tip_round_trips_through_ik(capsys, tmp_path):

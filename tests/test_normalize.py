@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -97,6 +98,38 @@ def test_build_comparison_sorting_and_na():
     assert len(single) == 1
     with pytest.raises(PlcError):
         build_comparison([])
+
+
+def test_build_comparison_returns_the_records_sorted():
+    rng = random.Random(35)
+    records = []
+    for i in range(60):
+        k_min = rng.choice([0.5, 1.0, rng.uniform(0.1, 10.0)])
+        k_max = k_min * rng.choice([1.0, 2.0, rng.uniform(1.0, 20.0)])  # x1 and x2 tie exactly
+        full = {"length": rng.uniform(10.0, 200.0), "radius": rng.uniform(1.0, 20.0)}
+        # half a geometry is no geometry: either field alone leaves both values None
+        geometry = rng.choice([{}, {"length": full["length"]}, {"radius": full["radius"]}, full])
+        records.append(DesignRecord(f"d{i}", k_max, k_min, **geometry))
+    assert len({rec.ratio for rec in records}) < len(records)
+    rows = build_comparison(iter(records))
+    # the input records themselves, by descending ratio, equal ratios in input order
+    position = {id(rec): i for i, rec in enumerate(records)}
+    assert [position[id(row)] for row in rows] == sorted(
+        range(len(records)), key=lambda i: (-records[i].ratio, i)
+    )
+    assert all(row is records[position[id(row)]] for row in rows)
+    for rec in records:
+        if rec.has_geometry:
+            for k, value in ((rec.k_max, rec.k_max_normalized), (rec.k_min, rec.k_min_normalized)):
+                assert value.hex() == normalize_stiffness(k, rec.length, rec.radius).hex()
+        else:
+            assert rec.k_max_normalized is None and rec.k_min_normalized is None
+    # both normalizations leave the float range: the call refuses the first
+    # in input order, although the sort would put it last
+    low = DesignRecord("low", 2e300, 1e300, length=1e100, radius=1.0)
+    high = DesignRecord("high", 1e300, 1.0, length=1e100, radius=1.0)
+    with pytest.raises(PlcError, match=r"out of the float range for 2e\+300, 1e\+100, 1\.0$"):
+        build_comparison([DesignRecord("fine", 2.0, 1.0), low, high])
 
 
 def test_builtin_designs_table():

@@ -16,7 +16,6 @@ from plc import (
     all_locked,
     plan_to,
     simulate,
-    simulate_step,
 )
 
 from conftest import desc_with
@@ -28,17 +27,17 @@ def random_config(rng, n, teeth=10):
 
 def test_lock_is_idempotent():
     state = all_locked(Configuration((0, 0, 0), 10))
-    assert simulate_step(state, Lock(2)) == state
-    unlocked = simulate_step(state, Unlock(2))
+    assert simulate(state, [Lock(2)]) == state
+    unlocked = simulate(state, [Unlock(2)])
     assert unlocked.unlocked_joints == (2,)
-    assert simulate_step(unlocked, Unlock(2)) == unlocked
+    assert simulate(unlocked, [Unlock(2)]) == unlocked
 
 
 def test_unlock_rotate_lock_trace():
     state = all_locked(Configuration((0, 0, 0, 0, 0), 10))
-    state = simulate_step(state, Unlock(3))
-    state = simulate_step(state, RotateShaft(2))
-    state = simulate_step(state, Lock(3))
+    state = simulate(state, [Unlock(3)])
+    state = simulate(state, [RotateShaft(2)])
+    state = simulate(state, [Lock(3)])
     assert state.config.indices == (0, 0, 2, 0, 0)
     assert state.unlocked_joints == ()
     # +2 teeth of a 10-tooth joint is a 72 degree turn
@@ -47,28 +46,28 @@ def test_unlock_rotate_lock_trace():
 
 def test_rotation_wraps_around():
     state = all_locked(Configuration((9,), 10))
-    state = simulate_step(state, Unlock(1))
-    state = simulate_step(state, RotateShaft(3))
+    state = simulate(state, [Unlock(1)])
+    state = simulate(state, [RotateShaft(3)])
     assert state.config.indices == (2,)
-    state = simulate_step(state, RotateShaft(-4))
+    state = simulate(state, [RotateShaft(-4)])
     assert state.config.indices == (8,)
 
 
 def test_rotation_requires_exactly_one_loosened_joint():
     locked = all_locked(Configuration((0, 0, 0), 10))
     with pytest.raises(PlcError, match="exactly one loosened joint"):
-        simulate_step(locked, RotateShaft(1))
-    two_open = simulate_step(simulate_step(locked, Unlock(1)), Unlock(2))
+        simulate(locked, [RotateShaft(1)])
+    two_open = simulate(simulate(locked, [Unlock(1)]), [Unlock(2)])
     with pytest.raises(PlcError, match="exactly one loosened joint"):
-        simulate_step(two_open, RotateShaft(1))
+        simulate(two_open, [RotateShaft(1)])
 
 
 def test_step_validation():
     state = all_locked(Configuration((0, 0), 10))
     with pytest.raises(InvariantError, match="joint"):
-        simulate_step(state, Unlock(0))
+        simulate(state, [Unlock(0)])
     with pytest.raises(InvariantError, match="joint"):
-        simulate_step(state, Lock(3))
+        simulate(state, [Lock(3)])
     with pytest.raises(InvariantError, match="integer pitch count"):
         RotateShaft(1.5)
 
@@ -110,7 +109,7 @@ def test_random_plans_reach_goal_without_double_unlock():
         steps = plan_to(desc, start, goal)
         state = all_locked(start)
         for step in steps:
-            state = simulate_step(state, step)
+            state = simulate(state, [step])
             assert len(state.unlocked_joints) <= 1
         assert state.config == goal
         assert state.unlocked_joints == ()
@@ -217,8 +216,6 @@ def test_simulate_is_the_reference_fold(data):
             assert got.config.tooth_count == teeth
             got = got.lock_flags, got.config.indices
         assert got == want
-    for step in schedule:
-        assert outcome(simulate_step, state, step) == outcome(simulate, state, (step,))
 
 
 def test_simulate_builds_one_state(monkeypatch):
@@ -244,5 +241,5 @@ def test_simulate_builds_one_state(monkeypatch):
     for empty in ([], (), iter([])):
         assert simulate(state, empty) is state
     assert built == {}
-    assert simulate_step(state, Lock(1)) == state
+    assert simulate(state, [Lock(1)]) == state
     assert built == {"JointState": 1}

@@ -10,6 +10,7 @@ import plc
 from plc import (
     ComplianceMatrix,
     Configuration,
+    DesignRecord,
     ForceDeflectionCurve,
     RigidTransform,
     RobotDescription,
@@ -114,6 +115,8 @@ def test_modules_define_one_way_to_do_each_job():
         "bellows_twist",
         "skin_twist",
     }
+    # one step is simulate(state, [step]), so the step rules are written once
+    assert functions_of(planner) == {"all_locked", "simulate", "plan_to"}
     assert "angle" not in vars(planner.RotateShaft)
 
 
@@ -144,7 +147,7 @@ def test_value_types_carry_only_what_the_library_reads():
         "spine_polar_inertia",
         "check_configuration",
     }
-    assert members_of(Configuration) == {"indices", "tooth_count", "__post_init__", "with_index"}
+    assert members_of(Configuration) == {"indices", "tooth_count", "__post_init__"}
     assert members_of(RigidTransform) == {
         "rotation",
         "translation",
@@ -168,6 +171,20 @@ def test_value_types_carry_only_what_the_library_reads():
         "top_force",
         "deflection",
     }
+    # the normalized extremes are derived, so no second record type carries them
+    assert members_of(DesignRecord) == {
+        "name",
+        "k_max",
+        "k_min",
+        "length",
+        "radius",
+        "__post_init__",
+        "has_geometry",
+        "ratio",
+        "k_max_normalized",
+        "k_min_normalized",
+    }
+    assert "ComparisonRow" not in vars(normalize)
     assert members_of(WorkspaceIndex) == {
         "__init__",
         "tree",

@@ -291,7 +291,8 @@ def test_index_checks_stay_within_the_load_estimate(tmp_path, point_count):
     # the arrays: the arrays and the marks are held at once, and the block
     # checks stay within _CHECK_BYTES
     path = tmp_path / "index.plcw"
-    WorkspaceIndex(desc, *arrays).save(path)
+    with open(path, "wb") as fh:  # save refuses an index of a caller's arrays
+        WorkspaceIndex(desc, *arrays)._write(fh)
     held = path.stat().st_size - _HEADER.size + 2**segment_count
     peak = traced_peak(lambda: WorkspaceIndex.load(path, desc))
     assert held <= peak <= held + _CHECK_BYTES
@@ -886,6 +887,31 @@ def test_save_load_round_trip(tmp_path, index_n3):
     assert np.array_equal(loaded.points, index_n3.points)
     assert np.array_equal(loaded.bucket_offsets, index_n3.bucket_offsets)
     assert np.array_equal(loaded.bucket_members, index_n3.bucket_members)
+
+
+def test_save_refuses_an_index_of_a_callers_arrays(tmp_path, monkeypatch):
+    # load trusts a file's points to be its first members' tool tips, which
+    # solve_ik answers with: these are not, so this index walks its third
+    # bucket for (10, 0, 5), where a saved and loaded copy would answer the
+    # stored point with error 0
+    desc = desc_with(segment_count=1)
+    points = [[0.0, 0.0, 0.0], [5.0, 0.0, 5.0], [10.0, 0.0, 5.0]]
+    index = WorkspaceIndex(desc, points, [0, 1, 2, 10], np.arange(10))
+    solution = solve_ik(index, desc, [10.0, 0.0, 5.0], Configuration((0,), 10))
+    assert solution.position_error > 20.0
+    opened = []
+    monkeypatch.setattr(workspace, "atomic_open", lambda *args, **kwargs: opened.append(args))
+    with pytest.raises(InvariantError, match="only an enumerated or loaded index can be saved"):
+        index.save(tmp_path / "hand.plcw")
+    assert opened == []  # refused before any file is opened
+    monkeypatch.undo()
+    with pytest.raises(InvariantError):
+        index.save(tmp_path / "hand.plcw")
+    assert list(tmp_path.iterdir()) == []  # no file, and no temporary file
+    # an enumerated index saves, and so does a loaded one, with the same bytes
+    enumerate_workspace(desc).save(tmp_path / "built.plcw")
+    WorkspaceIndex.load(tmp_path / "built.plcw", desc).save(tmp_path / "loaded.plcw")
+    assert (tmp_path / "built.plcw").read_bytes() == (tmp_path / "loaded.plcw").read_bytes()
 
 
 def test_failed_save_leaves_nothing_behind(tmp_path, index_n2, monkeypatch):
