@@ -7,10 +7,11 @@ prints through one writer, ``_emit``: a command that prints a few lines
 passes them as a list, and the whole-table printers (``workspace export``,
 ``workspace omnivariance --local``, ``stiffness firm --sphere``) pass
 ``_table``, a generator that formats ``_ROWS`` rows at a time straight from
-the arrays, so a table's text is never held whole.  Every check runs before
-the first line is written.  File outputs are written to a temporary file
-and renamed, so failed runs never leave partial files behind.  A reader
-that closes stdout early (``| head``) is an I/O error, exit 3.
+the arrays, so a table's text is never held whole.  ``workspace accuracy``
+reads its query file ``_ROWS`` rows at a time in the same way.  Every check
+runs before the first line is written.  File outputs are written to a
+temporary file and renamed, so failed runs never leave partial files behind.
+A reader that closes stdout early (``| head``) is an I/O error, exit 3.
 
 Each command imports the library modules it runs when it runs, and numpy
 only where it builds an array: ``fk``, ``stiffness firm --direction`` and
@@ -28,7 +29,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .files import INDEX_FORMAT_VERSION, MAX_DOCUMENT_BYTES, atomic_open, read_text
+from .files import INDEX_FORMAT_VERSION, MAX_DOCUMENT_BYTES, atomic_open, read_lines, read_text
 from .model import (
     METRICS,
     Configuration,
@@ -53,7 +54,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# rows per block of a whole-table printer: bounds the text it holds at once
+# rows per block of a whole-table printer and of the query reader: bounds
+# the text and the rows each holds at once
 _ROWS = 1 << 16
 
 
@@ -160,30 +162,36 @@ def _load_or_build_index(desc: RobotDescription, args) -> WorkspaceIndex:
     return _build_index(desc, cache)
 
 
-def _read_queries(path) -> np.ndarray:
-    import numpy as np
-
-    rows, lines = [], 0
-    for line in read_text(path).split("\n"):
+def _read_queries(path):
+    """The query rows (x, y, z) of the file at ``path``, in blocks of
+    ``_ROWS`` rows read from a stream, so the file is never held whole; a
+    bad row is refused when its block is read."""
+    block, rows, lines = [], 0, 0
+    for line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         lines += 1
         parts = line.split(",")
         try:
-            row = [float(p) for p in parts[:3]]
+            row = list(map(float, parts[:3]))
         except ValueError:
             if lines > 1:
                 raise PlcError(f"bad query row: {line!r}") from None
             continue  # a header: the first line that is not blank or a comment
-        if len(row) != 3:
+        if len(parts) != 3:
             raise PlcError(f"query rows must have 3 columns (x,y,z), got {line!r}")
-        if not all(math.isfinite(v) for v in row):
+        if not all(map(math.isfinite, row)):
             raise PlcError(f"query coordinates must be finite, got {line!r}")
-        rows.append(row)
+        block.append(row)
+        rows += 1
+        if len(block) == _ROWS:
+            yield block
+            block = []
     if not rows:
         raise PlcError("query file contains no points")
-    return np.array(rows)
+    if block:
+        yield block
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -256,8 +264,10 @@ def _cmd_workspace_accuracy(args) -> int:
 
     desc = _load_description(args)
     index = _load_or_build_index(desc, args)
-    queries = _read_queries(args.queries)
-    _emit(args, [_fmt(reach_accuracy(index, queries))])
+    # sqrt is monotone and correctly rounded, so the largest of the blocks'
+    # accuracies is the whole file's
+    worst = max(reach_accuracy(index, block) for block in _read_queries(args.queries))
+    _emit(args, [_fmt(worst)])
     return EXIT_OK
 
 

@@ -5,6 +5,7 @@ This module imports no numpy, so a command that only writes text (``plan
 """
 from __future__ import annotations
 
+import codecs
 import errno
 import os
 import tempfile
@@ -33,20 +34,18 @@ def _naming(exc: OSError, path: Path) -> OSError:
     return OSError(exc.errno, exc.strerror, str(path))
 
 
-def read_text(path, max_bytes: int | None = None) -> str:
+def read_text(path, max_bytes: int) -> str:
     """The text of the UTF-8 file at ``path``, with universal newlines and
     without a leading byte order mark, which would otherwise turn a first
     row of numbers or a header into text that no column name matches.
 
-    A file that is not UTF-8, or that holds more than ``max_bytes`` bytes
-    where that is given, is refused with a :class:`PlcError` naming it.  The
-    size is checked before the file is read, and a file whose size the
-    system does not report (a pipe) is read no further than the cap.
+    A file that is not UTF-8, or that holds more than ``max_bytes`` bytes, is
+    refused with a :class:`PlcError` naming it.  The size is checked before
+    the file is read, and a file whose size the system does not report (a
+    pipe) is read no further than the cap.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            if max_bytes is None:
-                return fh.read()
             if os.fstat(fh.fileno()).st_size <= max_bytes:
                 text = fh.read(max_bytes + 1)  # a character takes at least a byte
                 if len(text) <= max_bytes:
@@ -54,6 +53,33 @@ def read_text(path, max_bytes: int | None = None) -> str:
             raise PlcError(f"{path} holds more than {max_bytes} bytes, the most this file may hold")
     except UnicodeDecodeError as exc:
         raise PlcError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_lines(path):
+    """The lines of the UTF-8 file at ``path``, one at a time, as
+    ``read_text`` reads its text: universal newlines, no leading byte order
+    mark, and no cap on the file's size, since only one line is held at a
+    time.
+
+    A byte that is not UTF-8 is refused where the reader meets it, with the
+    message a whole read gives, which counts the byte's position from the
+    start of the text.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        bom = len(codecs.BOM_UTF8) if fh.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            # the decoder saw the bytes left from the last chunk and the
+            # next chunk, which ends where the file's position now is
+            at = fh.buffer.tell() - len(exc.object) - bom + exc.start
+            bad = exc.object[exc.start : exc.end]
+            if len(bad) == 1:
+                where = f"byte 0x{bad[0]:02x} in position {at}"
+            else:
+                where = f"bytes in position {at}-{at + len(bad) - 1}"
+            reason = f"{exc.encoding!r} codec can't decode {where}: {exc.reason}"
+            raise PlcError(f"{path} is not UTF-8 text: {reason}") from None
 
 
 @contextmanager

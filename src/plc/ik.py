@@ -13,16 +13,16 @@ taken with Python ``divmod``; only an unseeded choice among several
 candidates forms the candidates' digits as an array to score them.  The
 achieved position is the tool tip of the chosen configuration, bit for bit
 what :func:`~plc.kinematics.tool_position` walks.  When the choice is the
-bucket's first configuration on an index that ``enumerate_workspace`` built
-or ``WorkspaceIndex.load`` read, it is read from the stored point, which is
-that tip on any host and at any tool offset; any other choice, or any choice
-on a hand-built index, walks the chain.  The error is the correctly rounded
-square root of the workspace's one squared distance, ``(dx dx + dz dz) + dy
-dy`` in Python floats, for the offset ``d`` from the target: the expression
-that the nearest-point scan and :func:`~plc.workspace.reach_accuracy` run on
-numpy columns.  So it makes no BLAS call, has the same bits under every
-kernel, and equals ``reach_accuracy`` of the target bit for bit whenever the
-answer is the stored point.
+bucket's first configuration, it is read from the stored point, which is
+that tip on any host and at any tool offset (every index is a build or a
+file that ``WorkspaceIndex.load`` checked); any other choice walks the
+chain.  The error is the correctly rounded square root of the workspace's
+one squared distance, ``(dx dx + dz dz) + dy dy`` in Python floats, for the
+offset ``d`` from the target: the expression that the nearest-point scan and
+:func:`~plc.workspace.reach_accuracy` run on numpy columns.  So it makes no
+BLAS call, has the same bits under every kernel, and equals
+``reach_accuracy`` of the target bit for bit whenever the answer is the
+stored point.
 """
 from __future__ import annotations
 
@@ -79,9 +79,8 @@ def solve_ik(
     reference-based choice with a seeded uniform pick over the candidates.
 
     ``achieved_position`` is the chosen configuration's ``tool_position``:
-    a copy of the stored point when it is the bucket's first configuration
-    on an index that ``enumerate_workspace`` built or ``load`` read, at any
-    tool offset, else a walk of the chain.  The chosen indices come from its
+    a copy of the stored point when it is the bucket's first configuration,
+    at any tool offset, else a walk of the chain.  The chosen indices come from its
     rank in Python ints, and ``position_error`` is ``math.sqrt`` of the
     offset's squared length, ``(dx dx + dz dz) + dy dy`` in Python floats:
     the expression ``reach_accuracy`` runs on numpy columns, so the same bits
@@ -114,7 +113,7 @@ def solve_ik(
         best = int(np.argmin(scores))
 
     config = Configuration(_rank_indices(int(ranks[best]), desc), desc.tooth_count)
-    if best == 0 and index._points_are_tips:
+    if best == 0:
         achieved = index.points[g].copy()  # the first configuration's tip
     else:
         achieved = tool_position(desc, config)

@@ -30,12 +30,12 @@ on Python floats for the ``ik`` error.  So scan and tree agree bit for bit,
 ``ik`` error of a stored point, on every host.  Building and saving an index
 need neither.
 
+An index comes from :func:`enumerate_workspace` or from a file that
+:meth:`WorkspaceIndex.load` has checked; there is no other way to make one.
 Each stored point is, bit for bit, the :func:`~plc.kinematics.tool_position`
 of its bucket's first configuration, on any host and at any tool offset,
-because the FK is written in one order of plain float operations.  An index
-that :func:`enumerate_workspace` builds or :meth:`WorkspaceIndex.load` reads
-is marked so, and ``solve_ik`` answers that configuration with the stored
-point; a hand-built index holds the caller's points and is not marked.
+because the FK is written in one order of plain float operations, so
+``solve_ik`` answers that configuration with the stored point.
 
 The bucket offsets and members are held as uint32, in memory and in the
 ``.plcw`` file (format 4): a build refuses 2**32 configurations or more, and
@@ -122,11 +122,12 @@ KEY_CELL = 1e-6
 SCAN_BUDGET = 4_000_000
 _SCAN_ROWS = 1 << 16  # rows per scan block, neighbors per local block: bounds transient memory
 _UNMEASURABLE = "a target is non-finite or too far away to measure"
-#: Memory the index constructor's checks hold beyond the arrays, bytes, at
-#: any point count: they run one block of rows at a time, and the key check's
-#: scaled floats and int64 keys set the peak (``tracemalloc``: 48.0 B per row).
-#: ``load``'s member check holds one bool per rank beside it, charged apart,
-#: and its blocks of uint32 members stay within it (6 B per member).
+#: Memory ``load``'s array checks (``_check_arrays``) hold beyond the arrays,
+#: bytes, at any point count: they run one block of rows at a time, and the
+#: key check's scaled floats and int64 keys set the peak (``tracemalloc``:
+#: 48.0 B per row).  Its member check holds one bool per rank beside it,
+#: charged apart, and its blocks of uint32 members stay within it (6 B per
+#: member).
 _CHECK_BYTES = 50 * (_SCAN_ROWS + 1)
 
 #: Most neighbors (K x point count) ``local_omnivariance`` gathers: run time
@@ -201,6 +202,33 @@ def configuration_from_rank(rank, desc: RobotDescription) -> np.ndarray:
     return (rank[..., None] // powers) % teeth
 
 
+def _check_arrays(points: np.ndarray, offsets: np.ndarray, members: np.ndarray) -> None:
+    """Refuse index arrays that break the invariants ``WorkspaceIndex``
+    states: (G, 3) points, G + 1 offsets that span the members, no empty
+    bucket, finite points in strictly ascending key order.
+
+    The rows are checked one block of ``_SCAN_ROWS`` at a time, within
+    ``_CHECK_BYTES``.
+    """
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise InvariantError("points must have shape (G, 3)")
+    if offsets.shape != (points.shape[0] + 1,):
+        raise InvariantError("bucket_offsets must have G + 1 entries")
+    if offsets[0] != 0 or offsets[-1] != members.shape[0]:
+        raise InvariantError("bucket_offsets must span bucket_members exactly")
+    # in blocks that overlap by one row, so every neighbouring pair is
+    # compared and no check holds more than one block
+    for lo in range(0, points.shape[0], _SCAN_ROWS):
+        block = offsets[lo : lo + _SCAN_ROWS + 1]
+        if np.any(block[1:] <= block[:-1]):
+            raise InvariantError("every reachable point needs >= 1 configuration")
+        block = points[lo : lo + _SCAN_ROWS + 1]
+        if not np.isfinite(block).all():
+            raise InvariantError("points must be finite")
+        if not _strictly_ascending(position_key(block)):
+            raise InvariantError("points must be in strictly ascending key order")
+
+
 def _members_are_ranks(offsets: np.ndarray, members: np.ndarray) -> bool:
     """Whether ``members`` (M,) holds each rank of ``[0, M)`` once and
     ascends strictly within each bucket that ``offsets`` bounds.
@@ -228,16 +256,6 @@ def _members_are_ranks(offsets: np.ndarray, members: np.ndarray) -> bool:
     return bool(seen.all())  # M ranks in range, none missing: each once
 
 
-def _as_uint32(values, name: str) -> np.ndarray:
-    """``values`` as a contiguous uint32 array, refused if a value lies
-    outside [0, 2**32), where the cast would wrap."""
-    values = np.asarray(values)
-    if values.dtype != np.uint32 and values.size:
-        if not (values.min() >= 0 and values.max() < 2**32):
-            raise InvariantError(f"{name} must lie in [0, 2**32)")
-    return np.ascontiguousarray(values, dtype=np.uint32)
-
-
 def _rank_indices(rank: int, desc: RobotDescription) -> tuple[int, ...]:
     """Joint indices of one enumeration rank as a tuple of Python ints: the
     digits ``configuration_from_rank`` gives, by ``divmod`` from the last joint."""
@@ -251,19 +269,20 @@ class WorkspaceIndex:
     """Reachable-point set with nearest-point queries and, per point, the
     enumeration ranks of the configurations that reach it.
 
-    points:          (G, 3) distinct, finite reachable tool-tip positions, one
-                     per key, in strictly ascending key order (both checked, so
-                     a misordered or non-finite file is refused); each is the
-                     tip position of the first configuration (in canonical
-                     order) that produced the key.
+    points:          (G, 3) float64 distinct, finite reachable tool-tip
+                     positions, one per key, in strictly ascending key order;
+                     each is the tip position of the first configuration (in
+                     canonical order) that produced the key.
     bucket_offsets:  (G + 1,) uint32 slice bounds into bucket_members.
     bucket_members:  (M,) uint32 enumeration ranks grouped per point, each
                      group in canonical (ascending) order.
 
-    Both integer arrays are held as uint32, the widths of the file: a build
-    refuses 2**32 configurations or more, so every offset and rank fits.  A
-    caller's array of another dtype is cast, and refused if a value lies
-    outside [0, 2**32), so the cast never wraps.
+    Made only by :func:`enumerate_workspace`, whose arrays hold all this by
+    construction, and by :meth:`load`, which checks a file's arrays for it
+    (``_check_arrays`` and ``_members_are_ranks``); the constructor holds the
+    arrays as they are.  Both integer arrays are uint32, the widths of the
+    file: a build refuses 2**32 configurations or more, so every offset and
+    rank fits.
     """
 
     def __init__(
@@ -273,26 +292,6 @@ class WorkspaceIndex:
         bucket_offsets: np.ndarray,
         bucket_members: np.ndarray,
     ):
-        points = np.ascontiguousarray(points, dtype=float)
-        bucket_offsets = _as_uint32(bucket_offsets, "bucket_offsets")
-        bucket_members = _as_uint32(bucket_members, "bucket_members")
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise InvariantError("points must have shape (G, 3)")
-        if bucket_offsets.shape != (points.shape[0] + 1,):
-            raise InvariantError("bucket_offsets must have G + 1 entries")
-        if bucket_offsets[0] != 0 or bucket_offsets[-1] != bucket_members.shape[0]:
-            raise InvariantError("bucket_offsets must span bucket_members exactly")
-        # in blocks that overlap by one row, so every neighbouring pair is
-        # compared and no check holds more than one block
-        for lo in range(0, points.shape[0], _SCAN_ROWS):
-            offsets = bucket_offsets[lo : lo + _SCAN_ROWS + 1]
-            if np.any(offsets[1:] <= offsets[:-1]):
-                raise InvariantError("every reachable point needs >= 1 configuration")
-            block = points[lo : lo + _SCAN_ROWS + 1]
-            if not np.isfinite(block).all():
-                raise InvariantError("points must be finite")
-            if not _strictly_ascending(position_key(block)):
-                raise InvariantError("points must be in strictly ascending key order")
         for arr in (points, bucket_offsets, bucket_members):
             arr.setflags(write=False)
         self.desc = desc
@@ -300,9 +299,6 @@ class WorkspaceIndex:
         self.bucket_offsets = bucket_offsets
         self.bucket_members = bucket_members
         self._scanned = 0  # point distances scanned so far, up to SCAN_BUDGET
-        # whether each point is its bucket's first tool tip: set by
-        # enumerate_workspace and load, not for points a caller hands in
-        self._points_are_tips = False
 
     @functools.cached_property
     def tree(self):
@@ -384,15 +380,7 @@ class WorkspaceIndex:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the index to ``path`` atomically.
-
-        Refused, before any file is opened, for an index that neither
-        :func:`enumerate_workspace` built nor :meth:`load` read: ``load``
-        trusts a file's points to be its first members' tool tips, which a
-        caller's points need not be.
-        """
-        if not self._points_are_tips:
-            raise InvariantError("only an enumerated or loaded index can be saved")
+        """Write the index to ``path`` atomically."""
         with atomic_open(path) as fh:
             self._write(fh)
 
@@ -419,16 +407,18 @@ class WorkspaceIndex:
         """Read an index that :meth:`save` wrote for ``desc``.
 
         The header must match ``desc`` and the file size the header, and a
-        file whose arrays, with the constructor's checks and the member check's
-        M bytes, would need more than the available memory is refused before
-        anything is read.  The constructor's checks hold, and the bucket
-        members must be each enumeration rank once, ascending within each
-        bucket: ``solve_ik`` takes joint indices from any uint32 rank, so a
-        wrong one would answer a configuration that does not reach its point.
+        file whose arrays, with ``_check_arrays``' blocks and the member
+        check's M bytes, would need more than the available memory is refused
+        before anything is read.  The arrays must pass ``_check_arrays``, and
+        the bucket members must be each enumeration rank once, ascending
+        within each bucket: ``solve_ik`` takes joint indices from any uint32
+        rank, so a wrong one would answer a configuration that does not reach
+        its point.
 
         A file's points are trusted to be its first members' tool tips, as
         ``solve_ik`` answers a bucket's first configuration with its stored
-        point: the library writes no other kind of file (see :meth:`save`).
+        point: the library writes no other kind of file, since every index is
+        a build or a file that passed these checks.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -463,14 +453,14 @@ class WorkspaceIndex:
                 if arrays[-1].shape[0] != count:  # the file shrank after fstat
                     raise PlcError(f"index file {path} is truncated or padded")
         points, offsets, members = arrays
-        index = cls(desc, points.reshape(points_n, 3), offsets, members)
-        if not _members_are_ranks(index.bucket_offsets, index.bucket_members):
+        points = points.reshape(points_n, 3)
+        _check_arrays(points, offsets, members)
+        if not _members_are_ranks(offsets, members):
             raise PlcError(
                 f"index file {path} has bucket members that are not each rank 0 to "
                 f"{configs_n - 1} once, ascending within each bucket"
             )
-        index._points_are_tips = True
-        return index
+        return cls(desc, points, offsets, members)
 
 
 def _field_bytes(path: str, field: str) -> int | None:
@@ -569,10 +559,7 @@ def enumerate_workspace(desc: RobotDescription) -> WorkspaceIndex:
     del positions  # freed first, so the casts to the index's widths add nothing to the peak
     offsets = np.append(starts, count).astype(np.uint32)
     members = order.astype(np.uint32)
-    del starts, order  # freed before the index checks the points' keys
-    index = WorkspaceIndex(desc, points, offsets, members)
-    index._points_are_tips = True
-    return index
+    return WorkspaceIndex(desc, points, offsets, members)
 
 
 def _sort_and_group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
 import copy
 import dataclasses
 import functools
+import os
+import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from plc import RobotDescription, WorkspaceIndex, enumerate_workspace
@@ -44,6 +47,31 @@ def write_sparse_index(path, desc: RobotDescription, point_count: int) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.truncate(_HEADER.size + point_count * 24 + (point_count + 1) * 4 + count * 4)
+
+
+def load_arrays(desc: RobotDescription, points, offsets, members) -> WorkspaceIndex:
+    """``WorkspaceIndex.load`` of a ``.plcw`` file that holds ``desc``'s
+    header and these arrays, as float64 and uint32: the one way a test makes
+    an index of arrays it chose, so every such index has passed ``load``'s
+    checks, and a test of those checks gets load's exception."""
+    points = np.ascontiguousarray(points, dtype="<f8")
+    header = _HEADER.pack(
+        b"PLCW",
+        INDEX_FORMAT_VERSION,
+        description_digest(desc),
+        desc.segment_count,
+        desc.tooth_count,
+        points.shape[0],
+        len(members),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.plcw")
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(points)
+            fh.write(np.ascontiguousarray(offsets, dtype="<u4"))
+            fh.write(np.ascontiguousarray(members, dtype="<u4"))
+        return WorkspaceIndex.load(path, desc)
 
 
 @functools.cache

@@ -17,12 +17,13 @@ from plc import (
     tool_position,
     workspace,
 )
+from plc import cli, workspace
 from plc.cli import _fmt, _force_grid, main
 from plc.files import INDEX_FORMAT_VERSION, MAX_DOCUMENT_BYTES
 from plc.stiffness import stiffness_map
 from plc.workspace import _HEADER, BYTES_PER_CONFIGURATION, BYTES_PER_TOOTH
 
-from conftest import desc_with, write_sparse_index
+from conftest import desc_with, traced_peak, write_sparse_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ROBOT = "segment_count: 2\n"
@@ -1024,6 +1025,25 @@ def test_input_files_that_are_not_utf8_are_refused(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(bad))
     assert_domain_error(code, err)
     assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("at", [6, 8191, 8192, 30000])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x28", b"\xf0\x90\x80"])
+def test_a_bad_byte_in_the_query_stream_is_placed_in_the_whole_text(capsys, tmp_path, bom, at, bad):
+    # the query file is decoded a chunk at a time, on either side of the
+    # first chunk's edge and far past it, but the message gives the bad
+    # bytes' position in the whole text, as a whole read does; the last
+    # case is a truncated sequence at the end of the file
+    rows = ("1,2,3\n" * (at // 6 + 1)).encode()[:at]
+    data = bom + rows + bad
+    queries = tmp_path / "queries.csv"
+    queries.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8-sig")
+    code, out, err = run(capsys, "workspace", "accuracy", "--robot", robot_file(tmp_path), "--queries", str(queries))
+    assert (code, out) == (2, "")
+    assert err == f"error: {queries} is not UTF-8 text: {whole.value}\n"
     assert out == ""
 
 
@@ -1171,7 +1191,14 @@ def test_stiffness_rejects_non_finite_direction(capsys):
 
 
 @pytest.mark.parametrize(
-    "body", ["x,y,z\n1,2,3\n4,5\n", "x,y,z\n1,2\n3,4,5\n", "1,2,3\nnan,0,0\n"]
+    "body",
+    [
+        "x,y,z\n1,2,3\n4,5\n",
+        "x,y,z\n1,2\n3,4,5\n",
+        "1,2,3\nnan,0,0\n",
+        "x,y,z\n1,2,3,4\n",  # a fourth field is not ignored
+        "1,2,3,\n",  # nor is an empty one after a trailing comma
+    ],
 )
 def test_workspace_accuracy_rejects_bad_query_rows(capsys, tmp_path, body):
     robot = robot_file(tmp_path)
@@ -1206,6 +1233,68 @@ def test_query_file_takes_one_header_line(capsys, tmp_path):
     assert_domain_error(code, err)
     assert "bad query row: 'foo,bar,baz'" in err
     assert out == ""
+
+
+def test_query_file_is_read_in_blocks(capsys, tmp_path, monkeypatch):
+    robot = robot_file(tmp_path)
+    queries = tmp_path / "queries.csv"
+    accuracy = ["workspace", "accuracy", "--robot", robot, "--queries", str(queries)]
+    # ten rows, the farthest in the last block of three
+    rows = [f"{x},{-x / 2},{40 - x}" for x in range(0, 90, 10)] + ["500,0,0"]
+    body = "# targets\nx,y,z\n" + "\n".join(rows) + "\n"
+    queries.write_text(body)
+    whole = run(capsys, *accuracy)
+    assert whole[0] == 0 and float(whole[1]) > 400.0
+    blocks = []
+    reach_accuracy = workspace.reach_accuracy
+
+    def measured(index, block):
+        blocks.append(len(block))
+        return reach_accuracy(index, block)
+
+    monkeypatch.setattr(workspace, "reach_accuracy", measured)
+    monkeypatch.setattr(cli, "_ROWS", 3)
+    # the header takes no row of the first block, and the largest of the
+    # blocks' accuracies prints the bytes of a one-block read
+    assert run(capsys, *accuracy) == whole
+    assert blocks == [3, 3, 3, 1]
+    # the header is counted once: the same line as the first of the second
+    # block is a bad row, as is a short one, and either prints nothing after
+    # the block before it
+    for bad in ("x,y,z", "1,2"):
+        blocks.clear()
+        queries.write_text("x,y,z\n" + "\n".join([*rows[:3], bad, *rows[3:]]) + "\n")
+        code, out, err = run(capsys, *accuracy)
+        assert_domain_error(code, err)
+        assert bad in err
+        assert out == ""
+        assert blocks == [3]
+
+
+def test_query_reader_peak_does_not_grow_with_the_rows(capsys, tmp_path, monkeypatch):
+    # a whole-file read held about 265 B per row.  The blocks are cut to
+    # 1024 rows, so 10**4 and 5 * 10**4 rows are 10 and 49 of them: a row
+    # costs 20-40 us under tracemalloc, so 65,536-row blocks would need
+    # 10**6 rows and 20 s or more to show as many
+    monkeypatch.setattr(cli, "_ROWS", 2**10)
+    # 9,951 points: a block's queries pass SCAN_BUDGET, so both files take
+    # the k-d tree from their first block.  The scipy import is a one-off,
+    # not the reader's, so it comes first
+    import scipy.spatial  # noqa: F401
+
+    robot = robot_file(tmp_path, "segment_count: 4\n")
+    index = tmp_path / "ws.plcw"
+    assert run(capsys, "workspace", "build", "--robot", robot, "--out", str(index))[0] == 0
+    peaks, codes = [], []
+    for count in (10**4, 5 * 10**4):
+        queries = tmp_path / f"{count}.csv"
+        queries.write_text("".join(f"{i % 97},{i % 89 - 40},{i % 83}\n" for i in range(count)))
+        argv = ["workspace", "accuracy", "--robot", robot, "--index", str(index), "--queries", str(queries)]
+        peaks.append(traced_peak(lambda: codes.append(main(argv))))
+    small, large = peaks
+    assert codes == [0, 0]
+    assert large <= 1.05 * small
+    assert large < 265 * 10**4  # below a whole read of the smaller file
 
 
 def test_fk_tip_round_trips_through_ik(capsys, tmp_path):

@@ -17,6 +17,7 @@ from plc import (
     ik,
     kinematics,
     solve_ik,
+    workspace,
 )
 from plc.ik import configuration_distance
 from plc.model import InvariantError
@@ -30,7 +31,7 @@ from _oracles import (
     quantize,
     tip_position,
 )
-from conftest import desc_with
+from conftest import desc_with, load_arrays
 
 
 def bucket_of_size(index, minimum):
@@ -41,12 +42,16 @@ def bucket_of_size(index, minimum):
 
 
 def redundant_index(members_per_bucket):
-    """Single-joint robot index with hand-chosen redundant buckets."""
+    """Single-joint, 10-tooth robot index with hand-chosen redundant buckets,
+    each in ascending rank order, at (10 (g + 1), 0, 5), and one more point
+    after them holding every rank they leave out."""
     desc = desc_with(segment_count=1)
-    points = np.array([[10.0 * (g + 1), 0.0, 5.0] for g in range(len(members_per_bucket))])
-    members = [rank for bucket in members_per_bucket for rank in bucket]
-    offsets = np.cumsum([0] + [len(b) for b in members_per_bucket])
-    return WorkspaceIndex(desc, points, offsets, np.array(members, dtype=np.int64))
+    buckets = [sorted(bucket) for bucket in members_per_bucket]
+    chosen = {rank for bucket in buckets for rank in bucket}
+    buckets.append([rank for rank in range(desc.tooth_count) if rank not in chosen])
+    points = [[10.0 * (g + 1), 0.0, 5.0] for g in range(len(buckets))]
+    offsets = np.cumsum([0] + [len(bucket) for bucket in buckets])
+    return load_arrays(desc, points, offsets, [rank for bucket in buckets for rank in bucket])
 
 
 def member(index, g, k=0):
@@ -227,33 +232,6 @@ def test_first_member_answers_from_the_stored_point(index_n4, walks):
     assert_walked(solution, desc)
 
 
-def test_hand_built_index_walks_the_chain(walks):
-    # hand-chosen points that are no configuration's tip
-    index = redundant_index([[3], [1, 7], [0, 4, 9]])
-    for point in index.points:
-        for options in OPTIONS:
-            solution = solve_ik(index, index.desc, point, Configuration((5,), 10), **options)
-            assert_walked(solution, index.desc)
-    assert len(walks) == len(index.points) * len(OPTIONS)
-
-
-@pytest.mark.parametrize("nudged", [slice(None), slice(-1, None)])
-def test_nudged_index_walks_the_chain(index_n4, nudged, walks):
-    # every point, or only the last, one ulp off its tip: an index built from
-    # arrays a caller hands in is not taken to store tips, even when they
-    # are an enumeration's arrays
-    points = index_n4.points.copy()
-    points[nudged] = np.nextafter(points[nudged], np.inf)
-    index = WorkspaceIndex(index_n4.desc, points, index_n4.bucket_offsets, index_n4.bucket_members)
-    rng = np.random.default_rng(61)
-    rows = [index.point_count - 1, *rng.choice(index.point_count, 200, replace=False).tolist()]
-    for g in rows:
-        for options in OPTIONS:
-            solution = solve_ik(index, index.desc, points[g], Configuration((0, 0, 0, 0), 10), **options)
-            assert_walked(solution, index.desc)
-    assert len(walks) == len(rows) * len(OPTIONS)
-
-
 OFFSET_ROBOT = desc_with(segment_count=4, tool_offset=(3.0, -2.0, 15.0))
 
 
@@ -350,13 +328,34 @@ def test_format_4_holds_the_values_of_format_3(index_n5, index_n4_45deg, index_o
 def test_every_stored_point_is_its_first_members_walk(fixture, sample, request):
     # what solve_ik answers from the stored point, at any tool offset
     index = request.getfixturevalue(fixture)
-    assert index._points_are_tips
     rows = range(index.point_count)
     if sample is not None:
         rows = np.random.default_rng(67).choice(index.point_count, sample, replace=False).tolist()
     for g in rows:
         walked = kinematics.tool_position(index.desc, member(index, g))
         assert walked.tobytes() == index.points[g].tobytes()
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "index_n2",
+        "index_n3",
+        "index_n4",
+        "index_n5",
+        "index_n4_45deg",
+        "index_offset",
+        "index_one_joint_offset",
+    ],
+)
+def test_the_builds_arrays_pass_the_checks_load_runs(fixture, request):
+    # the constructor checks nothing, and solve_ik answers from the stored
+    # points, so a build must hold what load checks in a file
+    index = request.getfixturevalue(fixture)
+    workspace._check_arrays(index.points, index.bucket_offsets, index.bucket_members)
+    assert workspace._members_are_ranks(index.bucket_offsets, index.bucket_members)
+    assert index.points.dtype == np.float64
+    assert index.bucket_offsets.dtype == index.bucket_members.dtype == np.uint32
 
 
 @pytest.fixture(scope="module")

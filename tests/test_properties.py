@@ -2,6 +2,7 @@
 oracle, the scalar chain walk against the batched enumeration bit for bit,
 every enumerated tool tip inside its bucket's key cell, and the same nearest
 point from the exact scan and from the k-d tree."""
+import copy
 import dataclasses
 import math
 from unittest import mock
@@ -17,7 +18,7 @@ from plc import (
 )
 from plc import kinematics
 from plc.kinematics import _stepped, _unit_row, tip_positions
-from plc.workspace import KEY_CELL, WorkspaceIndex, configuration_from_rank
+from plc.workspace import KEY_CELL, _check_arrays, _members_are_ranks, configuration_from_rank
 
 from _oracles import all_tips, fk_matrix, quantize
 from conftest import desc_with
@@ -149,10 +150,19 @@ def test_every_tip_lies_in_its_bucket_cell(desc):
 
 
 @checked
+@given(robots)
+def test_the_builds_arrays_pass_the_checks_load_runs(desc):
+    # the constructor checks nothing, so a build must hold what load checks
+    index = enumerate_workspace(desc)
+    _check_arrays(index.points, index.bucket_offsets, index.bucket_members)
+    assert _members_are_ranks(index.bucket_offsets, index.bucket_members)
+
+
+@checked
 @given(robots, st.data())
 def test_scan_and_tree_find_the_same_nearest_point(desc, data):
     scanning = enumerate_workspace(desc)
-    treed = WorkspaceIndex(desc, scanning.points, scanning.bucket_offsets, scanning.bucket_members)
+    treed = copy.copy(scanning)
     treed.tree
     points = scanning.points
     g = st.integers(0, scanning.point_count - 1)

@@ -93,7 +93,8 @@ def test_modules_define_one_way_to_do_each_job():
         "omnivariance",
         "local_omnivariance",
     }
-    assert functions_of(files) == {"read_text", "atomic_open"}
+    # a capped document is read whole, a query file one line at a time
+    assert functions_of(files) == {"read_text", "read_lines", "atomic_open"}
     assert functions_of(normalize) == {
         "normalize_stiffness",
         "build_comparison",
@@ -185,6 +186,11 @@ def test_value_types_carry_only_what_the_library_reads():
         "k_min_normalized",
     }
     assert "ComparisonRow" not in vars(normalize)
+    # an index is a build or a file that load checked: no caller's arrays to
+    # cast, and no flag for whether the points are tool tips
+    assert "_as_uint32" not in vars(workspace)
+    index = workspace.enumerate_workspace(RobotDescription(segment_count=1))
+    assert set(vars(index)) == {"desc", "points", "bucket_offsets", "bucket_members", "_scanned"}
     assert members_of(WorkspaceIndex) == {
         "__init__",
         "tree",

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -41,25 +42,26 @@ from plc import kinematics
 from plc.kinematics import tip_positions
 
 from _oracles import all_configurations, fk_position, nearest_by_scan, quantize
-from conftest import desc_with, traced_peak, write_sparse_index
+from conftest import desc_with, load_arrays, traced_peak, write_sparse_index
 
 
 def synthetic_index(points):
-    """Index over hand-picked points, one configuration per point."""
-    desc = desc_with(segment_count=1)
+    """Index over hand-picked points of a one-segment robot with max(G, 2)
+    teeth: each point holds one rank, and the last point the rest."""
     points = np.asarray(points, dtype=float)
     count = points.shape[0]
-    return WorkspaceIndex(
-        desc,
-        points,
-        np.arange(count + 1, dtype=np.int64),
-        np.arange(count, dtype=np.int64),
-    )
+    desc = desc_with(segment_count=1, tooth_count=max(count, 2))
+    offsets = np.arange(count + 1)
+    offsets[-1] = desc.tooth_count
+    return load_arrays(desc, points, offsets, np.arange(desc.tooth_count))
 
 
 def fresh_copy(index):
     """A new index over the same arrays: no tree, nothing scanned yet."""
-    return WorkspaceIndex(index.desc, index.points, index.bucket_offsets, index.bucket_members)
+    fresh = copy.copy(index)
+    vars(fresh).pop("tree", None)
+    fresh._scanned = 0
+    return fresh
 
 
 def scan_and_tree(index):
@@ -195,30 +197,16 @@ def test_enumeration_peak_is_within_bytes_per_configuration(robot):
     assert peak <= 72 * count + 2**20
 
 
-def test_index_holds_uint32_and_never_wraps_a_cast():
-    desc = desc_with(segment_count=1)
+def test_index_holds_uint32_and_never_wraps_a_cast(index_n3):
+    # the widths of the file, in a build and in a loaded index alike: no
+    # array is cast, so none can wrap
+    desc = desc_with(segment_count=1, tooth_count=3)
     points = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    for dtype in (np.int64, np.uint64, np.int32, float):
-        index = WorkspaceIndex(desc, points, np.array([0, 1, 3], dtype), np.array([0, 2, 1], dtype))
+    for index in (index_n3, load_arrays(desc, points, [0, 1, 3], [0, 1, 2])):
+        assert index.points.dtype == np.float64
         assert index.bucket_offsets.dtype == index.bucket_members.dtype == np.uint32
         assert index.bucket_ranks(1).dtype == np.uint32
-        assert index.bucket_ranks(1).tolist() == [2, 1]
-    offsets, members = np.array([0, 1, 2], np.uint32), np.array([0, 1], np.uint32)
-    index = WorkspaceIndex(desc, points, offsets, members)
-    assert np.shares_memory(index.bucket_members, members)  # held as they are
-    index = WorkspaceIndex(desc, points, [0, 1, 2], [0, 2**32 - 1])  # the widest rank
-    assert index.bucket_ranks(1).tolist() == [2**32 - 1]
-    # each of these values would wrap to a valid offset or rank
-    for name, offsets, members in [
-        ("bucket_members", [0, 1, 2], [0, -(2**32) + 1]),
-        ("bucket_members", [0, 1, 2], [0, 2**32]),
-        ("bucket_members", [0, 1, 2], [0, 2**32 + 1]),
-        ("bucket_members", [0, 1, 2], [0, np.nan]),
-        ("bucket_offsets", [-(2**32), 1, 2], [0, 1]),
-        ("bucket_offsets", [0, 1, 2**32 + 2], [0, 1]),
-    ]:
-        with pytest.raises(InvariantError, match=rf"{name} must lie in \[0, 2\*\*32\)"):
-            WorkspaceIndex(desc, points, np.array(offsets), np.array(members))
+    assert index.bucket_ranks(1).tolist() == [1, 2]
 
 
 def test_load_refuses_a_header_of_2_32_configurations_or_more(tmp_path):
@@ -276,8 +264,7 @@ def test_index_checks_stay_within_the_load_estimate(tmp_path, point_count):
     # at every point count; over the whole index, the offsets' comparison
     # (1 B per point) or the finiteness mask (3 B) would pass it by 2 * 10**6.
     # A two-tooth chain has 2**n ranks: every point holds one, the last the rest.
-    # The arrays come in the index's widths, so the constructor holds them as
-    # they are and casts nothing
+    # The arrays come in the file's widths, as load reads them
     segment_count = (point_count - 1).bit_length()
     desc = desc_with(tooth_count=2, segment_count=segment_count)
     points = np.zeros((point_count, 3))
@@ -285,16 +272,13 @@ def test_index_checks_stay_within_the_load_estimate(tmp_path, point_count):
     offsets = np.arange(point_count + 1, dtype=np.uint32)
     offsets[-1] = 2**segment_count
     arrays = (points, offsets, np.arange(2**segment_count, dtype=np.uint32))
-    peak = traced_peak(lambda: WorkspaceIndex(desc, *arrays))
+    peak = traced_peak(lambda: workspace._check_arrays(*arrays))
     assert 0.8 * _CHECK_BYTES <= peak <= _CHECK_BYTES
     # load adds the member check, whose bool mark per rank is charged beside
     # the arrays: the arrays and the marks are held at once, and the block
-    # checks stay within _CHECK_BYTES
-    path = tmp_path / "index.plcw"
-    with open(path, "wb") as fh:  # save refuses an index of a caller's arrays
-        WorkspaceIndex(desc, *arrays)._write(fh)
-    held = path.stat().st_size - _HEADER.size + 2**segment_count
-    peak = traced_peak(lambda: WorkspaceIndex.load(path, desc))
+    # checks stay within _CHECK_BYTES.  Writing the file first copies nothing
+    held = sum(array.nbytes for array in arrays) + 2**segment_count
+    peak = traced_peak(lambda: load_arrays(desc, *arrays))
     assert held <= peak <= held + _CHECK_BYTES
 
 
@@ -427,17 +411,13 @@ def test_points_out_of_key_order_are_refused(index_n3, index_n5):
         assert np.array_equal(position_key(duplicate[row]), position_key(duplicate[row + 1]))
         for points in (swapped, duplicate):
             with pytest.raises(InvariantError, match="ascending key order"):
-                WorkspaceIndex(index.desc, points, index.bucket_offsets, index.bucket_members)
+                load_arrays(index.desc, points, index.bucket_offsets, index.bucket_members)
 
 
 # the last row of a key-check block is the first of the next: its own check
 # must see it before the key check of the block before
 @pytest.mark.parametrize("row, bad", [(0, np.nan), (1000, np.inf), (_SCAN_ROWS, np.nan)])
 def test_non_finite_points_are_refused(tmp_path, index_n5, row, bad):
-    points = index_n5.points.copy()
-    points[row, 1] = bad
-    with pytest.raises(InvariantError, match="points must be finite"):
-        WorkspaceIndex(index_n5.desc, points, index_n5.bucket_offsets, index_n5.bucket_members)
     path = tmp_path / "n5.plcw"
     index_n5.save(path)
     data = bytearray(path.read_bytes())
@@ -454,7 +434,17 @@ def test_points_without_configurations_are_refused(index_n5, row):
     offsets = index_n5.bucket_offsets.copy()
     offsets[row + 1] = offsets[row]
     with pytest.raises(InvariantError, match="every reachable point needs >= 1 configuration"):
-        WorkspaceIndex(index_n5.desc, index_n5.points, offsets, index_n5.bucket_members)
+        load_arrays(index_n5.desc, index_n5.points, offsets, index_n5.bucket_members)
+
+
+@pytest.mark.parametrize("offsets", [[1, 1, 2], [0, 1, 1], [0, 1, 3]])
+def test_offsets_that_do_not_span_the_members_are_refused(offsets):
+    # the first offset must be 0 and the last the member count
+    desc = desc_with(segment_count=1, tooth_count=2)
+    points = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+    assert load_arrays(desc, points, [0, 1, 2], [0, 1]).point_count == 2
+    with pytest.raises(InvariantError, match="bucket_offsets must span bucket_members exactly"):
+        load_arrays(desc, points, offsets, [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -887,31 +877,9 @@ def test_save_load_round_trip(tmp_path, index_n3):
     assert np.array_equal(loaded.points, index_n3.points)
     assert np.array_equal(loaded.bucket_offsets, index_n3.bucket_offsets)
     assert np.array_equal(loaded.bucket_members, index_n3.bucket_members)
-
-
-def test_save_refuses_an_index_of_a_callers_arrays(tmp_path, monkeypatch):
-    # load trusts a file's points to be its first members' tool tips, which
-    # solve_ik answers with: these are not, so this index walks its third
-    # bucket for (10, 0, 5), where a saved and loaded copy would answer the
-    # stored point with error 0
-    desc = desc_with(segment_count=1)
-    points = [[0.0, 0.0, 0.0], [5.0, 0.0, 5.0], [10.0, 0.0, 5.0]]
-    index = WorkspaceIndex(desc, points, [0, 1, 2, 10], np.arange(10))
-    solution = solve_ik(index, desc, [10.0, 0.0, 5.0], Configuration((0,), 10))
-    assert solution.position_error > 20.0
-    opened = []
-    monkeypatch.setattr(workspace, "atomic_open", lambda *args, **kwargs: opened.append(args))
-    with pytest.raises(InvariantError, match="only an enumerated or loaded index can be saved"):
-        index.save(tmp_path / "hand.plcw")
-    assert opened == []  # refused before any file is opened
-    monkeypatch.undo()
-    with pytest.raises(InvariantError):
-        index.save(tmp_path / "hand.plcw")
-    assert list(tmp_path.iterdir()) == []  # no file, and no temporary file
-    # an enumerated index saves, and so does a loaded one, with the same bytes
-    enumerate_workspace(desc).save(tmp_path / "built.plcw")
-    WorkspaceIndex.load(tmp_path / "built.plcw", desc).save(tmp_path / "loaded.plcw")
-    assert (tmp_path / "built.plcw").read_bytes() == (tmp_path / "loaded.plcw").read_bytes()
+    # a loaded index saves the bytes it was read from
+    loaded.save(tmp_path / "again.plcw")
+    assert (tmp_path / "again.plcw").read_bytes() == path.read_bytes()
 
 
 def test_failed_save_leaves_nothing_behind(tmp_path, index_n2, monkeypatch):
