@@ -167,7 +167,7 @@ def _read_queries(path):
     ``_ROWS`` rows read from a stream, so the file is never held whole; a
     bad row is refused when its block is read."""
     block, rows, lines = [], 0, 0
-    for line in read_lines(path):
+    for line in read_lines(path, MAX_DOCUMENT_BYTES):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

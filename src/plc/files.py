@@ -26,6 +26,8 @@ INDEX_FORMAT_VERSION = 4
 #: ...]``, 432 B for ``[a: 0, ...]``, under 2 B for comments), so a file at
 #: the cap parses in under 40 MB and 1.3 s (2-core Xeon), and the designs
 #: reader in under 2 MB.  A description of every field takes about 0.5 kB.
+#: It also caps, in characters, a line of a query file, which is otherwise
+#: read a line at a time with no cap on its size.
 MAX_DOCUMENT_BYTES = 2**16
 
 
@@ -55,11 +57,13 @@ def read_text(path, max_bytes: int) -> str:
         raise PlcError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def read_lines(path):
+def read_lines(path, max_chars: int):
     """The lines of the UTF-8 file at ``path``, one at a time, as
-    ``read_text`` reads its text: universal newlines, no leading byte order
-    mark, and no cap on the file's size, since only one line is held at a
-    time.
+    ``read_text`` reads its text: universal newlines and no leading byte
+    order mark.  The file's size has no cap, since only one line is held at
+    a time, but a line of more than ``max_chars`` characters, its newline
+    included, is refused with a :class:`PlcError` naming the file, before
+    more of it is read.
 
     A byte that is not UTF-8 is refused where the reader meets it, with the
     message a whole read gives, which counts the byte's position from the
@@ -68,7 +72,10 @@ def read_lines(path):
     with open(path, "r", encoding="utf-8-sig") as fh:
         bom = len(codecs.BOM_UTF8) if fh.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0
         try:
-            yield from fh
+            while line := fh.readline(max_chars + 1):
+                if len(line) > max_chars:
+                    raise PlcError(f"{path} has a line of more than {max_chars} characters, the most a line may hold")
+                yield line
         except UnicodeDecodeError as exc:
             # the decoder saw the bytes left from the last chunk and the
             # next chunk, which ends where the file's position now is

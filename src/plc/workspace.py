@@ -30,8 +30,8 @@ on Python floats for the ``ik`` error.  So scan and tree agree bit for bit,
 ``ik`` error of a stored point, on every host.  Building and saving an index
 need neither.
 
-An index comes from :func:`enumerate_workspace` or from a file that
-:meth:`WorkspaceIndex.load` has checked; there is no other way to make one.
+An index must come from :func:`enumerate_workspace` or from a file that
+:meth:`WorkspaceIndex.load` has checked; the constructor is internal.
 Each stored point is, bit for bit, the :func:`~plc.kinematics.tool_position`
 of its bucket's first configuration, on any host and at any tool offset,
 because the FK is written in one order of plain float operations, so
@@ -277,12 +277,15 @@ class WorkspaceIndex:
     bucket_members:  (M,) uint32 enumeration ranks grouped per point, each
                      group in canonical (ascending) order.
 
-    Made only by :func:`enumerate_workspace`, whose arrays hold all this by
-    construction, and by :meth:`load`, which checks a file's arrays for it
-    (``_check_arrays`` and ``_members_are_ranks``); the constructor holds the
-    arrays as they are.  Both integer arrays are uint32, the widths of the
-    file: a build refuses 2**32 configurations or more, so every offset and
-    rank fits.
+    An index must come from :func:`enumerate_workspace`, whose arrays hold
+    all this by construction, or from :meth:`load`, which checks a file's
+    arrays for it (``_check_arrays`` and ``_members_are_ranks``).  Both
+    integer arrays are uint32, the widths of the file: a build refuses 2**32
+    configurations or more, so every offset and rank fits.
+
+    The constructor is internal and unsupported: it holds the numpy arrays
+    it is given as they are, with no cast and no check, so an index made
+    from other arrays may answer wrongly, and :meth:`save` writes it as it is.
     """
 
     def __init__(

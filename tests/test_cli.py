@@ -13,11 +13,11 @@ from plc import (
     Configuration,
     RobotDescription,
     WorkspaceIndex,
+    cli,
     parse_robot_description,
     tool_position,
     workspace,
 )
-from plc import cli, workspace
 from plc.cli import _fmt, _force_grid, main
 from plc.files import INDEX_FORMAT_VERSION, MAX_DOCUMENT_BYTES
 from plc.stiffness import stiffness_map
@@ -1025,6 +1025,7 @@ def test_input_files_that_are_not_utf8_are_refused(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(bad))
     assert_domain_error(code, err)
     assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
@@ -1044,7 +1045,6 @@ def test_a_bad_byte_in_the_query_stream_is_placed_in_the_whole_text(capsys, tmp_
     code, out, err = run(capsys, "workspace", "accuracy", "--robot", robot_file(tmp_path), "--queries", str(queries))
     assert (code, out) == (2, "")
     assert err == f"error: {queries} is not UTF-8 text: {whole.value}\n"
-    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -1295,6 +1295,36 @@ def test_query_reader_peak_does_not_grow_with_the_rows(capsys, tmp_path, monkeyp
     assert codes == [0, 0]
     assert large <= 1.05 * small
     assert large < 265 * 10**4  # below a whole read of the smaller file
+
+
+def test_a_query_line_past_the_cap_is_refused(capsys, tmp_path):
+    robot = robot_file(tmp_path)
+    index = tmp_path / "ws.plcw"
+    assert run(capsys, "workspace", "build", "--robot", robot, "--out", str(index))[0] == 0
+    queries = tmp_path / "queries.csv"
+    accuracy = ["workspace", "accuracy", "--robot", robot, "--index", str(index), "--queries", str(queries)]
+    queries.write_text("60,20,35\n1,2,3\n")
+    plain = run(capsys, *accuracy)
+    assert plain[0] == 0
+    # a line of MAX_DOCUMENT_BYTES characters, its newline included, is read
+    line = "1,2,3\n".rjust(MAX_DOCUMENT_BYTES)
+    queries.write_text("60,20,35\n" + line)
+    assert run(capsys, *accuracy) == plain
+    # one character more is refused, as is a line with no newline, which
+    # used to be held whole (about 4 B traced per byte): the reader stops
+    # one character past the cap
+    for body in ("60,20,35\n " + line, "60,20,35\n" + " " * 10**6 + "1,2,3"):
+        queries.write_text(body)
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(accuracy)))
+        out, err = capsys.readouterr()
+        assert_domain_error(codes[0], err)
+        assert err == (
+            f"error: {queries} has a line of more than {MAX_DOCUMENT_BYTES} characters, "
+            "the most a line may hold\n"
+        )
+        assert out == ""
+        assert peak < 10**6
 
 
 def test_fk_tip_round_trips_through_ik(capsys, tmp_path):
